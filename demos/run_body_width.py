@@ -9,7 +9,7 @@ direction.
 import numpy as np
 
 from peabody4d import build_ball_model, compute_model_constants, diameter_check, sample_theta, width_in_direction
-from peabody4d.body import binormal_partner, ray_cast_boundary, sample_points
+from peabody4d.body import binormal_partner, ray_cast_boundary
 from peabody4d.skeleton import build_focal_skeleton, build_simplex, build_symmetry_group
 
 c = compute_model_constants()
@@ -18,9 +18,11 @@ skeleton = build_focal_skeleton(c, s, build_symmetry_group(s))
 model = build_ball_model(skeleton, patch_grid=(16, 24), arc_n=64)
 print("balls:", len(model.centers), " width:", model.width)
 
+# the population is one set of parallel arrays: points, piece labels,
+# active balls and generating parameters
 pop = sample_theta(model, skeleton, 50000, seed=1)
-faces = sorted({p.face for p in pop})
-print("boundary pieces reached:", len(faces))
+faces = sorted(set(pop.labels))
+print("samples:", len(pop), " boundary pieces reached:", len(faces))
 
 # support width along a few directions
 rng = np.random.default_rng(2)
@@ -34,7 +36,7 @@ dia = diameter_check(model, pop[:20000], pairs=200000, seed=3)
 print("\nfarthest sampled pair: %.12f (width %.12f)" % (dia, model.width))
 
 q = ray_cast_boundary(model, np.array([1.0, 0.0, 0.0, 0.0]))
-p = binormal_partner(model, q)
-print("\nthe +x boundary point sits on piece", q.face)
+(p,) = binormal_partner(model, q)
+print("\nthe +x boundary point sits on piece", q.labels[0])
 print("its diameter partner is", np.round(p, 6), "on the opposite side")
-print("separation: %.15f" % float(np.linalg.norm(q.point - p)))
+print("separation: %.15f" % float(np.linalg.norm(q.points[0] - p)))

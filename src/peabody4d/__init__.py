@@ -12,7 +12,7 @@ The package builds the body in layers:
 
 from .body import (
     BallModel,
-    BoundarySample,
+    BoundaryPopulation,
     build_ball_model,
     diameter_check,
     ray_cast_boundary,
@@ -36,7 +36,7 @@ from .skeleton import (
 
 __all__ = [
     "BallModel",
-    "BoundarySample",
+    "BoundaryPopulation",
     "FocalSkeleton",
     "ModelConstants",
     "NoConvergence",

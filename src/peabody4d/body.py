@@ -18,6 +18,8 @@ Two independent representations of the same body are kept in play:
 Everything downstream cross-validates one representation against the
 other: ray casts probe the ball model, phi samples must land on its
 boundary, and boundary samples are classified by which ball is tight.
+A population of samples is one BoundaryPopulation of parallel arrays.  Ball
+slack and ray hits each have one array kernel (_min_slack, _ray_hits).
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
@@ -29,7 +31,7 @@ sample lives on the face dual to the sample's own piece.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -37,7 +39,12 @@ from scipy.stats import qmc
 
 from .focal import base_patch_contains
 from .geometry import as_vec4
-from .skeleton import base_arc_points, base_patch_grid_params, dual_label
+from .skeleton import (
+    base_arc_axes,
+    base_arc_points,
+    base_patch_grid_params,
+    dual_label,
+)
 
 
 class DomainError(Exception):
@@ -61,22 +68,86 @@ def _label_str(label):
 
 
 _CAP_LABELS = {i: _label_str(set(range(1, 6)) - {i}) for i in range(1, 6)}
-_VALID_LABELS = (
-    set(_CAP_LABELS.values())
-    | {_label_str(t) for t in itertools.combinations(range(1, 6), 3)}
-    | {_label_str(p) for p in itertools.combinations(range(1, 6), 2)}
-)
+# the 25 piece labels (10 edge wedges, 10 triangle wedges, 5 caps); a
+# population stores indices into this tuple
+PIECE_LABELS = tuple(sorted(_label_str(t) for k in (2, 3, 4)
+                            for t in itertools.combinations(range(1, 6), k)))
+_PIECE_CODES = {lab: k for k, lab in enumerate(PIECE_LABELS)}
+
+
+def face_codes(labels):
+    """Piece codes of the given label strings (UnclassifiedSample if unknown)."""
+    try:
+        return np.array([_PIECE_CODES[lab] for lab in labels], dtype=np.int8)
+    except KeyError as exc:
+        raise UnclassifiedSample(f"unknown face label {exc.args[0]!r}") from None
+
+
+# ============================================================================
+# array kernels
+# ============================================================================
+
+def _block_rows(n_balls):
+    # rows per block, so that each (rows x balls) temporary stays near 32 MB
+    return max(16, int(4e6) // max(1, n_balls))
+
+
+def _row_min(values, n_rows, n_balls):
+    """Row-wise min and argmin of values(rows), one block of rows at a time."""
+    out = np.empty(n_rows)
+    arg = np.empty(n_rows, dtype=np.intp)
+    step = _block_rows(n_balls)
+    for i in range(0, n_rows, step):
+        V = values(slice(i, i + step))
+        j = np.argmin(V, axis=1)
+        out[i:i + step] = V[np.arange(len(V)), j]
+        arg[i:i + step] = j
+    return out, arg
+
+
+def _min_slack(C, R, P):
+    """Smallest ball slack R - |p - C| per row p of P, and the ball attaining it.
+
+    Negative slack means outside some ball; zero means on a sphere.
+    """
+    c2 = np.einsum("ij,ij->i", C, C)
+
+    def slack(rows):
+        B = P[rows]
+        d2 = np.einsum("ij,ij->i", B, B)[:, None] + c2[None, :] - 2.0 * (B @ C.T)
+        np.maximum(d2, 0.0, out=d2)
+        return R[None, :] - np.sqrt(d2)
+    return _row_min(slack, len(P), len(C))
+
+
+def _ray_hits(C, R, origin, U):
+    """First sphere hit t along origin + t u per row u of U, and its ball.
+
+    Works in any dimension.  origin must lie strictly inside every ball, so
+    each sphere has exactly one positive root and the smallest is the exit.
+    """
+    D = C - origin
+    r2md2 = R ** 2 - np.einsum("ij,ij->i", D, D)
+
+    def roots(rows):
+        B = U[rows] @ D.T
+        return B + np.sqrt(B * B + r2md2[None, :])
+    return _row_min(roots, len(U), len(C))
 
 
 # ============================================================================
 # envelope maps
 # ============================================================================
 
-def _require_dual_pair(patch, arc):
+def _require_dual_pair(patch, arc, x, y):
     if patch.kind != "triangle-patch" or arc.kind != "edge-arc":
         raise DomainError("phi maps take (triangle-patch, edge-arc)")
     if set(patch.label) | set(arc.label) != {1, 2, 3, 4, 5}:
         raise DomainError(f"faces {patch.label} and {arc.label} are not dual")
+    if not patch.contains(x, tol=1e-8):
+        raise DomainError("x is not on the patch")
+    if not arc.contains(y, tol=1e-8):
+        raise DomainError("y is not on the arc")
 
 
 def phi1(patch, arc, x, y, validate=True):
@@ -88,11 +159,7 @@ def phi1(patch, arc, x, y, validate=True):
     """
     x, y = as_vec4(x), as_vec4(y)
     if validate:
-        _require_dual_pair(patch, arc)
-        if not patch.contains(x, tol=1e-8):
-            raise DomainError("x is not on the patch")
-        if not arc.contains(y, tol=1e-8):
-            raise DomainError("y is not on the arc")
+        _require_dual_pair(patch, arc, x, y)
     d = x - y
     n = np.linalg.norm(d)
     return x + float(patch.radius(x)) * d / n
@@ -102,11 +169,7 @@ def phi2(patch, arc, x, y, validate=True):
     """Envelope point on the edge-wedge side: y pushed away from x."""
     x, y = as_vec4(x), as_vec4(y)
     if validate:
-        _require_dual_pair(patch, arc)
-        if not patch.contains(x, tol=1e-8):
-            raise DomainError("x is not on the patch")
-        if not arc.contains(y, tol=1e-8):
-            raise DomainError("y is not on the arc")
+        _require_dual_pair(patch, arc, x, y)
     d = y - x
     n = np.linalg.norm(d)
     return y + float(arc.radius(y)) * d / n
@@ -145,28 +208,13 @@ class BallModel:
     patch_grid: tuple
     arc_n: int
 
-    def min_slack(self, pts, chunk=None):
+    def min_slack(self, pts):
         """Smallest ball slack rho(c) - |p - c| and its argmin, vectorized.
 
         Negative slack means outside the model; zero means on a sphere.
         """
         P = np.atleast_2d(np.asarray(pts, dtype=float))
-        C, R = self.centers, self.radii
-        if chunk is None:
-            # keep each distance block around 32 MB whatever the grid size
-            chunk = max(16, int(4e6) // len(C))
-        c2 = np.einsum("ij,ij->i", C, C)
-        out = np.empty(len(P))
-        arg = np.empty(len(P), dtype=np.intp)
-        for i in range(0, len(P), chunk):
-            B = P[i:i + chunk]
-            d2 = (np.einsum("ij,ij->i", B, B)[:, None] + c2[None, :]
-                  - 2.0 * (B @ C.T))
-            np.maximum(d2, 0.0, out=d2)
-            s = R[None, :] - np.sqrt(d2)
-            j = np.argmin(s, axis=1)
-            out[i:i + chunk] = s[np.arange(len(B)), j]
-            arg[i:i + chunk] = j
+        out, arg = _min_slack(self.centers, self.radii, P)
         if np.ndim(pts) == 1:
             return float(out[0]), int(arg[0])
         return out, arg
@@ -194,18 +242,13 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
     V = skeleton.simplex.vertices
     w = c.width
 
-    centers, radii, o_labels, o_params, s_labels = [], [], [], [], []
-    face_slices = {}
-    for i in range(5):
-        centers.append(V[i])
-        radii.append(w)
-        o_labels.append(f"v{i + 1}")
-        o_params.append(())
-        s_labels.append(_CAP_LABELS[i + 1])
-    face_slices["vertices"] = slice(0, 5)
+    centers, radii = [V], [np.full(5, w)]
+    o_labels = [f"v{i}" for i in range(1, 6)]
+    o_params = [()] * 5
+    s_labels = [_CAP_LABELS[i] for i in range(1, 6)]
+    face_slices = {"vertices": slice(0, 5)}
 
-    a = math.sqrt(c.a_sq)
-    t1 = math.acos(c.x1 / a)
+    _, _, t1 = base_arc_axes(c)
     ts = np.linspace(-t1, t1, arc_n)
     arc_base = base_arc_points(c, arc_n)
     patch_params, patch_base = base_patch_grid_params(c, nx, ntheta)
@@ -229,17 +272,17 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
         keep = dv > 1e-12
         pts = pts[keep]
         params = [q for q, k in zip(params, keep) if k]
-        start = len(centers)
-        centers.extend(pts)
-        radii.extend(w - face.radius(pts))
+        start = len(o_labels)
+        centers.append(pts)
+        radii.append(w - face.radius(pts))
         o_labels.extend([lab] * len(pts))
         o_params.extend(params)
         s_labels.extend([dual] * len(pts))
-        face_slices[lab] = slice(start, len(centers))
+        face_slices[lab] = slice(start, len(o_labels))
 
     model = BallModel(
-        centers=np.array(centers),
-        radii=np.array(radii),
+        centers=np.concatenate(centers),
+        radii=np.concatenate(radii),
         origin_labels=tuple(o_labels),
         origin_params=tuple(o_params),
         sample_labels=tuple(s_labels),
@@ -256,67 +299,94 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
 
 
 # ============================================================================
-# boundary samples
+# boundary populations
 # ============================================================================
 
 @dataclass(frozen=True)
-class BoundarySample:
-    """A boundary point with its piece label and generating data.
+class BoundaryPopulation:
+    """Boundary samples as parallel arrays, one row per sample.
 
-    face is one of the 25 piece labels; active_center indexes the model
-    ball that is tight at the point; params records face-local coordinates
-    (grid parameters for phi samples, the direction for cap/ray samples).
+    points     (N, 4) boundary points
+    face       (N,) piece codes: index into PIECE_LABELS
+    active     (N,) index of the model ball that is tight at each point
+    xy         (N, 2) model center indices of the dual pair (x, y) that
+               generated a phi sample; -1 for the other samples
+    direction  (N, 4) unit direction of a cap sample (from its vertex) or a
+               ray sample (from the interior point); NaN for the others
+
+    Slices, boolean masks and index arrays select rows; concat joins.
     """
 
-    point: np.ndarray
-    face: str
-    active_center: int
-    params: dict
+    points: np.ndarray
+    face: np.ndarray
+    active: np.ndarray
+    xy: np.ndarray
+    direction: np.ndarray
+
+    def __post_init__(self):
+        if np.any((self.face < 0) | (self.face >= len(PIECE_LABELS))):
+            raise UnclassifiedSample("face code outside the 25 piece labels")
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        return BoundaryPopulation(*(getattr(self, f.name)[index]
+                                    for f in fields(self)))
+
+    @property
+    def labels(self):
+        """Piece label string of each sample."""
+        return np.array(PIECE_LABELS)[self.face]
+
+    @classmethod
+    def concat(cls, pops):
+        return cls(*(np.concatenate([getattr(p, f.name) for p in pops])
+                     for f in fields(cls)))
 
 
-def _ray_cast_many(model, U, chunk=256):
+def _population(points, face, active, xy=None, direction=None):
+    # rows of a population; scalar face/active values apply to every row
+    n = len(points)
+    return BoundaryPopulation(
+        points=points,
+        face=np.full(n, face, dtype=np.int8),
+        active=np.full(n, active, dtype=np.intp),
+        xy=np.full((n, 2), -1 if xy is None else xy, dtype=np.intp),
+        direction=np.full((n, 4), np.nan if direction is None else direction))
+
+
+def _ray_cast_many(model, U):
     """Smallest positive sphere hit along g + t u for each row of U."""
-    D = model.centers - model.interior_point
-    d2 = np.einsum("ij,ij->i", D, D)
-    r2md2 = model.radii ** 2 - d2  # positive: g is interior
-    ts = np.empty(len(U))
-    args = np.empty(len(U), dtype=np.intp)
-    for i in range(0, len(U), chunk):
-        B = D @ U[i:i + chunk].T                  # (N, b)
-        t = B + np.sqrt(B * B + r2md2[:, None])   # positive root per ball
-        j = np.argmin(t, axis=0)
-        ts[i:i + chunk] = t[j, np.arange(t.shape[1])]
-        args[i:i + chunk] = j
-    return ts, args
+    return _ray_hits(model.centers, model.radii, model.interior_point, U)
 
 
-def ray_cast_boundary(model, u):
-    """Boundary sample in direction u from the interior point."""
-    u = as_vec4(u)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-8:
-        raise ValueError("direction must be a unit vector")
-    t, idx = _ray_cast_many(model, u[None, :])
-    point = model.interior_point + t[0] * u
-    return BoundarySample(point=point, face=model.sample_labels[idx[0]],
-                          active_center=int(idx[0]),
-                          params={"direction": u, "t": float(t[0])})
+def ray_cast_boundary(model, U):
+    """Population of the boundary hits from the interior point along U.
+
+    U is one unit direction (a one-sample population) or an (N, 4) array.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if U.shape[1:] != (4,) or np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-8):
+        raise ValueError("directions must be unit 4-vectors")
+    ts, args = _ray_cast_many(model, U)
+    return _population(model.interior_point + ts[:, None] * U,
+                       face_codes(model.sample_labels)[args], args,
+                       direction=U)
 
 
-def binormal_partner(model, s):
-    """The opposite end of the diameter through a boundary sample.
+def binormal_partner(model, pop):
+    """The opposite ends of the diameters through a population, (N, 4).
 
     Every boundary point p with tight ball (c, rho) continues through c to
     the boundary point p - 2 z1 * (p - c)/|p - c|: for caps that is the
     opposite vertex, for wedges the phi-image on the dual side.
     """
-    if s.face not in _VALID_LABELS:
-        raise UnclassifiedSample(f"unknown face label {s.face!r}")
-    c = model.centers[s.active_center]
-    d = s.point - c
-    n = np.linalg.norm(d)
-    if n < 1e-12:
+    D = pop.points - model.centers[pop.active]
+    nn = np.linalg.norm(D, axis=1)
+    if np.any(nn < 1e-12):
         raise UnclassifiedSample("sample coincides with its active center")
-    return s.point - model.width * d / n
+    return pop.points - model.width * D / nn[:, None]
 
 
 # ----------------------------------------------------------------------------
@@ -347,7 +417,7 @@ def _cap_directions(model, skeleton, i, count, rng,
     for v in V:
         near_vertex |= np.linalg.norm(C - v, axis=1) <= 1e-9
     C, R = C[~near_vertex], R[~near_vertex]
-    c2 = np.einsum("ij,ij->i", C, C)
+    step = _block_rows(len(C))
 
     out = []
     need = count
@@ -361,22 +431,16 @@ def _cap_directions(model, skeleton, i, count, rng,
         dv = np.linalg.norm(Q[:, None, :] - others[None, :, :], axis=2)
         keep = np.all(dv <= w - vertex_margin, axis=1)
         Q, Wk = Q[keep], W[keep]
-        chunk = max(16, int(4e6) // max(1, len(C)))
-        for j in range(0, len(Q), chunk):
+        # one kernel block at a time, stopping as soon as enough passed
+        for j in range(0, len(Q), step):
             if need <= 0:
                 break
-            B = Q[j:j + chunk]
-            d2 = (np.einsum("ij,ij->i", B, B)[:, None] + c2[None, :]
-                  - 2.0 * (B @ C.T))
-            np.maximum(d2, 0.0, out=d2)
-            slack = R[None, :] - np.sqrt(d2)
-            ok = slack.min(axis=1) >= face_margin
-            for u in Wk[j:j + chunk][ok][:need]:
-                out.append(u)
-            need = count - len(out)
+            slack, _ = _min_slack(C, R, Q[j:j + step])
+            out.append(Wk[j:j + step][slack >= face_margin][:need])
+            need -= len(out[-1])
     if need > 0:
-        raise RuntimeError(f"cap {i}: certified only {len(out)} of {count}")
-    return np.array(out)
+        raise RuntimeError(f"cap {i}: certified only {count - need} of {count}")
+    return np.concatenate(out)
 
 
 def sample_exact_boundary(model, skeleton, n, seed=0):
@@ -390,37 +454,28 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
     rng = np.random.default_rng(seed)
     V = skeleton.simplex.vertices
     w = model.width
-    out = []
+    parts = []
 
     n_caps = max(int(round(0.18 * n)) - 5, 0)
     n_phi = max(n - n_caps - 5, 0)
-    pieces = []  # (sample label, center-slice of x, center-slice of y, kind)
-    for patch in skeleton.triangle_faces():
-        pieces.append((_label_str(patch.label), patch.label, "phi1"))
-    for arc in skeleton.edge_faces():
-        pieces.append((_label_str(arc.label), arc.label, "phi2"))
-    base_count = n_phi // len(pieces)
-    extras = n_phi - base_count * len(pieces)
-
-    for k, (lab, label, kind) in enumerate(pieces):
-        cnt = base_count + (1 if k < extras else 0)
+    # phi1 images over each patch, then phi2 images over each arc
+    pieces = skeleton.triangle_faces() + skeleton.edge_faces()
+    for k, face in enumerate(pieces):
+        cnt = n_phi // len(pieces) + (1 if k < n_phi % len(pieces) else 0)
         if cnt == 0:
             continue
-        dual = dual_label(label)
-        if kind == "phi1":
-            xs_slice = model.face_slices[lab]
-            ys_slice = model.face_slices[_label_str(dual)]
-        else:
-            xs_slice = model.face_slices[_label_str(dual)]
-            ys_slice = model.face_slices[lab]
-        xi = rng.integers(xs_slice.start, xs_slice.stop, size=cnt)
-        yi = rng.integers(ys_slice.start, ys_slice.stop, size=cnt)
+        lab, dual = _label_str(face.label), _label_str(dual_label(face.label))
+        phi1_side = face.kind == "triangle-patch"
+        xs = model.face_slices[lab if phi1_side else dual]
+        ys = model.face_slices[dual if phi1_side else lab]
+        xi = rng.integers(xs.start, xs.stop, size=cnt)
+        yi = rng.integers(ys.start, ys.stop, size=cnt)
         X, Y = model.centers[xi], model.centers[yi]
         D = X - Y
         nn = np.linalg.norm(D, axis=1)
         good = nn > 1e-12  # x = y only when both sit at a shared vertex
         xi, yi, X, Y, D, nn = xi[good], yi[good], X[good], Y[good], D[good], nn[good]
-        if kind == "phi1":
+        if phi1_side:
             r = w - model.radii[xi]          # hyperbolic chain radius at x
             P = X + (r / nn)[:, None] * D
             active = yi
@@ -428,29 +483,22 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
             r = w - model.radii[yi]          # elliptic chain radius at y
             P = Y - (r / nn)[:, None] * D
             active = xi
-        for p, a, ix, iy in zip(P, active, xi, yi):
-            out.append(BoundarySample(
-                point=p, face=lab, active_center=int(a),
-                params={"x": model.origin_params[ix],
-                        "y": model.origin_params[iy]}))
+        parts.append(_population(P, _PIECE_CODES[lab], active,
+                                 xy=np.column_stack([xi, yi])))
 
-    per_cap = [n_caps // 5] * 5
-    for k in range(n_caps - 5 * (n_caps // 5)):
-        per_cap[k] += 1
     for i in range(1, 6):
-        if per_cap[i - 1] == 0:
+        cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
+        if cnt == 0:
             continue
-        for u in _cap_directions(model, skeleton, i, per_cap[i - 1], rng):
-            out.append(BoundarySample(
-                point=V[i - 1] + w * u, face=_CAP_LABELS[i],
-                active_center=i - 1, params={"direction": u}))
+        U = _cap_directions(model, skeleton, i, cnt, rng)
+        parts.append(_population(V[i - 1] + w * U, _PIECE_CODES[_CAP_LABELS[i]],
+                                 i - 1, direction=U))
 
-    for i in range(1, 6):
-        j = 1 if i != 1 else 2  # the tight vertex ball; any j != i works
-        out.append(BoundarySample(
-            point=V[i - 1].copy(), face=_CAP_LABELS[j],
-            active_center=j - 1, params={}))
-    return out
+    # vertex p_i on the tight ball of p_j; any j != i works
+    j = np.array([2, 1, 1, 1, 1])
+    parts.append(_population(V.copy(), face_codes(_CAP_LABELS[k] for k in j),
+                             j - 1))
+    return BoundaryPopulation.concat(parts)
 
 
 def sample_theta(model, skeleton, n, seed=0):
@@ -466,12 +514,7 @@ def sample_theta(model, skeleton, n, seed=0):
         m = 1 << max(2, (n_ray - 1).bit_length())
         U = _norm.ppf(sob.random(m)[:n_ray])
         U /= np.linalg.norm(U, axis=1)[:, None]
-        ts, args = _ray_cast_many(model, U)
-        for u, t, idx in zip(U, ts, args):
-            out.append(BoundarySample(
-                point=model.interior_point + t * u,
-                face=model.sample_labels[idx], active_center=int(idx),
-                params={"direction": u, "t": float(t)}))
+        out = BoundaryPopulation.concat([out, ray_cast_boundary(model, U)])
     return out
 
 
@@ -479,19 +522,14 @@ def sample_theta(model, skeleton, n, seed=0):
 # width and diameter verifiers
 # ============================================================================
 
-def sample_points(samples):
-    """(N, 4) array of the sample points."""
-    return np.array([s.point for s in samples])
-
-
 def width_in_direction(samples, u):
-    """Support width of the sampled boundary along u."""
+    """Support width of a boundary population along u."""
     if len(samples) < 10 ** 4:
         raise TooFewSamples(f"{len(samples)} samples; need at least 10^4")
     u = as_vec4(u)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    proj = sample_points(samples) @ u
+    proj = samples.points @ u
     return float(proj.max() - proj.min())
 
 
@@ -502,24 +540,17 @@ def diameter_check(model, samples, pairs=10 ** 6, seed=0):
     the returned value can never fall below the width; the random-pair
     sweep hunts for anything above it.
     """
-    pts = sample_points(samples)
-    active = np.array([s.active_center for s in samples])
-    C = model.centers[active]
-    D = pts - C
-    nn = np.linalg.norm(D, axis=1)
-    partners = pts - model.width * D / nn[:, None]
+    pts = samples.points
+    partners = binormal_partner(model, samples)
     best = float(np.max(np.linalg.norm(pts - partners, axis=1)))
 
     rng = np.random.default_rng(seed)
-    chunk = 200000
-    done = 0
-    while done < pairs:
-        m = min(chunk, pairs - done)
+    for done in range(0, pairs, 200000):
+        m = min(200000, pairs - done)
         ia = rng.integers(0, len(pts), size=m)
         ib = rng.integers(0, len(pts), size=m)
         d = np.linalg.norm(pts[ia] - pts[ib], axis=1)
         best = max(best, float(d.max()))
-        done += m
     return best
 
 
@@ -528,9 +559,7 @@ def diameter_check(model, samples, pairs=10 ** 6, seed=0):
 # ============================================================================
 
 def _random_arc_points(c, n, rng):
-    a = math.sqrt(c.a_sq)
-    b = math.sqrt(c.a_sq - 1.0)
-    t1 = math.acos(c.x1 / a)
+    a, b, t1 = base_arc_axes(c)
     ts = rng.uniform(-t1, t1, size=n)
     return np.column_stack([a * np.cos(ts), np.zeros(n), b * np.sin(ts),
                             np.zeros(n)])

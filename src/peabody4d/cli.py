@@ -39,6 +39,7 @@ from scipy.stats import qmc
 
 from .body import (
     _ray_cast_many,
+    _ray_hits,
     binormal_partner,
     boundary_residual,
     build_ball_model,
@@ -46,7 +47,6 @@ from .body import (
     phi1,
     phi2,
     sample_exact_boundary,
-    sample_points,
     sample_theta,
     width_in_direction,
 )
@@ -101,6 +101,14 @@ EXACT_FORMS = {
 DEFAULT_GRID = (64, 96)
 DEFAULT_SAMPLES = 10000
 
+# every check verify runs, in report order; --tol accepts exactly these names
+CHECK_NAMES = (
+    "focal-distance-sum", "focal-difference-constant", "radius-sum-constant",
+    "rotation-closure", "closure-point-offset", "tangent-match",
+    "radius-consistency", "boundary-slack-inner", "boundary-slack-outer",
+    "binormal-separation", "partner-distance", "diameter-pairs",
+    "diameter-chords", "width-coordinate-axes")
+
 
 def _fmt(x):
     return "%.17g" % float(x)
@@ -125,30 +133,18 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(flag_value, cfg, key, convert, default):
-    """Defaults < config file < command-line flag."""
+def _resolve(flag_value, cfg, key, convert, default, env=None):
+    """Defaults < environment variable env < config file < command-line flag."""
     if flag_value is not None:
         return flag_value
-    if key in cfg:
-        try:
-            return convert(cfg[key])
-        except ValueError as exc:
-            raise _UsageError(f"config key {key!r}: {exc}") from exc
+    for source, text in ((f"config key {key!r}", cfg.get(key)),
+                         (env, os.environ.get(env) if env else None)):
+        if text is not None:
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise _UsageError(f"{source}: {exc}") from exc
     return default
-
-
-def _resolve_seed(flag_value, cfg):
-    if flag_value is not None:
-        return flag_value
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("PEABODY4D_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"PEABODY4D_SEED: {exc}") from exc
-    return 0
 
 
 def _parse_grid(text):
@@ -161,6 +157,15 @@ def _parse_grid(text):
     return nx, ntheta
 
 
+def _write(text, path):
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _arc_count(ntheta):
     # ties the arc resolution to the patch resolution: 96 -> 256, 24 -> 64
     return max(16, (8 * ntheta) // 3)
@@ -171,9 +176,11 @@ def _parse_tols(items):
     for item in items or []:
         if "=" not in item:
             raise _UsageError(f"--tol expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
+        name, value = (part.strip() for part in item.split("=", 1))
+        if name not in CHECK_NAMES:
+            raise _UsageError(f"--tol: unknown check {name!r}")
         try:
-            tols[name.strip()] = float(value)
+            tols[name] = float(value)
         except ValueError as exc:
             raise _UsageError(f"--tol {name}: {exc}") from exc
     return tols
@@ -331,13 +338,12 @@ def _skeleton_checks(report, tols, samples, seed):
     c = compute_model_constants()
     s = build_simplex(c)
     skeleton = build_focal_skeleton(c, s, build_symmetry_group(s))
-    group = skeleton.group
 
     def closure():
         return rotation_closure_check(c, s, n=max(200, samples // 5))
 
     def omega_offset():
-        motion = group[_ALL_PERMS.index((4, 5, 3, 1, 2))]
+        motion = skeleton.group[_ALL_PERMS.index((4, 5, 3, 1, 2))]
         omega = motion.apply(np.array([math.sqrt(c.a_sq), 0.0, 0.0, 0.0]))
         p45 = s.midpoints[(4, 5)]
         return abs(np.linalg.norm(omega - p45) - (math.sqrt(1.5) - c.x1))
@@ -368,8 +374,7 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
     w = model.width
     n = max(samples, 10 ** 4)
     pop = sample_theta(model, skeleton, n, seed=seed)
-    pts = sample_points(pop)
-    ms, _ = model.min_slack(pts)
+    ms, _ = model.min_slack(pop.points)
 
     def separation():
         rng = np.random.default_rng(seed + 3)
@@ -387,11 +392,9 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
         return worst
 
     def partner_sweep():
-        worst = 0.0
-        for s in pop[:2000]:
-            q = binormal_partner(model, s)
-            worst = max(worst, abs(np.linalg.norm(s.point - q) - w))
-        return worst
+        head = pop[:2000]
+        dist = np.linalg.norm(head.points - binormal_partner(model, head), axis=1)
+        return float(np.max(np.abs(dist - w)))
 
     def diameter_pairs():
         exact = sample_exact_boundary(model, skeleton, min(n, 20000),
@@ -426,12 +429,7 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
             if len(model.centers) > 4000:
                 src = build_ball_model(skeleton, patch_grid=(16, 24), arc_n=64)
             pop_w = sample_theta(src, skeleton, n_w, seed=seed + 5)
-        worst = 0.0
-        for k in range(4):
-            u = np.zeros(4)
-            u[k] = 1.0
-            worst = max(worst, abs(width_in_direction(pop_w, u) - w))
-        return worst
+        return max(abs(width_in_direction(pop_w, u) - w) for u in np.eye(4))
 
     _run_check(report, tols, "boundary-slack-inner",
                "every boundary sample lies inside every ball",
@@ -464,7 +462,7 @@ def cmd_verify(args):
     samples = _resolve(args.samples, cfg, "samples", int, DEFAULT_SAMPLES)
     if samples < 1:
         raise _UsageError("--samples must be positive")
-    seed = _resolve_seed(args.seed, cfg)
+    seed = _resolve(args.seed, cfg, "seed", int, 0, env="PEABODY4D_SEED")
     grid = _parse_grid(_resolve(args.grid, cfg, "grid", str,
                                 "%dx%d" % DEFAULT_GRID))
     tols = _parse_tols(args.tol)
@@ -482,10 +480,7 @@ def cmd_verify(args):
     if suite in ("all", "skeleton"):
         _skeleton_checks(report, tols, samples, seed)
     if suite in ("all", "body"):
-        s = build_simplex(c)
-        skeleton = build_focal_skeleton(c, s, build_symmetry_group(s))
-        model = build_ball_model(skeleton, patch_grid=grid,
-                                 arc_n=_arc_count(grid[1]))
+        _, skeleton, model = _build_model(grid)
         # the residual budget is calibrated on the as-built model so that a
         # corrupted radius law (--perturb) cannot loosen its own tolerances
         resid_budget = boundary_residual(model, skeleton, probes=128, seed=seed)
@@ -495,11 +490,7 @@ def cmd_verify(args):
         _body_checks(report, tols, samples, seed, skeleton, model, resid_budget)
 
     text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     status = "pass" if report.passed else "FAIL"
     print(f"suite {suite}: {status} "
           f"({time.perf_counter() - start:.1f}s wall)", file=sys.stderr)
@@ -515,7 +506,7 @@ def cmd_sample(args):
     n = _resolve(args.samples, cfg, "samples", int, 1000)
     if n < 1:
         raise _UsageError("--samples must be positive")
-    seed = _resolve_seed(args.seed, cfg)
+    seed = _resolve(args.seed, cfg, "seed", int, 0, env="PEABODY4D_SEED")
     fmt = _resolve(args.format, cfg, "format", str, "csv")
     if fmt != "csv":
         raise _UsageError(f"sample supports format csv, got {fmt!r}")
@@ -524,17 +515,14 @@ def cmd_sample(args):
 
     _, skeleton, model = _build_model(grid)
     pop = sample_theta(model, skeleton, n, seed=seed)
-    slack, _ = model.min_slack(sample_points(pop))
+    slack, _ = model.min_slack(pop.points)
     lines = ["x,y,z,w,face,slack"]
-    for s, sl in zip(pop, slack):
-        coords = ",".join(_fmt(v) for v in s.point)
-        lines.append(f"{coords},{s.face},{_fmt(sl)}")
+    for point, face, sl in zip(pop.points.tolist(), pop.labels.tolist(),
+                               slack.tolist()):
+        coords = ",".join(_fmt(v) for v in point)
+        lines.append(f"{coords},{face},{_fmt(sl)}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -550,6 +538,8 @@ class SliceSpec:
     fmt: str
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.normal)) and math.isfinite(self.offset)):
+            raise _UsageError("hyperplane normal and offset must be finite")
         if np.linalg.norm(self.normal) < 1e-12:
             raise _UsageError("hyperplane normal must be nonzero")
         if self.resolution < 8:
@@ -607,10 +597,7 @@ def slice_surface(model, spec):
         p0 = best.x
 
     dirs, faces = _uv_sphere(spec.resolution)
-    D = C3 - p0
-    b = dirs @ D.T                                     # (ndir, nball)
-    disc = b * b + (R3 ** 2 - np.einsum("ij,ij->i", D, D))[None, :]
-    t = np.min(b + np.sqrt(np.maximum(disc, 0.0)), axis=1)
+    t, _ = _ray_hits(C3, R3, p0, dirs)
     verts = p0 + t[:, None] * dirs
     return verts, faces, (origin, B)
 
@@ -645,12 +632,12 @@ def _uv_sphere(res):
 
 
 def _mesh_text(verts, faces, fmt):
+    if fmt == "csv":
+        lines = ["x,y,z"] + [",".join(_fmt(v) for v in vert) for vert in verts]
+        return "\n".join(lines) + "\n"
     if fmt == "off":
         lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
-        lines += [" ".join(_fmt(v) for v in vert) for vert in verts]
-        lines += ["3 %d %d %d" % face for face in faces]
-        return "\n".join(lines) + "\n"
-    if fmt == "ply":
+    else:
         lines = [
             "ply", "format ascii 1.0",
             f"element vertex {len(verts)}",
@@ -659,11 +646,8 @@ def _mesh_text(verts, faces, fmt):
             "property list uchar int vertex_indices",
             "end_header",
         ]
-        lines += [" ".join(_fmt(v) for v in vert) for vert in verts]
-        lines += ["3 %d %d %d" % face for face in faces]
-        return "\n".join(lines) + "\n"
-    lines = ["x,y,z"]
-    lines += [",".join(_fmt(v) for v in vert) for vert in verts]
+    lines += [" ".join(_fmt(v) for v in vert) for vert in verts]
+    lines += ["3 %d %d %d" % face for face in faces]
     return "\n".join(lines) + "\n"
 
 
@@ -683,11 +667,7 @@ def cmd_slice(args):
     _, _, model = _build_model(grid)
     verts, faces, _frame = slice_surface(model, spec)
     text = _mesh_text(verts, faces, spec.fmt)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 

@@ -59,7 +59,6 @@ class OffPatch(Exception):
 
 # canonical configuration, used by the base-domain guards below
 _MC = compute_model_constants()
-_A = math.sqrt(_MC.a_sq)
 _V = simplex_vertices(_MC)
 _BASE_E = base_ellipse(_MC.a_sq)
 _BASE_H = base_hyperboloid(_MC.a_sq)

@@ -105,9 +105,6 @@ class Isometry4:
         a = np.asarray(pts, dtype=float)
         return a @ self.linear.T + self.translation
 
-    def apply_point(self, p):
-        return Point4.from_array(self.apply(as_vec4(p)))
-
     def compose(self, other):
         """Motion equal to: first apply `other`, then self."""
         return Isometry4(self.linear @ other.linear,
@@ -227,10 +224,6 @@ class Quadric:
         """World -> frame coordinates, batched."""
         a = np.asarray(pts, dtype=float)
         return (a - self.origin) @ self.axes.T
-
-    def to_world(self, pts):
-        a = np.asarray(pts, dtype=float)
-        return a @ self.axes + self.origin
 
     def transformed(self, iso):
         """The image quadric under a rigid motion."""

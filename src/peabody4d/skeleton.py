@@ -113,11 +113,18 @@ def build_symmetry_group(s):
 # base-face sampling in parameter space
 # ============================================================================
 
+def base_arc_axes(c):
+    """Semi-axes (a, b) of the base ellipse and the eccentric angle t1 of p1.
+
+    E_12 is the arc (a cos t, 0, b sin t, 0) for t in [-t1, t1].
+    """
+    a = math.sqrt(c.a_sq)
+    return a, math.sqrt(c.a_sq - 1.0), math.acos(c.x1 / a)
+
+
 def base_arc_points(c, n):
     """n points of E_12 at symmetric eccentric angles (endpoints included)."""
-    a = math.sqrt(c.a_sq)
-    b = math.sqrt(c.a_sq - 1.0)
-    t1 = math.acos(c.x1 / a)
+    a, b, t1 = base_arc_axes(c)
     ts = np.linspace(-t1, t1, n)
     pts = np.zeros((n, 4))
     pts[:, 0] = a * np.cos(ts)
@@ -243,16 +250,15 @@ def _lex_min_generator(group, base, target):
     raise ValueError(f"no permutation maps {base} to {target}")
 
 
-def _make_face(label, c, group, e_base, h_base):
+def _make_face(label, c, gen):
+    """The face with the given label, carried from its base face by gen."""
     if len(label) == 2:
-        gen = _lex_min_generator(group, (1, 2), label)
-        quadric = e_base.transformed(gen)
+        quadric = base_ellipse(c.a_sq).transformed(gen)
         focus = gen.apply(np.array([c.focus_e, 0.0, 0.0, 0.0]))
         return SkeletonFace(label=label, kind="edge-arc", quadric=quadric,
                             generator=gen, focus_plus=focus,
                             r_splus=c.r_splus_e, cut_planes=(), constants=c)
-    gen = _lex_min_generator(group, (3, 4, 5), label)
-    quadric = h_base.transformed(gen)
+    quadric = base_hyperboloid(c.a_sq).transformed(gen)
     focus = gen.apply(np.array([c.focus_h, 0.0, 0.0, 0.0]))
     planes = tuple((gen.linear @ nrm, gen.apply(p0))
                    for nrm, p0 in patch_cut_planes(c))
@@ -261,31 +267,24 @@ def _make_face(label, c, group, e_base, h_base):
                         r_splus=c.r_splus_h, cut_planes=planes, constants=c)
 
 
-def _identity_only_group(s):
-    # the base faces are fixed by the identity, which is lexicographically
-    # first, so _lex_min_generator never looks past index 0
-    ident = isometry_from_vertex_permutation(s.vertices, (1, 2, 3, 4, 5))
-    return [ident] + [None] * (len(_ALL_PERMS) - 1)
-
-
 def base_edge_arc(c, s):
     """The base edge arc E_12 (identity generator)."""
-    return _make_face((1, 2), c, _identity_only_group(s),
-                      base_ellipse(c.a_sq), base_hyperboloid(c.a_sq))
+    return _make_face((1, 2), c, isometry_from_vertex_permutation(
+        s.vertices, (1, 2, 3, 4, 5)))
 
 
 def base_triangle_patch(c, s):
     """The base triangle patch H_345 (identity generator)."""
-    return _make_face((3, 4, 5), c, _identity_only_group(s),
-                      base_ellipse(c.a_sq), base_hyperboloid(c.a_sq))
+    return _make_face((3, 4, 5), c, isometry_from_vertex_permutation(
+        s.vertices, (1, 2, 3, 4, 5)))
 
 
 def build_focal_skeleton(c, s, group):
     """All twenty faces: ten edge arcs and ten triangle patches."""
-    e_base = base_ellipse(c.a_sq)
-    h_base = base_hyperboloid(c.a_sq)
-    faces = [_make_face(lab, c, group, e_base, h_base) for lab in _LABELS_EDGE]
-    faces += [_make_face(lab, c, group, e_base, h_base) for lab in _LABELS_TRI]
+    faces = [_make_face(lab, c, _lex_min_generator(group, base, lab))
+             for base, labels in (((1, 2), _LABELS_EDGE),
+                                  ((3, 4, 5), _LABELS_TRI))
+             for lab in labels]
     return FocalSkeleton(constants=c, simplex=s, group=group, faces=faces)
 
 
@@ -334,9 +333,7 @@ def tangent_slopes(c, s):
       gradient     the same slope obtained only from the hyperboloid's
                    implicit gradient at p4 -- no motion involved.
     """
-    a = math.sqrt(c.a_sq)
-    b = math.sqrt(c.a_sq - 1.0)
-    t1 = math.acos(c.x1 / a)
+    a, b, t1 = base_arc_axes(c)
     v_e = np.array([-a * math.sin(t1), 0.0, b * math.cos(t1), 0.0])
     slope_base = v_e[0] / v_e[2]
 

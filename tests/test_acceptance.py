@@ -20,7 +20,6 @@ from peabody4d.body import (
     phi1,
     phi2,
     ray_displacements,
-    sample_points,
 )
 from peabody4d.focal import (
     interlock_residual,
@@ -184,16 +183,15 @@ def test_c09_diameter_bounds(model, exact_pop):
     w = model.width
     dia = diameter_check(model, exact_pop, pairs=10 ** 6, seed=5)
     assert dia <= w + 1e-9
-    worst = 0.0
-    for s in exact_pop:
-        q = binormal_partner(model, s)
-        worst = max(worst, abs(np.linalg.norm(s.point - q) - w))
+    dist = np.linalg.norm(exact_pop.points - binormal_partner(model, exact_pop),
+                          axis=1)
+    worst = float(np.max(np.abs(dist - w)))
     assert worst <= 1e-9
 
 
 def test_c10_constant_width_sweep(model, mixed_pop):
     w = model.width
-    P = sample_points(mixed_pop)
+    P = mixed_pop.points
     eng = qmc.Sobol(d=4, scramble=True, seed=19)
     U = _norm.ppf(eng.random(1024))[:1000]
     U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -205,17 +203,17 @@ def test_c10_constant_width_sweep(model, mixed_pop):
     assert worst <= 1e-3
 
     # certified lower bound along directions aligned with diameter pairs
-    for s in mixed_pop[:200]:
-        q = binormal_partner(model, s)
-        u = (s.point - q) / np.linalg.norm(s.point - q)
+    head = mixed_pop[:200]
+    for p, q in zip(head.points, binormal_partner(model, head)):
+        u = (p - q) / np.linalg.norm(p - q)
         proj = P @ u
-        extent = max(float(proj.max()), float(s.point @ u)) \
+        extent = max(float(proj.max()), float(p @ u)) \
             - min(float(proj.min()), float(q @ u))
         assert extent >= w - 1e-9
 
 
 def test_c11_symmetry_invariance(skeleton, group, model, exact_pop):
-    pts = sample_points(exact_pop[:2000])
+    pts = exact_pop[:2000].points
     worst = 0.0
     for motion in group:
         slack, _ = model.min_slack(motion.apply(pts))

@@ -17,24 +17,28 @@ from scipy.stats import norm, qmc
 
 from frozen_values import FROZEN
 from peabody4d.body import (
+    PIECE_LABELS,
     BallModel,
-    BoundarySample,
+    BoundaryPopulation,
     DomainError,
     InteriorPointNotInterior,
     TooFewSamples,
     UnclassifiedSample,
+    _block_rows,
+    _min_slack,
     _random_arc_points,
     _random_patch_points,
     _ray_cast_many,
+    _ray_hits,
     binormal_partner,
     boundary_residual,
     build_ball_model,
     diameter_check,
+    face_codes,
     phi1,
     phi2,
     ray_cast_boundary,
     ray_displacements,
-    sample_points,
     width_in_direction,
 )
 from peabody4d.skeleton import dual_label
@@ -59,7 +63,7 @@ def sobol_directions(count, seed):
 
 def phi_samples(pop):
     """Wedge samples only: the cap and vertex samples carry 4-digit labels."""
-    return [s for s in pop if len(s.face) < 4]
+    return pop[np.char.str_len(pop.labels) < 4]
 
 
 # ----------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def test_vertex_balls_alone_give_the_reuleaux_simplex(model, skeleton,
         assert abs(slack) <= 1e-12
     # the full body lies inside: sampled boundary never leaves a vertex ball,
     # and every ray exits the full model no later than the vertex-only one
-    ms, _ = vertex_only.min_slack(sample_points(exact_pop))
+    ms, _ = vertex_only.min_slack(exact_pop.points)
     assert ms.min() >= -1e-9
     U = sobol_directions(2000, seed=17)
     t_full, _ = _ray_cast_many(model, U)
@@ -211,7 +215,7 @@ def test_vertex_balls_alone_give_the_reuleaux_simplex(model, skeleton,
 
 def test_all_samples_within_width_of_every_vertex(mixed_pop, simplex,
                                                   constants):
-    pts = sample_points(mixed_pop)
+    pts = mixed_pop.points
     for v in simplex.vertices:
         assert np.linalg.norm(pts - v, axis=1).max() <= constants.width + 1e-9
 
@@ -229,35 +233,38 @@ def test_ray_cast_along_the_symmetry_axis(model, model_fine, constants):
     x_minus = x_plus - FROZEN["width"]
 
     plus = ray_cast_boundary(model, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert not np.any(plus.point[1:])
-    assert abs(plus.point[0] - x_plus) <= 1e-9
-    assert plus.face == "12"
-    assert model.origin_labels[plus.active_center] == "345"
+    assert len(plus) == 1
+    assert not np.any(plus.points[0, 1:])
+    assert abs(plus.points[0, 0] - x_plus) <= 1e-9
+    assert plus.labels[0] == "12"
+    assert model.origin_labels[plus.active[0]] == "345"
 
     minus = ray_cast_boundary(model, np.array([-1.0, 0.0, 0.0, 0.0]))
-    assert not np.any(minus.point[1:])
-    assert abs(minus.point[0] - x_minus) <= 1e-5
-    assert minus.face == "345"
-    assert model.origin_labels[minus.active_center] == "12"
+    assert not np.any(minus.points[0, 1:])
+    assert abs(minus.points[0, 0] - x_minus) <= 1e-5
+    assert minus.labels[0] == "345"
+    assert model.origin_labels[minus.active[0]] == "12"
 
     # the chord realizes the width, and the two active families are dual
-    chord = plus.point[0] - minus.point[0]
+    chord = plus.points[0, 0] - minus.points[0, 0]
     assert abs(chord - constants.width) <= 2e-5
     assert set("345") | set("12") == set("12345")
 
-    err_coarse = abs(minus.point[0] - x_minus)
+    err_coarse = abs(minus.points[0, 0] - x_minus)
     minus_fine = ray_cast_boundary(model_fine, np.array([-1.0, 0.0, 0.0, 0.0]))
-    err_fine = abs(minus_fine.point[0] - x_minus)
+    err_fine = abs(minus_fine.points[0, 0] - x_minus)
     assert err_fine < err_coarse and err_fine <= 1e-6
 
 
 def test_ray_cast_toward_a_vertex_sits_on_its_active_sphere(model, simplex):
     u = unit(simplex.vertices[0] - model.interior_point)
     s = ray_cast_boundary(model, u)
-    d = np.linalg.norm(s.point - model.centers[s.active_center])
-    assert abs(d - model.radii[s.active_center]) <= 1e-9
-    assert abs(np.linalg.norm(s.point - model.interior_point)
-               - s.params["t"]) <= 1e-12
+    (j,) = s.active
+    d = np.linalg.norm(s.points[0] - model.centers[j])
+    assert abs(d - model.radii[j]) <= 1e-9
+    assert np.array_equal(s.direction[0], u)
+    (t,), _ = _ray_cast_many(model, u[None, :])
+    assert abs(np.linalg.norm(s.points[0] - model.interior_point) - t) <= 1e-12
 
 
 def test_ray_cast_requires_a_unit_direction(model):
@@ -265,6 +272,8 @@ def test_ray_cast_requires_a_unit_direction(model):
         ray_cast_boundary(model, np.array([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ray_cast_boundary(model, np.zeros(4))
+    with pytest.raises(ValueError):
+        ray_cast_boundary(model, np.array([[1.0, 0, 0, 0], [0, 2.0, 0, 0]]))
 
 
 def test_ray_sweep_invariants_and_full_piece_census(model):
@@ -280,17 +289,145 @@ def test_ray_sweep_invariants_and_full_piece_census(model):
     # the scalar interface agrees with the batch sweep
     for u in U[:50]:
         s = ray_cast_boundary(model, u)
-        assert s.face == model.sample_labels[s.active_center]
-        slack, _ = model.min_slack(s.point)
+        assert s.labels[0] == model.sample_labels[s.active[0]]
+        slack, _ = model.min_slack(s.points[0])
         assert abs(slack) <= 1e-9
+
+
+# ----------------------------------------------------------------------------
+# array kernels
+# ----------------------------------------------------------------------------
+
+def ragged_count(n_balls):
+    """A row count that spans three full kernel blocks and a ragged fourth."""
+    return 3 * _block_rows(n_balls) + 7
+
+
+def kernel_inputs(model):
+    """Balls of the model in 4-D and projected to 3-D, with the centroid."""
+    g = model.interior_point
+    # projecting drops no distance, so g stays inside every 3-D ball
+    return [(model.centers, model.radii, g),
+            (model.centers[:, :3], model.radii, g[:3])]
+
+
+def test_slack_kernel_equals_the_one_shot_formula(model):
+    C, R = model.centers, model.radii
+    rng = np.random.default_rng(31)
+    P = model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4))
+    s, arg = _min_slack(C, R, P)
+
+    d2 = (np.einsum("ij,ij->i", P, P)[:, None]
+          + np.einsum("ij,ij->i", C, C)[None, :] - 2.0 * (P @ C.T))
+    slack = R[None, :] - np.sqrt(np.maximum(d2, 0.0))
+    j = np.argmin(slack, axis=1)
+    assert np.array_equal(arg, j)
+    assert np.array_equal(s, slack[np.arange(len(P)), j])
+
+
+def test_slack_kernel_agrees_with_brute_force_distances(model):
+    C, R = model.centers, model.radii
+    rng = np.random.default_rng(32)
+    P = model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4))
+    s, arg = _min_slack(C, R, P)
+    for lo in range(0, len(P), 256):
+        Q = P[lo:lo + 256]
+        brute = R[None, :] - np.linalg.norm(Q[:, None, :] - C[None, :, :], axis=2)
+        best = brute.min(axis=1)
+        assert np.max(np.abs(s[lo:lo + 256] - best)) <= 1e-12
+        at_arg = brute[np.arange(len(Q)), arg[lo:lo + 256]]
+        assert np.max(at_arg - best) <= 1e-12
+
+
+def test_ray_kernel_equals_the_one_shot_formula(model):
+    for C, R, origin in kernel_inputs(model):
+        U = sobol_directions(ragged_count(len(C)), seed=33)[:, :C.shape[1]]
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        t, arg = _ray_hits(C, R, origin, U)
+
+        D = C - origin
+        B = U @ D.T
+        roots = B + np.sqrt(B * B + (R ** 2 - np.einsum("ij,ij->i", D, D))[None, :])
+        j = np.argmin(roots, axis=1)
+        assert np.array_equal(arg, j)
+        assert np.array_equal(t, roots[np.arange(len(U)), j])
+
+
+def test_ray_kernel_agrees_with_brute_force_distances(model):
+    for C, R, origin in kernel_inputs(model):
+        U = sobol_directions(ragged_count(len(C)), seed=34)[:, :C.shape[1]]
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        t, arg = _ray_hits(C, R, origin, U)
+        hits = origin + t[:, None] * U
+        # each hit sits on its ball's sphere and inside every other ball
+        on_sphere = np.linalg.norm(hits - C[arg], axis=1) - R[arg]
+        assert np.max(np.abs(on_sphere)) <= 1e-12
+        for lo in range(0, len(hits), 256):
+            Q = hits[lo:lo + 256]
+            dist = np.linalg.norm(Q[:, None, :] - C[None, :, :], axis=2)
+            assert np.min(R[None, :] - dist) >= -1e-12
 
 
 # ----------------------------------------------------------------------------
 # boundary populations
 # ----------------------------------------------------------------------------
 
+def test_population_slices_masks_and_concatenates(exact_pop):
+    n = len(exact_pop)
+    head, tail = exact_pop[:100], exact_pop[100:]
+    assert (len(head), len(tail)) == (100, n - 100)
+    joined = BoundaryPopulation.concat([head, tail])
+    for f in dataclasses.fields(BoundaryPopulation):
+        assert np.array_equal(getattr(joined, f.name), getattr(exact_pop, f.name),
+                              equal_nan=True)
+    mask = exact_pop.labels == "12"
+    sub = exact_pop[mask]
+    assert len(sub) == int(mask.sum()) > 0
+    assert set(sub.labels) == {"12"}
+    assert np.array_equal(sub.points, exact_pop.points[mask])
+    assert np.array_equal(sub.active, exact_pop.active[mask])
+    picked = exact_pop[np.array([7, 3])]
+    assert len(picked) == 2
+    assert np.array_equal(picked.points, exact_pop.points[[7, 3]])
+
+
+def test_population_labels_round_trip(mixed_pop):
+    assert face_codes(PIECE_LABELS).tolist() == list(range(len(PIECE_LABELS)))
+    assert set(PIECE_LABELS) == ALL_PIECE_LABELS
+    assert np.array_equal(face_codes(mixed_pop.labels), mixed_pop.face)
+
+
+def test_population_rejects_invalid_face_codes(exact_pop):
+    for bad in (len(PIECE_LABELS), -1, 100):
+        with pytest.raises(UnclassifiedSample):
+            dataclasses.replace(exact_pop[:3], face=np.array([0, bad, 0],
+                                                             dtype=np.int8))
+    with pytest.raises(UnclassifiedSample):
+        face_codes(["12", "6"])
+
+
+def test_population_parameters_regenerate_the_points(model, simplex,
+                                                     exact_pop):
+    w = model.width
+    phi = exact_pop[exact_pop.xy[:, 0] >= 0]
+    assert len(phi) == len(phi_samples(exact_pop))
+    X, Y = model.centers[phi.xy[:, 0]], model.centers[phi.xy[:, 1]]
+    D = X - Y
+    tri = np.char.str_len(phi.labels) == 3     # phi1: x pushed away from y
+    P = np.where(tri[:, None], X, Y)
+    r = w - model.radii[np.where(tri, phi.xy[:, 0], phi.xy[:, 1])]
+    sign = np.where(tri, 1.0, -1.0)
+    P = P + (sign * r / np.linalg.norm(D, axis=1))[:, None] * D
+    assert np.max(np.abs(P - phi.points)) <= 1e-12
+
+    # a cap sample is its vertex pushed out by the width along its direction
+    caps = exact_pop[~np.isnan(exact_pop.direction[:, 0])]
+    base = simplex.vertices[caps.active]
+    assert np.array_equal(base + w * caps.direction, caps.points)
+
+
 def test_exact_population_lies_on_the_model_boundary(model, exact_pop):
-    ms, _ = model.min_slack(sample_points(exact_pop))
+    ms, _ = model.min_slack(exact_pop.points)
     assert np.max(np.abs(ms)) <= 1e-9
 
 
@@ -298,14 +435,14 @@ def test_mixed_population_stays_within_the_grid_residual(model, skeleton,
                                                          mixed_pop):
     residual = boundary_residual(model, skeleton)
     assert residual <= 2e-4
-    ms, _ = model.min_slack(sample_points(mixed_pop))
+    ms, _ = model.min_slack(mixed_pop.points)
     assert ms.min() >= -1e-9
     assert ms.max() <= residual
 
 
 def test_population_reaches_all_pieces_and_all_vertices(mixed_pop, simplex):
-    assert {s.face for s in mixed_pop} == ALL_PIECE_LABELS
-    pts = sample_points(mixed_pop)
+    assert set(mixed_pop.labels) == ALL_PIECE_LABELS
+    pts = mixed_pop.points
     for v in simplex.vertices:
         assert np.linalg.norm(pts - v, axis=1).min() <= 1e-12
 
@@ -315,46 +452,50 @@ def test_population_reaches_all_pieces_and_all_vertices(mixed_pop, simplex):
 # ----------------------------------------------------------------------------
 
 def test_cap_samples_pair_with_the_opposite_vertex(model, simplex, exact_pop):
-    caps = [s for s in exact_pop if len(s.face) == 4 and "direction" in s.params]
+    four = np.char.str_len(exact_pop.labels) == 4
+    has_direction = ~np.isnan(exact_pop.direction[:, 0])
+    caps = exact_pop[four & has_direction]
     assert len(caps) > 1000
-    for s in caps[:300]:
-        (i,) = set(range(1, 6)) - {int(ch) for ch in s.face}
-        partner = binormal_partner(model, s)
+    caps = caps[:300]
+    partners = binormal_partner(model, caps)
+    for p, face, partner in zip(caps.points, caps.labels, partners):
+        (i,) = set(range(1, 6)) - {int(ch) for ch in face}
         assert np.allclose(partner, simplex.vertices[i - 1], atol=1e-12, rtol=0)
-        assert abs(np.linalg.norm(s.point - partner) - model.width) <= 1e-12
-    verts = [s for s in exact_pop if len(s.face) == 4 and not s.params]
+        assert abs(np.linalg.norm(p - partner) - model.width) <= 1e-12
+    verts = exact_pop[four & ~has_direction & (exact_pop.xy[:, 0] < 0)]
     assert len(verts) == 5
-    for s in verts:
-        partner = binormal_partner(model, s)
-        assert np.allclose(partner, model.centers[s.active_center],
-                           atol=1e-12, rtol=0)
+    assert np.allclose(binormal_partner(model, verts),
+                       model.centers[verts.active], atol=1e-12, rtol=0)
 
 
 def classify_on_model(model, q):
-    """BoundarySample for a point known to lie on the model boundary."""
+    """One-sample population for a point known to lie on the model boundary."""
     tight = model.tight_centers(q, 1e-9)
     assert len(tight) == 1
     j = int(tight[0])
-    return BoundarySample(point=q, face=model.sample_labels[j],
-                          active_center=j, params={})
+    return BoundaryPopulation(
+        points=q[None, :], face=face_codes([model.sample_labels[j]]),
+        active=np.array([j]), xy=np.full((1, 2), -1),
+        direction=np.full((1, 4), np.nan))
 
 
 def test_wedge_partners_are_dual_and_involutive(model, exact_pop):
-    for s in phi_samples(exact_pop)[:500]:
-        q = binormal_partner(model, s)
-        assert abs(np.linalg.norm(s.point - q) - model.width) <= 1e-12
+    wedges = phi_samples(exact_pop)[:500]
+    partners = binormal_partner(model, wedges)
+    for p, face, q in zip(wedges.points, wedges.labels, partners):
+        assert abs(np.linalg.norm(p - q) - model.width) <= 1e-12
         back = classify_on_model(model, q)
-        assert set(back.face) == set("12345") - set(s.face)
-        assert np.linalg.norm(binormal_partner(model, back) - s.point) <= 1e-9
+        assert set(back.labels[0]) == set("12345") - set(face)
+        assert np.linalg.norm(binormal_partner(model, back)[0] - p) <= 1e-9
 
 
 def test_partner_rejects_unlabeled_samples(model, exact_pop):
-    s = exact_pop[0]
+    # a population cannot carry an unknown label, so none reaches the partner
+    s = exact_pop[:1]
     for bad_face in ("99", "1", ""):
-        bad = BoundarySample(point=s.point, face=bad_face,
-                             active_center=s.active_center, params={})
         with pytest.raises(UnclassifiedSample):
-            binormal_partner(model, bad)
+            binormal_partner(model, dataclasses.replace(
+                s, face=face_codes([bad_face])))
 
 
 def test_width_in_every_coordinate_direction(mixed_pop):
@@ -367,13 +508,11 @@ def test_width_in_every_coordinate_direction(mixed_pop):
 def test_width_along_certified_binormals(model, exact_pop, constants):
     # aligning u with an exact sample-partner pair certifies the lower
     # bound; the upper bound holds because no two body points are farther
-    aug = list(exact_pop)
-    pairs = []
-    for s in phi_samples(exact_pop)[:5]:
-        q = binormal_partner(model, s)
-        aug.append(classify_on_model(model, q))
-        pairs.append((s.point, q))
-    for p, q in pairs:
+    wedges = phi_samples(exact_pop)[:5]
+    partners = binormal_partner(model, wedges)
+    aug = BoundaryPopulation.concat(
+        [exact_pop] + [classify_on_model(model, q) for q in partners])
+    for p, q in zip(wedges.points, partners):
         w = width_in_direction(aug, unit(p - q))
         assert constants.width - 1e-9 <= w <= constants.width + 1e-9
 
@@ -406,7 +545,7 @@ def test_diameter_of_the_exact_population(model, exact_pop, constants):
 # ----------------------------------------------------------------------------
 
 def test_moved_samples_stay_on_the_boundary(model, group, exact_pop):
-    pts = sample_points(exact_pop[:2000])
+    pts = exact_pop[:2000].points
     for motion in group:
         ms, _ = model.min_slack(motion.apply(pts))
         assert ms.min() >= -1e-9
@@ -414,7 +553,7 @@ def test_moved_samples_stay_on_the_boundary(model, group, exact_pop):
 
 
 def test_each_wedge_sample_has_exactly_one_active_ball(model, exact_pop):
-    P = np.array([s.point for s in phi_samples(exact_pop)])
+    P = phi_samples(exact_pop).points
     for lo in range(0, len(P), 4096):
         Q = P[lo:lo + 4096]
         d = np.linalg.norm(Q[:, None, :] - model.centers[None, :, :], axis=2)

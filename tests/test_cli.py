@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from frozen_values import FROZEN
-from peabody4d.cli import main, plane_basis
+from peabody4d.cli import CHECK_NAMES, main, plane_basis
 
 ALL_PIECE_LABELS = {
     "".join(map(str, comb))
@@ -102,6 +102,8 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
                          "500", "--seed", "9", *GRID, "--out", str(p))
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    names = [c["name"] for c in json.loads(paths[0].read_text())["checks"]]
+    assert tuple(names) == CHECK_NAMES
 
 
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
@@ -277,6 +279,43 @@ def test_environment_seed_is_the_fallback(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "focal",
                        "--samples", "50", "--seed", "3")
     assert json.loads(out)["seed"] == 3
+
+
+def test_config_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = abc\n")
+    code, out, err = run(capsys, "verify", "--suite", "focal",
+                         "--samples", "5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "seed" in err
+
+    # the config value still beats the environment, and the flag beats both
+    cfg.write_text("seed = 11\n")
+    monkeypatch.setenv("PEABODY4D_SEED", "77")
+    code, out, _ = run(capsys, "verify", "--suite", "focal",
+                       "--samples", "5", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["seed"] == 11
+    monkeypatch.setenv("PEABODY4D_SEED", "x")
+    assert run(capsys, "verify", "--suite", "focal", "--samples", "5")[0] == 2
+
+
+def test_unknown_tolerance_name_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "focal", "--samples",
+                         "5", "--tol", "focal-distnce-sum=0")
+    assert code == 2
+    assert out == ""
+    assert "focal-distnce-sum" in err and err.count("\n") == 1
+
+
+def test_slice_rejects_a_non_finite_hyperplane(capsys):
+    for plane in ("nan,0,0,1,0", "inf,0,0,1,0", "0,0,0,-inf,0",
+                  "0,0,0,1,nan", "0,0,0,1,inf"):
+        code, out, err = run(capsys, "slice", "--hyperplane", plane, *GRID)
+        assert code == 2, plane
+        assert out == "" and err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 def test_usage_errors_exit_with_two(capsys):
