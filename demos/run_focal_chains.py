@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from peabody4d.focal import (
-    chain_radii,
     interlock_residual,
     focal_const_residual,
     focal_sum_residual,
@@ -24,8 +23,9 @@ from peabody4d.geometry import base_ellipse, base_hyperboloid, ellipse_point, hy
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import base_arc_points, base_patch_grid
 
-E, H = base_ellipse(), base_hyperboloid()
-pair = standard_focal_pair()
+c = compute_model_constants()     # every layer takes these constants
+E, H = base_ellipse(c.a_sq), base_hyperboloid(c.a_sq)
+pair = standard_focal_pair(c.a_sq)
 rng = np.random.default_rng(0)
 
 worst_sum = worst_const = 0.0
@@ -39,17 +39,15 @@ for _ in range(2000):
 print("distance-sum identity, worst of 2000 random configs: %.2e" % worst_sum)
 print("constant-difference identity, worst: %.2e" % worst_const)
 
-c = compute_model_constants()
-chain = chain_radii()
 y = base_arc_points(c, 7)[3]          # arc apex
 x = base_patch_grid(c, 6, 6)[0]       # a patch sample
 print("\nchain radii at two centers:")
-print("  elliptic  R_y at the arc apex: %.6f" % steiner_radius_elliptic(chain, y))
-print("  hyperbolic R_x at a patch point: %.6f" % steiner_radius_hyperbolic(chain, x))
-print("  |x - y| + R_x + R_y - width = %.2e" % interlock_residual(x, y))
+print("  elliptic  R_y at the arc apex: %.6f" % steiner_radius_elliptic(c, y))
+print("  hyperbolic R_x at a patch point: %.6f" % steiner_radius_hyperbolic(c, x))
+print("  |x - y| + R_x + R_y - width = %.2e" % interlock_residual(c, x, y))
 
 worst = 0.0
 for x in base_patch_grid(c, 12, 9):
     for y in base_arc_points(c, 20):
-        worst = max(worst, abs(interlock_residual(x, y)))
+        worst = max(worst, abs(interlock_residual(c, x, y)))
 print("  interlock over a %d-point sweep: %.2e" % (12 * 9 * 20, worst))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from peabody4d.numerics import compute_model_constants, model_constants_for
+from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
     build_focal_skeleton,
     build_simplex,
@@ -33,7 +33,7 @@ print("symmetry group:", len(group), "motions")
 
 print("\nclosure residual by scale (only the canonical one closes):")
 for a2 in (1.4, 1.45, 1.5, 1.55, 1.6):
-    cc = c if a2 == 1.5 else model_constants_for(a2)
+    cc = compute_model_constants(a2)
     res = rotation_closure_check(cc, build_simplex(cc), n=120)
     print("  a^2 = %-5g  %.3e" % (a2, res))
 

@@ -2,12 +2,15 @@
 
 The package builds the body in layers:
 
-  numerics  -- closed-form constants, tolerance policy, embedding solver
-  geometry  -- points, isometries, quadrics, the simplex coordinates
+  numerics  -- model constants for any a^2, tolerance policy, embedding solver
+  geometry  -- isometries, quadrics, the simplex coordinates
   focal     -- focal-distance identities and Steiner chain radius laws
   skeleton  -- the simplex, its symmetry group, and the curved 2-skeleton
   body      -- the intersection-of-balls model, boundary maps, width checks
   cli       -- command-line verification, sampling, and slicing tools
+
+Every layer takes the ModelConstants built by numerics as an explicit
+argument, so one code path serves every ellipse parameter a^2.
 """
 
 from .body import (

@@ -494,10 +494,11 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         parts.append(_population(V[i - 1] + w * U, _PIECE_CODES[_CAP_LABELS[i]],
                                  i - 1, direction=U))
 
-    # vertex p_i on the tight ball of p_j; any j != i works
-    j = np.array([2, 1, 1, 1, 1])
-    parts.append(_population(V.copy(), face_codes(_CAP_LABELS[k] for k in j),
-                             j - 1))
+    # vertex p_i on the tight ball of p_j; any j != i works.  Below five
+    # samples only the first n vertices fit.
+    j = np.array([2, 1, 1, 1, 1])[:n]
+    parts.append(_population(V[:n].copy(),
+                             face_codes(_CAP_LABELS[k] for k in j), j - 1))
     return BoundaryPopulation.concat(parts)
 
 
@@ -572,7 +573,7 @@ def _random_patch_points(c, n, rng):
         th = rng.uniform(0.0, 2.0 * math.pi)
         rho = math.sqrt((c.a_sq - 1.0) * (x * x - 1.0))
         q = np.array([x, rho * math.cos(th), 0.0, rho * math.sin(th)])
-        if base_patch_contains(q, mc=None if c.a_sq == 1.5 else c):
+        if base_patch_contains(q, c):
             out.append(q)
     return np.array(out)
 

@@ -61,10 +61,10 @@ from .geometry import (
     base_hyperboloid,
     ellipse_point,
     hyperboloid_point,
+    isometry_from_vertex_permutation,
 )
-from .numerics import compute_model_constants, solve_focal_embedding
+from .numerics import NoConvergence, compute_model_constants, tolerance_policy
 from .skeleton import (
-    _ALL_PERMS,
     base_arc_points,
     base_patch_grid,
     build_focal_skeleton,
@@ -100,14 +100,31 @@ EXACT_FORMS = {
 
 DEFAULT_GRID = (64, 96)
 DEFAULT_SAMPLES = 10000
+# upper bounds, so that a typo cannot ask for tens of GB: sampling 10^6
+# points peaks near 0.9 GB, the grid bound is four times the default in each
+# direction and the mesh bound about ten times the default resolution
+MAX_SAMPLES = 10 ** 6
+MAX_GRID = (256, 384)
+MAX_RESOLUTION = 256
 
-# every check verify runs, in report order; --tol accepts exactly these names
-CHECK_NAMES = (
-    "focal-distance-sum", "focal-difference-constant", "radius-sum-constant",
-    "rotation-closure", "closure-point-offset", "tangent-match",
-    "radius-consistency", "boundary-slack-inner", "boundary-slack-outer",
-    "binormal-separation", "partner-distance", "diameter-pairs",
-    "diameter-chords", "width-coordinate-axes")
+# every check verify runs, in report order, with the tolerance_policy class
+# its default tolerance comes from; --tol accepts exactly these names
+CHECK_NAMES = {
+    "focal-distance-sum": "geometric-residual",
+    "focal-difference-constant": "geometric-residual",
+    "radius-sum-constant": "geometric-residual",
+    "rotation-closure": "geometric-residual",
+    "closure-point-offset": "algebraic-identity",
+    "tangent-match": "algebraic-identity",
+    "radius-consistency": "geometric-residual",
+    "boundary-slack-inner": "diameter",
+    "boundary-slack-outer": "geometric-residual",   # calibrated budget
+    "binormal-separation": "algebraic-identity",
+    "partner-distance": "diameter",
+    "diameter-pairs": "diameter",
+    "diameter-chords": "diameter",                  # plus twice the budget
+    "width-coordinate-axes": "sampled-width",
+}
 
 
 def _fmt(x):
@@ -134,27 +151,50 @@ def _load_config(path):
 
 
 def _resolve(flag_value, cfg, key, convert, default, env=None):
-    """Defaults < environment variable env < config file < command-line flag."""
-    if flag_value is not None:
-        return flag_value
-    for source, text in ((f"config key {key!r}", cfg.get(key)),
-                         (env, os.environ.get(env) if env else None)):
-        if text is not None:
+    """Defaults < environment variable env < config file < command-line flag.
+
+    convert parses and range-checks the winning value, whatever its source;
+    its ValueError becomes a usage error naming that source.
+    """
+    for source, value in ((f"--{key}", flag_value),
+                          (f"config key {key!r}", cfg.get(key)),
+                          (env, os.environ.get(env) if env else None)):
+        if value is not None:
             try:
-                return convert(text)
+                return convert(value)
             except ValueError as exc:
                 raise _UsageError(f"{source}: {exc}") from exc
     return default
 
 
+def _int_in(low, high=None):
+    """Converter to an integer n with low <= n (<= high, when given)."""
+    def convert(value):
+        n = int(value)
+        if n < low or (high is not None and n > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"expected an integer {bound}, got {n}")
+        return n
+    return convert
+
+
 def _parse_grid(text):
     try:
         nx, ntheta = (int(part) for part in text.lower().split("x"))
-    except ValueError as exc:
-        raise _UsageError(f"--grid expects <nx>x<ntheta>, got {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"expected <nx>x<ntheta>, got {text!r}") from None
     if nx < 2 or ntheta < 3 or ntheta % 3:
-        raise _UsageError("--grid needs nx >= 2 and ntheta a positive multiple of 3")
+        raise ValueError("needs nx >= 2 and ntheta a positive multiple of 3")
+    if nx > MAX_GRID[0] or ntheta > MAX_GRID[1]:
+        raise ValueError("nx and ntheta may be at most %dx%d" % MAX_GRID)
     return nx, ntheta
+
+
+def _parse_a2(value):
+    a2 = float(value)
+    if not (a2 > 1.0 and math.isfinite(a2)):
+        raise ValueError(f"a^2 must be a finite number above 1, got {a2}")
+    return a2
 
 
 def _write(text, path):
@@ -186,12 +226,13 @@ def _parse_tols(items):
     return tols
 
 
-def _build_model(grid):
-    c = compute_model_constants()
+def _build_skeleton(c):
     s = build_simplex(c)
-    skeleton = build_focal_skeleton(c, s, build_symmetry_group(s))
-    model = build_ball_model(skeleton, patch_grid=grid, arc_n=_arc_count(grid[1]))
-    return c, skeleton, model
+    return build_focal_skeleton(c, s, build_symmetry_group(s))
+
+
+def _build_model(skeleton, grid):
+    return build_ball_model(skeleton, patch_grid=grid, arc_n=_arc_count(grid[1]))
 
 
 # ----------------------------------------------------------------------------
@@ -200,31 +241,26 @@ def _build_model(grid):
 
 def cmd_constants(args):
     cfg = _load_config(args.config) if args.config else {}
-    a2 = _resolve(args.a2, cfg, "a2", float, None)
-    if a2 is not None and a2 != 1.5:
-        x0, x1, y0, z1 = solve_focal_embedding(a2)
-        data = {"a_sq": a2, "x0": x0, "x1": x1, "y0": y0, "z1": z1,
-                "width": 2.0 * z1}
-        if args.json:
-            print(json.dumps(data, indent=2, sort_keys=True))
-        else:
-            for key in ("a_sq", "x0", "x1", "y0", "z1", "width"):
-                print(f"{key:8s} = {_fmt(data[key])}")
-        return 0
-
-    c = compute_model_constants()
+    a2 = _resolve(args.a2, cfg, "a2", _parse_a2, 1.5)
+    try:
+        c = compute_model_constants(a2)
+    except NoConvergence as exc:
+        raise _UsageError(f"--a2: {exc}") from exc
     data = dataclasses.asdict(c)
+    exact = EXACT_FORMS if a2 == 1.5 else {}
     if args.json:
-        data["exact"] = dict(EXACT_FORMS)
+        if exact:
+            data["exact"] = dict(exact)
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
     for key, value in data.items():
         line = f"{key:10s} = {_fmt(value)}"
-        if key in EXACT_FORMS:
-            line += f"   (= {EXACT_FORMS[key]})"
+        if key in exact:
+            line += f"   (= {exact[key]})"
         print(line)
-    for key in ("x0_sq", "y0_sq", "x1_sq"):
-        print(f"{key:10s} = {_fmt(getattr(c, key[:2]) ** 2)}   (= {EXACT_FORMS[key]})")
+    if exact:
+        for key in ("x0_sq", "y0_sq", "x1_sq"):
+            print(f"{key:10s} = {_fmt(getattr(c, key[:2]) ** 2)}   (= {exact[key]})")
     return 0
 
 
@@ -276,8 +312,11 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _run_check(report, tols, name, anchor, samples, seed, default_tol, fn):
-    tol = tols.get(name, default_tol)
+def _run_check(report, tols, name, anchor, samples, seed, fn, budget=None):
+    """Run one check; its tolerance is --tol, else budget, else the policy's."""
+    if budget is None:
+        budget = tolerance_policy(CHECK_NAMES[name])
+    tol = tols.get(name, budget)
     start = time.perf_counter()
     value = float(fn())
     elapsed = time.perf_counter() - start
@@ -290,10 +329,9 @@ def _run_check(report, tols, name, anchor, samples, seed, default_tol, fn):
     report.checks.append(record)
 
 
-def _focal_checks(report, tols, samples, seed):
-    E, H = base_ellipse(), base_hyperboloid()
-    pair = standard_focal_pair()
-    c = compute_model_constants()
+def _focal_checks(report, tols, samples, seed, c):
+    E, H = base_ellipse(c.a_sq), base_hyperboloid(c.a_sq)
+    pair = standard_focal_pair(c.a_sq)
 
     def sum_sweep():
         rng = np.random.default_rng(seed)
@@ -321,32 +359,30 @@ def _focal_checks(report, tols, samples, seed):
     def radius_sum_grid():
         xs = base_patch_grid(c, 20, 15)[:100]
         ys = base_arc_points(c, 100)
-        return max(abs(interlock_residual(x, y)) for x in xs for y in ys)
+        return max(abs(interlock_residual(c, x, y)) for x in xs for y in ys)
 
     _run_check(report, tols, "focal-distance-sum",
                "sum of distances between dual quadric points splits by component",
-               samples, seed, 1e-10, sum_sweep)
+               samples, seed, sum_sweep)
     _run_check(report, tols, "focal-difference-constant",
                "mixed vertex-focus distance combination is constant",
-               samples, seed + 1, 1e-10, const_sweep)
+               samples, seed + 1, const_sweep)
     _run_check(report, tols, "radius-sum-constant",
                "separation plus the two chain radii equals the width",
-               100 * 100, seed, 1e-10, radius_sum_grid)
+               100 * 100, seed, radius_sum_grid)
 
 
-def _skeleton_checks(report, tols, samples, seed):
-    c = compute_model_constants()
-    s = build_simplex(c)
-    skeleton = build_focal_skeleton(c, s, build_symmetry_group(s))
+def _skeleton_checks(report, tols, samples, seed, skeleton):
+    c, s = skeleton.constants, skeleton.simplex
 
     def closure():
         return rotation_closure_check(c, s, n=max(200, samples // 5))
 
     def omega_offset():
-        motion = skeleton.group[_ALL_PERMS.index((4, 5, 3, 1, 2))]
-        omega = motion.apply(np.array([math.sqrt(c.a_sq), 0.0, 0.0, 0.0]))
+        motion = isometry_from_vertex_permutation(s.vertices, (4, 5, 3, 1, 2))
+        omega = motion.apply(np.array([c.focus_h, 0.0, 0.0, 0.0]))
         p45 = s.midpoints[(4, 5)]
-        return abs(np.linalg.norm(omega - p45) - (math.sqrt(1.5) - c.x1))
+        return abs(np.linalg.norm(omega - p45) - (c.focus_h - c.x1))
 
     def tangents():
         target = -3.0 * c.z1 / c.x1
@@ -358,16 +394,16 @@ def _skeleton_checks(report, tols, samples, seed):
 
     _run_check(report, tols, "rotation-closure",
                "the cycling motion maps the base arc onto the patch sheet",
-               max(200, samples // 5), seed, 1e-10, closure)
+               max(200, samples // 5), seed, closure)
     _run_check(report, tols, "closure-point-offset",
                "the transported arc apex sits at the predicted edge-midpoint distance",
-               1, seed, 1e-12, omega_offset)
+               1, seed, omega_offset)
     _run_check(report, tols, "tangent-match",
                "arc tangent agrees with the patch tangent at the shared corner",
-               3, seed, 1e-12, tangents)
+               3, seed, tangents)
     _run_check(report, tols, "radius-consistency",
                "elliptic and hyperbolic chain radii agree along the shared arc",
-               100, seed, 1e-10, radius_match)
+               100, seed, radius_match)
 
 
 def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
@@ -433,25 +469,26 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
 
     _run_check(report, tols, "boundary-slack-inner",
                "every boundary sample lies inside every ball",
-               n, seed, 1e-9, lambda: max(0.0, -float(ms.min())))
+               n, seed, lambda: max(0.0, -float(ms.min())))
     _run_check(report, tols, "boundary-slack-outer",
                "every boundary sample touches the ball envelope within the grid residual",
-               n, seed, resid_budget, lambda: max(0.0, float(ms.max())))
+               n, seed, lambda: max(0.0, float(ms.max())), budget=resid_budget)
     _run_check(report, tols, "binormal-separation",
                "paired envelope images are the width apart",
-               200, seed + 3, 1e-12, separation)
+               200, seed + 3, separation)
     _run_check(report, tols, "partner-distance",
                "each sample's diameter partner is the width away",
-               min(2000, n), seed, 1e-9, partner_sweep)
+               min(2000, n), seed, partner_sweep)
     _run_check(report, tols, "diameter-pairs",
                "no sampled pair exceeds the width",
-               10 ** 6, seed + 2, 1e-9, diameter_pairs)
+               10 ** 6, seed + 2, diameter_pairs)
     _run_check(report, tols, "diameter-chords",
                "antipodal ray chords through the centroid stay within the width budget",
-               2058, seed + 4, 2.0 * resid_budget + 1e-9, diameter_chords)
+               2058, seed + 4, diameter_chords,
+               budget=2.0 * resid_budget + tolerance_policy("diameter"))
     _run_check(report, tols, "width-coordinate-axes",
                "support width along the coordinate axes matches the width",
-               n_w, seed + 5, 1e-3, width_axes)
+               n_w, seed + 5, width_axes)
 
 
 def cmd_verify(args):
@@ -459,12 +496,10 @@ def cmd_verify(args):
     suite = _resolve(args.suite, cfg, "suite", str, "all")
     if suite not in ("all", "focal", "skeleton", "body"):
         raise _UsageError(f"unknown suite {suite!r}")
-    samples = _resolve(args.samples, cfg, "samples", int, DEFAULT_SAMPLES)
-    if samples < 1:
-        raise _UsageError("--samples must be positive")
-    seed = _resolve(args.seed, cfg, "seed", int, 0, env="PEABODY4D_SEED")
-    grid = _parse_grid(_resolve(args.grid, cfg, "grid", str,
-                                "%dx%d" % DEFAULT_GRID))
+    samples = _resolve(args.samples, cfg, "samples", _int_in(1, MAX_SAMPLES),
+                       DEFAULT_SAMPLES)
+    seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
+    grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
     tols = _parse_tols(args.tol)
 
     start = time.perf_counter()
@@ -475,12 +510,13 @@ def cmd_verify(args):
     print(f"suite {suite}: grid {grid[0]}x{grid[1]}, arcs {report.arc_n}, "
           f"samples {samples}, seed {seed}", file=sys.stderr)
 
+    skeleton = _build_skeleton(c)
     if suite in ("all", "focal"):
-        _focal_checks(report, tols, samples, seed)
+        _focal_checks(report, tols, samples, seed, c)
     if suite in ("all", "skeleton"):
-        _skeleton_checks(report, tols, samples, seed)
+        _skeleton_checks(report, tols, samples, seed, skeleton)
     if suite in ("all", "body"):
-        _, skeleton, model = _build_model(grid)
+        model = _build_model(skeleton, grid)
         # the residual budget is calibrated on the as-built model so that a
         # corrupted radius law (--perturb) cannot loosen its own tolerances
         resid_budget = boundary_residual(model, skeleton, probes=128, seed=seed)
@@ -503,17 +539,15 @@ def cmd_verify(args):
 
 def cmd_sample(args):
     cfg = _load_config(args.config) if args.config else {}
-    n = _resolve(args.samples, cfg, "samples", int, 1000)
-    if n < 1:
-        raise _UsageError("--samples must be positive")
-    seed = _resolve(args.seed, cfg, "seed", int, 0, env="PEABODY4D_SEED")
+    n = _resolve(args.samples, cfg, "samples", _int_in(1, MAX_SAMPLES), 1000)
+    seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
     fmt = _resolve(args.format, cfg, "format", str, "csv")
     if fmt != "csv":
         raise _UsageError(f"sample supports format csv, got {fmt!r}")
-    grid = _parse_grid(_resolve(args.grid, cfg, "grid", str,
-                                "%dx%d" % DEFAULT_GRID))
+    grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
 
-    _, skeleton, model = _build_model(grid)
+    skeleton = _build_skeleton(compute_model_constants())
+    model = _build_model(skeleton, grid)
     pop = sample_theta(model, skeleton, n, seed=seed)
     slack, _ = model.min_slack(pop.points)
     lines = ["x,y,z,w,face,slack"]
@@ -542,8 +576,9 @@ class SliceSpec:
             raise _UsageError("hyperplane normal and offset must be finite")
         if np.linalg.norm(self.normal) < 1e-12:
             raise _UsageError("hyperplane normal must be nonzero")
-        if self.resolution < 8:
-            raise _UsageError("slice resolution must be at least 8")
+        if not 8 <= self.resolution <= MAX_RESOLUTION:
+            raise _UsageError(
+                f"slice resolution must be between 8 and {MAX_RESOLUTION}")
         if self.fmt not in ("off", "ply", "csv"):
             raise _UsageError(f"unknown slice format {self.fmt!r}")
 
@@ -661,10 +696,9 @@ def cmd_slice(args):
         normal=normal, offset=offset,
         resolution=_resolve(args.resolution, cfg, "resolution", int, 24),
         fmt=_resolve(args.format, cfg, "format", str, "off"))
-    grid = _parse_grid(_resolve(args.grid, cfg, "grid", str,
-                                "%dx%d" % DEFAULT_GRID))
+    grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
 
-    _, _, model = _build_model(grid)
+    model = _build_model(_build_skeleton(compute_model_constants()), grid)
     verts, faces, _frame = slice_surface(model, spec)
     text = _mesh_text(verts, faces, spec.fmt)
     _write(text, args.out)

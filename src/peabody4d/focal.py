@@ -19,9 +19,15 @@ E12 or the patch H345) together with the radius law
 
 and the two laws interlock through the constant-sum identity
 |x - y| + Rx + R_y = 2 z1, which is what makes the ball envelopes meet at
-distance exactly 2 z1.
+distance exactly 2 z1.  Both laws are the one function ``chain_radius``;
+the skeleton faces evaluate it about their transported foci.
+
+Every function here that needs the configuration (the base domains E12 and
+H345, their cut planes, the radius laws) takes the ``ModelConstants`` ``c``
+as an explicit argument, so it serves any a^2 > 1.
 """
 
+import functools
 import math
 
 from dataclasses import dataclass
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Point4,
     Quadric,
     as_vec4,
     base_ellipse,
@@ -38,7 +43,6 @@ from .geometry import (
     quadric_residual,
     simplex_vertices,
 )
-from .numerics import compute_model_constants
 
 
 class NotSameComponent(Exception):
@@ -57,17 +61,11 @@ class OffPatch(Exception):
     """Point is not on the triangle patch H345 (within tolerance)."""
 
 
-# canonical configuration, used by the base-domain guards below
-_MC = compute_model_constants()
-_V = simplex_vertices(_MC)
-_BASE_E = base_ellipse(_MC.a_sq)
-_BASE_H = base_hyperboloid(_MC.a_sq)
-
 _S5 = math.sqrt(5.0)
 _S3 = math.sqrt(3.0)
 
 
-def patch_cut_planes(mc=None):
+def patch_cut_planes(c):
     """The three planes bounding the triangle patch H345, as (normal, point).
 
     Each plane is spanned by an edge line of the vertex triangle and the
@@ -78,7 +76,7 @@ def patch_cut_planes(mc=None):
     ellipse parameter -- and the other two are its images under the 2pi/3
     revolution that cycles p3 -> p5 -> p4.
     """
-    v = _V if mc is None else simplex_vertices(mc)
+    v = simplex_vertices(c)
     return (
         (np.array([-_S5, 2.0, 0.0, 0.0]) / 3.0, 0.5 * (v[3] + v[4])),
         (np.array([-_S5, -1.0, 0.0, _S3]) / 3.0, 0.5 * (v[2] + v[3])),
@@ -86,22 +84,25 @@ def patch_cut_planes(mc=None):
     )
 
 
-_CUT_PLANES = patch_cut_planes()
+@functools.lru_cache(maxsize=8)
+def _base_domains(c):
+    # E, H and the cut planes of H345, built once per ModelConstants: the
+    # membership tests below run thousands of times on the same constants
+    return base_ellipse(c.a_sq), base_hyperboloid(c.a_sq), patch_cut_planes(c)
 
 
-def base_arc_contains(y, tol=1e-9, mc=None):
+def base_arc_contains(y, c, tol=1e-9):
     """True when y lies on the edge arc E12 (the x >= x1 piece of E)."""
     v = as_vec4(y)
-    e = _BASE_E if mc is None else base_ellipse(mc.a_sq)
-    x1 = _MC.x1 if mc is None else mc.x1
+    e = _base_domains(c)[0]
     if abs(quadric_residual(e, v)) > tol:
         return False
     if carrier_distance(e, v) > tol:
         return False
-    return v[0] >= x1 - tol
+    return v[0] >= c.x1 - tol
 
 
-def base_patch_contains(x, tol=1e-9, mc=None):
+def base_patch_contains(x, c, tol=1e-9):
     """True when x lies on the triangle patch H345.
 
     The patch is the part of the right sheet of H cut out by the three
@@ -109,8 +110,7 @@ def base_patch_contains(x, tol=1e-9, mc=None):
     sheet vertex (1, 0, 0, 0).
     """
     v = as_vec4(x)
-    h = _BASE_H if mc is None else base_hyperboloid(mc.a_sq)
-    planes = _CUT_PLANES if mc is None else patch_cut_planes(mc)
+    _, h, planes = _base_domains(c)
     if abs(quadric_residual(h, v)) > tol:
         return False
     if carrier_distance(h, v) > tol:
@@ -190,37 +190,6 @@ def standard_focal_pair(a_sq=1.5):
 
 
 # ============================================================================
-# chain radii
-# ============================================================================
-
-@dataclass(frozen=True)
-class ChainRadii:
-    """Radii and focus points fixing the two Steiner chains.
-
-    r_splus_e   radius of the circle S+ about focus_e through p1, p2
-    r_splus_h   radius of the sphere about focus_h through the vertex
-                circle C (the circle carrying p3, p4, p5)
-    """
-
-    r_splus_e: float
-    r_splus_h: float
-    focus_e: Point4
-    focus_h: Point4
-
-
-def chain_radii(mc=None):
-    """ChainRadii of the canonical configuration (or of a supplied one)."""
-    mc = _MC if mc is None else mc
-    a = math.sqrt(mc.a_sq)
-    return ChainRadii(
-        r_splus_e=mc.r_splus_e,
-        r_splus_h=mc.r_splus_h,
-        focus_e=Point4(mc.focus_e, 0.0, 0.0, 0.0),
-        focus_h=Point4(a, 0.0, 0.0, 0.0),
-    )
-
-
-# ============================================================================
 # residual oracles and radius laws
 # ============================================================================
 
@@ -260,38 +229,50 @@ def focal_const_residual(pair, a_e, a_h):
                  + np.linalg.norm(f_h - f_e))
 
 
-def steiner_radius_elliptic(chain, y, tol=1e-9):
+def chain_radius(r_splus, focus, p):
+    """The chain radius law r_S+ - |p - f| at a center p or an (N, 4) batch.
+
+    focus is the near focus f as a 4-vector and r_splus the radius of the
+    tangent circle/sphere S+ about it.
+    """
+    return r_splus - np.linalg.norm(np.asarray(p, dtype=float) - focus, axis=-1)
+
+
+def _on_axis(x):
+    return np.array([x, 0.0, 0.0, 0.0])
+
+
+def steiner_radius_elliptic(c, y, tol=1e-9):
     """Radius R_y of the elliptic-chain circle centered at y on E12.
 
     R_y = r_S+ - |y - f_e|; nonnegative on the arc, zero at p1 and p2.
     """
     v = as_vec4(y)
-    if not base_arc_contains(v, tol):
+    if not base_arc_contains(v, c, tol):
         raise OffArc(f"{v} is not on the edge arc")
-    return float(chain.r_splus_e - np.linalg.norm(v - chain.focus_e.as_array()))
+    return float(chain_radius(c.r_splus_e, _on_axis(c.focus_e), v))
 
 
-def steiner_radius_hyperbolic(chain, x, tol=1e-9):
+def steiner_radius_hyperbolic(c, x, tol=1e-9):
     """Radius Rx of the hyperbolic-chain ball centered at x on H345.
 
     Rx = r_HS+ - |x - f_h|; nonnegative on the patch, zero exactly on the
     vertex circle C (in particular at p3, p4, p5).
     """
     v = as_vec4(x)
-    if not base_patch_contains(v, tol):
+    if not base_patch_contains(v, c, tol):
         raise OffPatch(f"{v} is not on the triangle patch")
-    return float(chain.r_splus_h - np.linalg.norm(v - chain.focus_h.as_array()))
+    return float(chain_radius(c.r_splus_h, _on_axis(c.focus_h), v))
 
 
-def interlock_residual(x, y):
+def interlock_residual(c, x, y):
     """Residual of the interlock identity (|x-y| + Rx + R_y) - 2 z1.
 
     x must lie on the patch H345 and y on the arc E12 (domain errors from
     the radius laws propagate).  Zero up to roundoff: this is the identity
     that gives the assembled body its constant width.
     """
-    chain = chain_radii()
-    rx = steiner_radius_hyperbolic(chain, x)
-    ry = steiner_radius_elliptic(chain, y)
+    rx = steiner_radius_hyperbolic(c, x)
+    ry = steiner_radius_elliptic(c, y)
     d = float(np.linalg.norm(as_vec4(x) - as_vec4(y)))
-    return d + rx + ry - _MC.width
+    return d + rx + ry - c.width

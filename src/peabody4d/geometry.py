@@ -1,4 +1,4 @@
-"""Points, rigid motions from vertex permutations, and quadrics in 4-space.
+"""Rigid motions from vertex permutations, and quadrics in 4-space.
 
 World frame convention (fixed once, used everywhere):
 
@@ -18,7 +18,7 @@ with p1, p2 on E and p3, p4, p5 on H.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,37 +31,8 @@ class OutOfDomain(Exception):
     """Parameter outside the quadric's parametrization domain."""
 
 
-# ============================================================================
-# points
-# ============================================================================
-
-@dataclass(frozen=True)
-class Point4:
-    """A point of R^4 with coordinate ordering (x, y, z, w)."""
-
-    x: float
-    y: float
-    z: float
-    w: float
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z, self.w):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coordinate in {self!r}")
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z, self.w], dtype=float)
-
-    @staticmethod
-    def from_array(a):
-        a = np.asarray(a, dtype=float)
-        return Point4(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
 def as_vec4(p):
-    """Accept a Point4 or any length-4 array-like; return an ndarray copy."""
-    if isinstance(p, Point4):
-        return p.as_array()
+    """Any length-4 array-like as a float ndarray."""
     a = np.asarray(p, dtype=float)
     if a.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {a.shape}")
@@ -134,7 +105,7 @@ def isometry_from_vertex_permutation(vertices, perm):
     """Rigid motion sending vertex i to vertex perm(i) for a regular simplex.
 
     Args:
-        vertices: (5, 4) array (or 5 Point4) of regular-simplex vertices.
+        vertices: (5, 4) array of regular-simplex vertices.
         perm: sequence of 5 integers, a permutation of 1..5; vertex k is
             mapped to vertex perm[k-1].
 
@@ -144,10 +115,7 @@ def isometry_from_vertex_permutation(vertices, perm):
 
     Raises DegenerateSimplex when the centered vertex matrix has rank < 4.
     """
-    if isinstance(vertices[0], Point4):
-        V = np.stack([v.as_array() for v in vertices])
-    else:
-        V = np.asarray(vertices, dtype=float)
+    V = np.asarray(vertices, dtype=float)
     if V.shape != (5, 4):
         raise ValueError("need exactly five 4-dimensional vertices")
     p = list(perm)
@@ -273,7 +241,7 @@ def carrier_distance(q, p):
 
 
 def ellipse_point(q, t):
-    """Point of an ellipse quadric at eccentric angle t (world coordinates).
+    """Point of an ellipse quadric at eccentric angle t, a world (4,) array.
 
     t = 0 is the vertex on the +x frame axis.
     """
@@ -283,12 +251,11 @@ def ellipse_point(q, t):
         raise OutOfDomain(f"bad eccentric angle {t}")
     a = math.sqrt(q.a_sq)
     b = math.sqrt(q.b_sq)
-    v = q.origin + a * math.cos(t) * q.axes[0] + b * math.sin(t) * q.axes[2]
-    return Point4.from_array(v)
+    return q.origin + a * math.cos(t) * q.axes[0] + b * math.sin(t) * q.axes[2]
 
 
 def hyperboloid_point(q, x, theta):
-    """Point of the right sheet of a hyperboloid quadric, world coordinates.
+    """Point of the right sheet of a hyperboloid quadric, a world (4,) array.
 
     The sheet is parametrized by the axial coordinate x >= 1 and the
     revolution angle theta; the radius of the circle at height x is
@@ -301,7 +268,6 @@ def hyperboloid_point(q, x, theta):
     if x < 1.0:
         raise OutOfDomain(f"x={x} is left of the sheet vertex (right sheet only)")
     rho = math.sqrt(q.b_sq * (x * x - 1.0))
-    v = (q.origin + x * q.axes[0]
-         + rho * math.cos(theta) * q.axes[1]
-         + rho * math.sin(theta) * q.axes[3])
-    return Point4.from_array(v)
+    return (q.origin + x * q.axes[0]
+            + rho * math.cos(theta) * q.axes[1]
+            + rho * math.sin(theta) * q.axes[3])

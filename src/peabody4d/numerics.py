@@ -3,13 +3,13 @@
 The whole construction is driven by a handful of algebraic numbers: the
 coordinates (x0, y0) and (x1, z1) at which a regular 4-simplex can be placed
 with three vertices on a hyperboloid of revolution and two on an ellipse, the
-two quadrics being focal to each other.  For the canonical parameter
-a^2 = 3/2 these coordinates have closed radical forms, which is what
-``compute_model_constants`` evaluates.  ``solve_focal_embedding`` produces the
-same data for any a^2 > 1 by a bracketed root solve.
+two quadrics being focal to each other.  ``compute_model_constants(a_sq)``
+builds them for any a^2 > 1: from closed radical forms at the canonical
+a^2 = 3/2, otherwise from ``solve_focal_embedding``, a bracketed root solve.
 
-Everything here is pure and immutable; downstream modules treat
-``ModelConstants`` as the single source of numeric truth.
+Everything here is pure and immutable.  ``ModelConstants`` is the only
+carrier of a^2: every later layer takes it as an explicit argument, so one
+code path serves the canonical body and its broken-closure controls alike.
 """
 
 import math
@@ -75,19 +75,25 @@ class ModelConstants:
     r_splus_h: float
 
 
-def compute_model_constants():
-    """Evaluate the canonical a^2 = 3/2 constants from their closed forms.
+def compute_model_constants(a_sq=1.5):
+    """ModelConstants for the ellipse parameter a_sq > 1.
 
-    No iteration is involved; every scalar comes from an explicit radical.
+    At the canonical a_sq = 3/2 every coordinate comes from an explicit
+    radical, with no iteration; any other value goes through
+    solve_focal_embedding.  The ellipse always has foci at +-1 and the
+    hyperboloid at +-sqrt(a_sq).
     """
-    s10 = math.sqrt(10.0)
-    x0 = math.sqrt((41.0 - 4.0 * s10) / 27.0)
-    y0 = math.sqrt((7.0 - 2.0 * s10) / 27.0)
-    x1 = math.sqrt((11.0 + 2.0 * s10) / 12.0)
-    z1 = math.sqrt(3.0) / 2.0 * y0
-    a = math.sqrt(1.5)
+    if a_sq == 1.5:
+        s10 = math.sqrt(10.0)
+        x0 = math.sqrt((41.0 - 4.0 * s10) / 27.0)
+        y0 = math.sqrt((7.0 - 2.0 * s10) / 27.0)
+        x1 = math.sqrt((11.0 + 2.0 * s10) / 12.0)
+        z1 = math.sqrt(3.0) / 2.0 * y0
+    else:
+        x0, x1, y0, z1 = solve_focal_embedding(a_sq)
+    a = math.sqrt(a_sq)
     return ModelConstants(
-        a_sq=1.5,
+        a_sq=a_sq,
         x0=x0,
         x1=x1,
         y0=y0,
@@ -102,24 +108,8 @@ def compute_model_constants():
     )
 
 
-def model_constants_for(a_sq):
-    """ModelConstants for an arbitrary parameter a_sq > 1.
-
-    Uses the closed forms when a_sq is exactly 3/2, otherwise the embedding
-    solver.  The focal distances are parameter-independent up to the scale
-    convention: the ellipse always has foci at +-1 and the hyperboloid at
-    +-sqrt(a_sq).
-    """
-    if a_sq == 1.5:
-        return compute_model_constants()
-    x0, x1, y0, z1 = solve_focal_embedding(a_sq)
-    a = math.sqrt(a_sq)
-    return ModelConstants(
-        a_sq=a_sq, x0=x0, x1=x1, y0=y0, z1=z1, width=2.0 * z1,
-        focus_e=1.0, focus_h=a,
-        r_splus_e=math.hypot(x1 - 1.0, z1),
-        r_splus_h=math.hypot(a - x0, y0),
-    )
+# the older name of compute_model_constants; some callers still import it
+model_constants_for = compute_model_constants
 
 
 def _edge_mismatch(t, a_sq):
@@ -155,8 +145,8 @@ def solve_focal_embedding(a_sq):
     Raises NoConvergence if the bracketing solve fails or the returned
     tuple does not satisfy the defining equations to 1e-12.
     """
-    if not a_sq > 1.0:
-        raise ValueError(f"a_sq must exceed 1, got {a_sq}")
+    if not (a_sq > 1.0 and math.isfinite(a_sq)):
+        raise ValueError(f"a_sq must be a finite number above 1, got {a_sq}")
 
     # Bracket t = x0^2 in (1, a^2); the sqrt(7 - 3t) factor additionally
     # requires t < 7/3, which matters once a^2 > 7/3.

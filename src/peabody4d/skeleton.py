@@ -24,6 +24,7 @@ from .focal import (
     OffArc,
     base_arc_contains,
     base_patch_contains,
+    chain_radius,
     patch_cut_planes,
     standard_focal_pair,
 )
@@ -190,19 +191,15 @@ class SkeletonFace:
     # ---- chain radius law -------------------------------------------------
     def radius(self, p):
         """Chain radius at center(s) p; works on a single point or (N, 4)."""
-        a = np.asarray(p, dtype=float)
-        d = np.linalg.norm(a - self.focus_plus, axis=-1)
-        return self.r_splus - d
+        return chain_radius(self.r_splus, self.focus_plus, p)
 
     # ---- membership -------------------------------------------------------
     def contains(self, p, tol=1e-9):
         """Face membership, decided in the base frame via the generator."""
         v = self.generator.inverse().apply(as_vec4(p))
-        c = self.constants
-        mc = None if c.a_sq == 1.5 else c
         if self.kind == "triangle-patch":
-            return base_patch_contains(v, tol, mc=mc)
-        return base_arc_contains(v, tol, mc=mc)
+            return base_patch_contains(v, self.constants, tol)
+        return base_arc_contains(v, self.constants, tol)
 
     # ---- sampling ---------------------------------------------------------
     def points(self, n):
@@ -365,8 +362,6 @@ def radius_consistency_residual(skeleton, x, tol=1e-9):
     v = as_vec4(x)
     if not face45.contains(v, tol):
         raise OffArc(f"{v} is not on the arc between p4 and p5")
-    r_elliptic = float(face45.radius(v))
     c = skeleton.constants
-    f_h = np.array([math.sqrt(c.a_sq), 0.0, 0.0, 0.0])
-    r_hyperbolic = c.r_splus_h - float(np.linalg.norm(v - f_h))
-    return r_elliptic - r_hyperbolic
+    focus_h = np.array([c.focus_h, 0.0, 0.0, 0.0])
+    return float(face45.radius(v)) - float(chain_radius(c.r_splus_h, focus_h, v))

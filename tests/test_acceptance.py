@@ -34,7 +34,7 @@ from peabody4d.geometry import (
     ellipse_point,
     hyperboloid_point,
 )
-from peabody4d.numerics import model_constants_for
+from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
     _ALL_PERMS,
     base_arc_points,
@@ -108,7 +108,7 @@ def test_c04_radius_interlock_grid(constants):
     xs = base_patch_grid(constants, 20, 15)[:100]
     ys = base_arc_points(constants, 100)
     assert len(xs) == 100 and len(ys) == 100
-    worst = max(abs(interlock_residual(x, y)) for x in xs for y in ys)
+    worst = max(abs(interlock_residual(constants, x, y)) for x in xs for y in ys)
     assert worst <= 1e-10
 
 
@@ -125,7 +125,7 @@ def test_c05_arc_to_patch_closure(constants, simplex, group):
     assert max(abs(s - target) for s in tangent_slopes(constants, simplex)) \
         <= 1e-12
 
-    bad = model_constants_for(1.4)
+    bad = compute_model_constants(1.4)
     assert rotation_closure_check(bad, build_simplex(bad), n=200) > 1e-4
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from frozen_values import FROZEN
+from peabody4d import cli
 from peabody4d.cli import CHECK_NAMES, main, plane_basis
+from peabody4d.numerics import tolerance_policy
 
 ALL_PIECE_LABELS = {
     "".join(map(str, comb))
@@ -61,6 +63,24 @@ def test_constants_solves_other_scales(capsys):
     assert abs(doc["y0"] - y0) < 1e-10
     assert abs(doc["z1"] - z1) < 1e-10
     assert abs(doc["width"] - 2 * z1) < 1e-10
+    # the same fields as the canonical constants, without the exact forms
+    assert doc["focus_h"] == math.sqrt(2.0)
+    assert set(doc) == {"a_sq", "x0", "x1", "y0", "z1", "width", "focus_e",
+                        "focus_h", "r_splus_e", "r_splus_h"}
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_constants_rejects_bad_parameters(tmp_path, capsys):
+    for a2 in ("0.5", "1", "-2", "nan", "inf", "1e300"):
+        _assert_one_error_line(*run(capsys, "constants", "--a2", a2))
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text("a2 = nan\n")
+    _assert_one_error_line(*run(capsys, "constants", "--config", str(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +122,26 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
                          "500", "--seed", "9", *GRID, "--out", str(p))
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    names = [c["name"] for c in json.loads(paths[0].read_text())["checks"]]
-    assert tuple(names) == CHECK_NAMES
+    checks = json.loads(paths[0].read_text())["checks"]
+    assert tuple(c["name"] for c in checks) == tuple(CHECK_NAMES)
+    # every default tolerance is the policy value of the check's class,
+    # except the two that carry the calibrated grid-residual budget
+    pinned = {
+        "focal-distance-sum": 1e-10, "focal-difference-constant": 1e-10,
+        "radius-sum-constant": 1e-10, "rotation-closure": 1e-10,
+        "closure-point-offset": 1e-12, "tangent-match": 1e-12,
+        "radius-consistency": 1e-10, "boundary-slack-inner": 1e-9,
+        "binormal-separation": 1e-12, "partner-distance": 1e-9,
+        "diameter-pairs": 1e-9, "width-coordinate-axes": 1e-3}
+    budgeted = {"boundary-slack-outer", "diameter-chords"}
+    assert set(pinned) | budgeted == set(CHECK_NAMES)
+    for check in checks:
+        if check["name"] in pinned:
+            assert check["tolerance"] == pinned[check["name"]]
+            assert check["tolerance"] == tolerance_policy(
+                CHECK_NAMES[check["name"]])
+    budget = {c["name"]: c["tolerance"] for c in checks if c["name"] in budgeted}
+    assert budget["diameter-chords"] == 2.0 * budget["boundary-slack-outer"] + 1e-9
 
 
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
@@ -153,6 +191,14 @@ def test_sample_reaches_all_five_caps(capsys):
     caps = {f for f in faces if len(f) == 4}
     assert caps == {f for f in ALL_PIECE_LABELS if len(f) == 4}
     assert faces <= ALL_PIECE_LABELS
+
+
+def test_sample_writes_exactly_the_requested_rows(capsys):
+    for n in range(1, 8):
+        code, out, _ = run(capsys, "sample", "--samples", str(n),
+                           "--grid", "4x6")
+        assert code == 0
+        assert len(out.strip().splitlines()) == n + 1, n
 
 
 def test_sample_is_deterministic(tmp_path, capsys):
@@ -299,6 +345,38 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["seed"] == 11
     monkeypatch.setenv("PEABODY4D_SEED", "x")
     assert run(capsys, "verify", "--suite", "focal", "--samples", "5")[0] == 2
+
+
+def test_negative_seeds_are_usage_errors(capsys, monkeypatch):
+    for command in ("verify", "sample"):
+        _assert_one_error_line(*run(capsys, command, "--seed", "-1",
+                                    "--samples", "5", *GRID))
+    monkeypatch.setenv("PEABODY4D_SEED", "-3")
+    for command in ("verify", "sample"):
+        _assert_one_error_line(*run(capsys, command, "--samples", "5", *GRID))
+
+
+def test_oversized_requests_stop_before_any_model_is_built(
+        tmp_path, capsys, monkeypatch):
+    def no_model(*args):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(cli, "_build_model", no_model)
+    monkeypatch.setattr(cli, "_build_skeleton", no_model)
+    cfg = tmp_path / "big.cfg"
+    too_many = str(cli.MAX_SAMPLES + 1)
+    nx, ntheta = cli.MAX_GRID
+    cases = [("samples", too_many), ("grid", "%dx%d" % (nx + 1, ntheta)),
+             ("grid", "%dx%d" % (nx, ntheta + 3))]
+    for command in ("verify", "sample"):
+        for key, value in cases:
+            _assert_one_error_line(*run(capsys, command, f"--{key}", value))
+            cfg.write_text(f"{key} = {value}\n")
+            _assert_one_error_line(*run(capsys, command, "--config", str(cfg)))
+    big = str(cli.MAX_RESOLUTION + 1)
+    _assert_one_error_line(*run(capsys, "slice", "--hyperplane", "0,0,0,1,0",
+                                "--resolution", big))
+    cfg.write_text(f"hyperplane = 0,0,0,1,0\nresolution = {big}\n")
+    _assert_one_error_line(*run(capsys, "slice", "--config", str(cfg)))
 
 
 def test_unknown_tolerance_name_is_a_usage_error(capsys):

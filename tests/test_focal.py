@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq
 
 from peabody4d.focal import (
-    ChainRadii,
     FocalPair,
     NotSameComponent,
     OffArc,
@@ -13,7 +12,7 @@ from peabody4d.focal import (
     WrongComponent,
     base_arc_contains,
     base_patch_contains,
-    chain_radii,
+    chain_radius,
     interlock_residual,
     focal_const_residual,
     focal_sum_residual,
@@ -36,11 +35,6 @@ from frozen_values import FROZEN
 
 
 @pytest.fixture(scope="module")
-def chain():
-    return chain_radii()
-
-
-@pytest.fixture(scope="module")
 def pair():
     return standard_focal_pair()
 
@@ -52,10 +46,10 @@ def arc_points(n, rng=None, t1=FROZEN["t1"]):
         ts = np.linspace(-t1, t1, n)
     else:
         ts = rng.uniform(-t1, t1, n)
-    return np.array([ellipse_point(E, t).as_array() for t in ts])
+    return np.array([ellipse_point(E, t) for t in ts])
 
 
-def patch_points(n, rng):
+def patch_points(n, rng, c):
     """n rejection-sampled points of the triangle patch H345."""
     H = base_hyperboloid()
     x0 = FROZEN["x0"]
@@ -63,8 +57,8 @@ def patch_points(n, rng):
     while len(out) < n:
         x = rng.uniform(1.0, x0)
         th = rng.uniform(0.0, 2.0 * math.pi)
-        p = hyperboloid_point(H, x, th).as_array()
-        if base_patch_contains(p):
+        p = hyperboloid_point(H, x, th)
+        if base_patch_contains(p, c):
             out.append(p)
     return np.array(out)
 
@@ -99,21 +93,26 @@ class TestFocalPair:
 
 
 class TestChainRadii:
-    def test_frozen_values(self, chain):
-        assert abs(chain.r_splus_e - FROZEN["r_splus_e"]) <= 1e-14
-        assert abs(chain.r_splus_h - FROZEN["r_splus_h"]) <= 1e-14
-        assert chain.focus_e.x == 1.0
-        assert abs(chain.focus_h.x - FROZEN["a"]) <= 1e-15
+    def test_frozen_values(self, constants):
+        assert abs(constants.r_splus_e - FROZEN["r_splus_e"]) <= 1e-14
+        assert abs(constants.r_splus_h - FROZEN["r_splus_h"]) <= 1e-14
+        assert constants.focus_e == 1.0
+        assert abs(constants.focus_h - FROZEN["a"]) <= 1e-15
 
-    def test_radius_defining_distances(self, chain, constants):
+    def test_radius_defining_distances(self, constants):
         V = simplex_vertices(constants)
-        fe = chain.focus_e.as_array()
-        fh = chain.focus_h.as_array()
+        fe = np.array([constants.focus_e, 0.0, 0.0, 0.0])
+        fh = np.array([constants.focus_h, 0.0, 0.0, 0.0])
         d_e = [np.linalg.norm(V[i] - fe) for i in (0, 1)]
         d_h = [np.linalg.norm(V[i] - fh) for i in (2, 3, 4)]
-        assert max(abs(d - chain.r_splus_e) for d in d_e) <= 1e-12
-        assert max(abs(d - chain.r_splus_h) for d in d_h) <= 1e-12
+        assert max(abs(d - constants.r_splus_e) for d in d_e) <= 1e-12
+        assert max(abs(d - constants.r_splus_h) for d in d_h) <= 1e-12
         assert max(d_h) - min(d_h) <= 1e-12
+        # the one radius law, batched and point by point, vanishes there
+        batch = chain_radius(constants.r_splus_h, fh, V[2:])
+        assert batch.shape == (3,) and np.max(np.abs(batch)) <= 1e-12
+        for i in (0, 1):
+            assert abs(chain_radius(constants.r_splus_e, fe, V[i])) <= 1e-12
 
 
 class TestFocalSumResidual:
@@ -129,12 +128,12 @@ class TestFocalSumResidual:
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(200):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi)).as_array()
-            b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi)).as_array()
+            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
+            b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
             a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
-                                    rng.uniform(0, 2 * math.pi)).as_array()
+                                    rng.uniform(0, 2 * math.pi))
             b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
-                                    rng.uniform(0, 2 * math.pi)).as_array()
+                                    rng.uniform(0, 2 * math.pi))
             worst = max(worst, abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
         assert worst <= 1e-10
 
@@ -153,12 +152,12 @@ class TestFocalSumResidual:
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(200):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi)).as_array()
-            b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi)).as_array()
+            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
+            b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
             a_h = hyperboloid_point(H_bad, rng.uniform(1.0, 2.5),
-                                    rng.uniform(0, 2 * math.pi)).as_array()
+                                    rng.uniform(0, 2 * math.pi))
             b_h = hyperboloid_point(H_bad, rng.uniform(1.0, 2.5),
-                                    rng.uniform(0, 2 * math.pi)).as_array()
+                                    rng.uniform(0, 2 * math.pi))
             worst = max(worst, abs(focal_sum_residual(E, H_bad, a_e, b_e, a_h, b_h)))
         assert worst > 1e-5
 
@@ -183,9 +182,9 @@ class TestFocalConstResidual:
         rng = np.random.default_rng(23)
         worst = 0.0
         for _ in range(500):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi)).as_array()
+            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
             a_h = hyperboloid_point(H, rng.uniform(1.0, 3.0),
-                                    rng.uniform(0, 2 * math.pi)).as_array()
+                                    rng.uniform(0, 2 * math.pi))
             worst = max(worst, abs(focal_const_residual(pair, a_e, a_h)))
         assert worst <= 1e-10
 
@@ -197,102 +196,103 @@ class TestFocalConstResidual:
 
 
 class TestSteinerRadiusElliptic:
-    def test_zero_at_arc_endpoints(self, chain, constants):
+    def test_zero_at_arc_endpoints(self, constants):
         V = simplex_vertices(constants)
-        assert abs(steiner_radius_elliptic(chain, V[0])) <= 1e-12
-        assert abs(steiner_radius_elliptic(chain, V[1])) <= 1e-12
+        assert abs(steiner_radius_elliptic(constants, V[0])) <= 1e-12
+        assert abs(steiner_radius_elliptic(constants, V[1])) <= 1e-12
 
-    def test_value_at_arc_apex(self, chain):
+    def test_value_at_arc_apex(self, constants):
         apex = np.array([math.sqrt(1.5), 0.0, 0.0, 0.0])
-        r = steiner_radius_elliptic(chain, apex)
+        r = steiner_radius_elliptic(constants, apex)
         assert abs(r - FROZEN["R_mid"]) <= 1e-12
 
-    def test_range_over_arc(self, chain):
+    def test_range_over_arc(self, constants):
         pts = arc_points(501)  # odd count so the apex t=0 is on the grid
-        rs = [steiner_radius_elliptic(chain, p) for p in pts]
+        rs = [steiner_radius_elliptic(constants, p) for p in pts]
         assert min(rs) >= -1e-12
         assert max(rs) <= 0.019
         assert abs(max(rs) - FROZEN["R_mid"]) <= 1e-9  # max at the apex
 
-    def test_off_arc_rejected(self, chain):
-        beyond = ellipse_point(base_ellipse(), 3.0 * FROZEN["t1"]).as_array()
+    def test_off_arc_rejected(self, constants):
+        beyond = ellipse_point(base_ellipse(), 3.0 * FROZEN["t1"])
         with pytest.raises(OffArc):
-            steiner_radius_elliptic(chain, beyond)
+            steiner_radius_elliptic(constants, beyond)
         with pytest.raises(OffArc):
-            steiner_radius_elliptic(chain, np.array([1.2, 0.0, 0.1, 0.0]))
+            steiner_radius_elliptic(constants, np.array([1.2, 0.0, 0.1, 0.0]))
 
 
 class TestSteinerRadiusHyperbolic:
-    def test_zero_at_patch_corners(self, chain, constants):
+    def test_zero_at_patch_corners(self, constants):
         V = simplex_vertices(constants)
         for i in (2, 3, 4):
-            assert abs(steiner_radius_hyperbolic(chain, V[i])) <= 1e-12
+            assert abs(steiner_radius_hyperbolic(constants, V[i])) <= 1e-12
 
-    def test_value_at_edge_apex(self, chain):
+    def test_value_at_edge_apex(self, constants):
         omega = np.array([FROZEN["omega_x"], FROZEN["omega_y"], 0.0, 0.0])
-        r = steiner_radius_hyperbolic(chain, omega)
+        r = steiner_radius_hyperbolic(constants, omega)
         assert abs(r - FROZEN["R_omega"]) <= 1e-12
 
-    def test_value_at_sheet_vertex(self, chain):
+    def test_value_at_sheet_vertex(self, constants):
         v = np.array([1.0, 0.0, 0.0, 0.0])
-        r = steiner_radius_hyperbolic(chain, v)
+        r = steiner_radius_hyperbolic(constants, v)
         assert abs(r - FROZEN["hyper_radius_at_sheet_vertex"]) <= 1e-12
 
-    def test_positive_inside(self, chain):
+    def test_positive_inside(self, constants):
         rng = np.random.default_rng(31)
-        for p in patch_points(200, rng):
-            assert steiner_radius_hyperbolic(chain, p) >= -1e-12
+        for p in patch_points(200, rng, constants):
+            assert steiner_radius_hyperbolic(constants, p) >= -1e-12
 
-    def test_off_patch_rejected(self, chain):
+    def test_off_patch_rejected(self, constants):
         # the hyperboloid focus is not on the sheet at all
         with pytest.raises(OffPatch):
-            steiner_radius_hyperbolic(chain, np.array([math.sqrt(1.5), 0, 0, 0]))
+            steiner_radius_hyperbolic(constants, np.array([math.sqrt(1.5), 0, 0, 0]))
         # on the sheet, but beyond the boundary arc between p4 and p5
         x_mid = 0.5 * (FROZEN["omega_x"] + FROZEN["x0"])
-        outside = hyperboloid_point(base_hyperboloid(), x_mid, math.pi).as_array()
+        outside = hyperboloid_point(base_hyperboloid(), x_mid, math.pi)
         with pytest.raises(OffPatch):
-            steiner_radius_hyperbolic(chain, outside)
+            steiner_radius_hyperbolic(constants, outside)
         # far sheet mirror of p3
         with pytest.raises(OffPatch):
             steiner_radius_hyperbolic(
-                chain, np.array([-FROZEN["x0"], FROZEN["y0"], 0.0, 0.0]))
+                constants, np.array([-FROZEN["x0"], FROZEN["y0"], 0.0, 0.0]))
 
     def test_domain_membership_helpers(self, constants):
         V = simplex_vertices(constants)
-        assert base_patch_contains(V[2])
-        assert base_patch_contains([1.0, 0.0, 0.0, 0.0])
-        assert not base_patch_contains(V[0])
-        assert base_arc_contains(V[0])
-        assert base_arc_contains([math.sqrt(1.5), 0.0, 0.0, 0.0])
-        assert not base_arc_contains(V[2])
+        assert base_patch_contains(V[2], constants)
+        assert base_patch_contains([1.0, 0.0, 0.0, 0.0], constants)
+        assert not base_patch_contains(V[0], constants)
+        assert base_arc_contains(V[0], constants)
+        assert base_arc_contains([math.sqrt(1.5), 0.0, 0.0, 0.0], constants)
+        assert not base_arc_contains(V[2], constants)
 
 
 class TestInterlock:
     def test_vertex_pair(self, constants):
         V = simplex_vertices(constants)
-        assert abs(interlock_residual(V[2], V[0])) <= 1e-12
+        assert abs(interlock_residual(constants, V[2], V[0])) <= 1e-12
 
-    def test_apex_pair(self):
+    def test_apex_pair(self, constants):
         omega = np.array([FROZEN["omega_x"], FROZEN["omega_y"], 0.0, 0.0])
         apex = np.array([math.sqrt(1.5), 0.0, 0.0, 0.0])
-        assert abs(interlock_residual(omega, apex)) <= 1e-10
+        assert abs(interlock_residual(constants, omega, apex)) <= 1e-10
 
-    def test_grid(self):
+    def test_grid(self, constants):
         rng = np.random.default_rng(41)
-        xs = patch_points(40, rng)
+        xs = patch_points(40, rng, constants)
         ys = arc_points(40, rng)
-        worst = max(abs(interlock_residual(x, y)) for x in xs for y in ys)
+        worst = max(abs(interlock_residual(constants, x, y))
+                    for x in xs for y in ys)
         assert worst <= 1e-10
 
-    def test_ball_pair_diameter(self, chain, constants):
+    def test_ball_pair_diameter(self, constants):
         """Any point of B(x, Rx) and any of B(y, R_y) are within 2 z1."""
         rng = np.random.default_rng(43)
-        xs = patch_points(25, rng)
+        xs = patch_points(25, rng, constants)
         ys = arc_points(25, rng)
         worst = 0.0
         for x, y in zip(xs, ys):
-            rx = steiner_radius_hyperbolic(chain, x)
-            ry = steiner_radius_elliptic(chain, y)
+            rx = steiner_radius_hyperbolic(constants, x)
+            ry = steiner_radius_elliptic(constants, y)
             for _ in range(8):
                 du = rng.standard_normal(4)
                 dv = rng.standard_normal(4)
@@ -303,7 +303,7 @@ class TestInterlock:
 
 
 class TestSteinerCenterLocus:
-    def test_tangent_circle_centers_lie_on_ellipse(self, chain):
+    def test_tangent_circle_centers_lie_on_ellipse(self, constants):
         """Circles tangent inside S+ and outside S- have centers on E.
 
         For a contact direction psi on S+, the center sits at
@@ -313,7 +313,7 @@ class TestSteinerCenterLocus:
         b = math.sqrt(0.5)
         fe = np.array([1.0, 0.0])
         fm = np.array([-1.0, 0.0])
-        r_plus = chain.r_splus_e
+        r_plus = constants.r_splus_e
         r_minus = FROZEN["r_sminus_e"]
 
         def tangency_gap(R, u):

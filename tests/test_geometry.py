@@ -8,7 +8,6 @@ from peabody4d.geometry import (
     DegenerateSimplex,
     Isometry4,
     OutOfDomain,
-    Point4,
     base_ellipse,
     base_hyperbola,
     base_hyperboloid,
@@ -26,19 +25,6 @@ from frozen_values import FROZEN
 def random_rotation(rng):
     q, r = np.linalg.qr(rng.standard_normal((4, 4)))
     return q * np.sign(np.diag(r))
-
-
-class TestPoint4:
-    def test_roundtrip(self):
-        p = Point4(1.0, -2.0, 3.5, 0.25)
-        assert np.array_equal(p.as_array(), [1.0, -2.0, 3.5, 0.25])
-        assert Point4.from_array(p.as_array()) == p
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Point4(math.nan, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            Point4(0.0, math.inf, 0.0, 0.0)
 
 
 class TestIsometry4:
@@ -200,17 +186,17 @@ class TestQuadrics:
 class TestParametrization:
     def test_ellipse_vertex(self):
         p = ellipse_point(base_ellipse(), 0.0)
-        assert np.allclose(p.as_array(), [math.sqrt(1.5), 0, 0, 0], atol=1e-15)
+        assert np.allclose(p, [math.sqrt(1.5), 0, 0, 0], atol=1e-15)
 
     def test_ellipse_hits_p1(self, constants):
         p = ellipse_point(base_ellipse(), FROZEN["t1"])
         target = [constants.x1, 0.0, constants.z1, 0.0]
-        assert np.max(np.abs(p.as_array() - target)) <= 1e-14
+        assert np.max(np.abs(p - target)) <= 1e-14
 
     def test_hyperboloid_sheet_vertex(self):
         for theta in (0.0, 1.0, 2.5):
             p = hyperboloid_point(base_hyperboloid(), 1.0, theta)
-            assert np.allclose(p.as_array(), [1.0, 0, 0, 0], atol=1e-15)
+            assert np.allclose(p, [1.0, 0, 0, 0], atol=1e-15)
 
     def test_hyperboloid_hits_simplex_vertices(self, constants):
         H = base_hyperboloid()
@@ -219,7 +205,7 @@ class TestParametrization:
                               (-2.0 * math.pi / 3.0, V[3]),
                               (2.0 * math.pi / 3.0, V[4])]:
             p = hyperboloid_point(H, constants.x0, theta)
-            assert np.max(np.abs(p.as_array() - target)) <= 1e-14
+            assert np.max(np.abs(p - target)) <= 1e-14
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):

@@ -24,11 +24,12 @@ from peabody4d.geometry import (
     isometry_from_vertex_permutation,
     quadric_residual,
 )
-from peabody4d.numerics import model_constants_for
+from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
     base_arc_points,
     base_edge_arc,
     base_patch_grid,
+    base_patch_grid_params,
     base_triangle_patch,
     build_focal_skeleton,
     build_simplex,
@@ -258,9 +259,35 @@ def test_rotation_closure(constants, simplex):
 
 def test_rotation_closure_negative_control():
     """At a^2 = 1.4 the transported arc misses the hyperboloid by a lot."""
-    c = model_constants_for(1.4)
+    c = compute_model_constants(1.4)
     s = build_simplex(c)
     assert rotation_closure_check(c, s, n=200) > 1e-4
+
+
+@pytest.mark.parametrize("a_sq", [1.4, 2.0])
+def test_other_parameters_take_the_same_path(a_sq):
+    """Away from a^2 = 3/2 the closure breaks, but each face is still the
+    image of its base face: base samples lie on the base faces and, moved
+    by a generator, on the transported faces, and the patch grid meets the
+    vertex circle exactly at the three corners."""
+    c = compute_model_constants(a_sq)
+    s = build_simplex(c)
+    skeleton = build_focal_skeleton(c, s, build_symmetry_group(s))
+    for base, moved, pts in (
+            ((3, 4, 5), (1, 2, 4), base_patch_grid(c, 12, 18)),
+            ((1, 2), (3, 5), base_arc_points(c, 41))):
+        face, other = skeleton.face(base), skeleton.face(moved)
+        assert len(pts) > 20
+        for q in pts:
+            assert face.contains(q)
+            assert other.contains(other.generator.apply(q))
+
+    params, pts = base_patch_grid_params(c, 12, 18)
+    corners = pts[params[:, 0] == c.x0]
+    assert len(corners) == 3
+    assert np.max(np.abs(corners - s.vertices[[2, 4, 3]])) <= 1e-12
+    assert np.max(np.abs(np.hypot(corners[:, 1], corners[:, 3]) - c.y0)) <= 1e-12
+    assert np.max(np.abs(skeleton.face((3, 4, 5)).radius(corners))) <= 1e-12
 
 
 def test_tangent_slopes(constants, simplex):
