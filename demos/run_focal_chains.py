@@ -4,7 +4,7 @@ The ellipse (in the {x,z}-plane) and the hyperboloid of revolution (in the
 {x,y,w}-space) pass through each other's foci.  Distances between points of
 the two curves then satisfy two exact identities, and the tangent-ball
 radius laws they induce interlock: separation + both radii = the width,
-everywhere.
+everywhere.  Every identity takes a point or a (..., 4) batch of points.
 """
 
 import math
@@ -28,14 +28,14 @@ E, H = base_ellipse(c.a_sq), base_hyperboloid(c.a_sq)
 pair = standard_focal_pair(c.a_sq)
 rng = np.random.default_rng(0)
 
-worst_sum = worst_const = 0.0
-for _ in range(2000):
-    a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-    b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-    a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
-    b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
-    worst_sum = max(worst_sum, abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
-    worst_const = max(worst_const, abs(focal_const_residual(pair, a_e, a_h)))
+# 2000 random configurations at once: angles and heights, one row each
+t = rng.uniform(0, 2 * math.pi, size=(2000, 4))
+height = rng.uniform(1.0, 2.5, size=(2000, 2))
+a_e, b_e = ellipse_point(E, t[:, 0]), ellipse_point(E, t[:, 1])
+a_h = hyperboloid_point(H, height[:, 0], t[:, 2])
+b_h = hyperboloid_point(H, height[:, 1], t[:, 3])
+worst_sum = np.max(np.abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
+worst_const = np.max(np.abs(focal_const_residual(pair, a_e, a_h)))
 print("distance-sum identity, worst of 2000 random configs: %.2e" % worst_sum)
 print("constant-difference identity, worst: %.2e" % worst_const)
 
@@ -46,8 +46,7 @@ print("  elliptic  R_y at the arc apex: %.6f" % steiner_radius_elliptic(c, y))
 print("  hyperbolic R_x at a patch point: %.6f" % steiner_radius_hyperbolic(c, x))
 print("  |x - y| + R_x + R_y - width = %.2e" % interlock_residual(c, x, y))
 
-worst = 0.0
-for x in base_patch_grid(c, 12, 9):
-    for y in base_arc_points(c, 20):
-        worst = max(worst, abs(interlock_residual(c, x, y)))
+# every patch sample against every arc sample, by broadcasting
+xs, ys = base_patch_grid(c, 12, 9), base_arc_points(c, 20)
+worst = np.max(np.abs(interlock_residual(c, xs[:, None], ys[None])))
 print("  interlock over a %d-point sweep: %.2e" % (12 * 9 * 20, worst))

@@ -43,5 +43,5 @@ print("  %.15f  %.15f  %.15f" % (base, transported, gradient))
 print("  target -3 z1/x1 = %.15f" % (-3 * c.z1 / c.x1))
 
 pts = skeleton.face((4, 5)).points(9)[1:-1]
-worst = max(abs(radius_consistency_residual(skeleton, p)) for p in pts)
+worst = np.max(np.abs(radius_consistency_residual(skeleton, pts)))
 print("\nelliptic vs hyperbolic radius along a shared arc: %.2e" % worst)

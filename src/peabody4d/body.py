@@ -2,10 +2,10 @@
 
 Two independent representations of the same body are kept in play:
 
-  * the envelope maps phi1/phi2, which push dual-pair points (x, y) outward
-    along the line x-y by the chain radii -- their images are exact
-    boundary points, and the pair (phi1, phi2) is always a binormal of
-    length 2 z1;
+  * the envelope maps phi1/phi2, which push dual-pair points (x, y), one
+    pair or (..., 4) batches, outward along the line x-y by the chain radii
+    -- their images are exact boundary points, and the pair (phi1, phi2) is
+    always a binormal of length 2 z1;
   * an intersection of balls: one ball of radius 2 z1 around each vertex
     (their intersection alone is the Reuleaux simplex) and, for each grid
     sample c of each skeleton face, a ball of radius 2 z1 - r(c) where r is
@@ -19,7 +19,8 @@ Everything downstream cross-validates one representation against the
 other: ray casts probe the ball model, phi samples must land on its
 boundary, and boundary samples are classified by which ball is tight.
 A population of samples is one BoundaryPopulation of parallel arrays.  Ball
-slack and ray hits each have one array kernel (_min_slack, _ray_hits).
+slack, ray hits and the envelope step each have one array kernel
+(_min_slack, _ray_hits, _envelope).
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
@@ -38,7 +39,14 @@ from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
 from .focal import base_patch_contains
-from .geometry import as_vec4
+from .geometry import (
+    as_points,
+    as_vec4,
+    base_ellipse,
+    base_hyperboloid,
+    ellipse_point,
+    hyperboloid_point,
+)
 from .skeleton import (
     base_arc_axes,
     base_arc_points,
@@ -139,40 +147,40 @@ def _ray_hits(C, R, origin, U):
 # envelope maps
 # ============================================================================
 
-def _require_dual_pair(patch, arc, x, y):
+def _envelope(p, q, r):
+    """p pushed away from q by r: p + (r / |p - q|) (p - q), row by row."""
+    d = p - q
+    return p + (r / np.linalg.norm(d, axis=-1))[..., None] * d
+
+
+def _dual_pair_points(patch, arc, x, y):
     if patch.kind != "triangle-patch" or arc.kind != "edge-arc":
         raise DomainError("phi maps take (triangle-patch, edge-arc)")
     if set(patch.label) | set(arc.label) != {1, 2, 3, 4, 5}:
         raise DomainError(f"faces {patch.label} and {arc.label} are not dual")
-    if not patch.contains(x, tol=1e-8):
+    x, y = as_points(x), as_points(y)
+    if not np.all(patch.contains(x, tol=1e-8)):
         raise DomainError("x is not on the patch")
-    if not arc.contains(y, tol=1e-8):
+    if not np.all(arc.contains(y, tol=1e-8)):
         raise DomainError("y is not on the arc")
+    return x, y
 
 
-def phi1(patch, arc, x, y, validate=True):
-    """Envelope point on the triangle-wedge side: x pushed away from y.
+def phi1(patch, arc, x, y):
+    """Envelope points on the triangle-wedge side: x pushed away from y.
 
-    x rides the patch, y the dual arc; the image is x + Rx * (x-y)/|x-y|
-    with Rx the hyperbolic chain radius at x.  At a patch corner Rx = 0 and
-    the map fixes x.
+    x rides the patch, y the dual arc, each a point or a (..., 4) batch;
+    the image is x + Rx * (x-y)/|x-y| with Rx the hyperbolic chain radius
+    at x.  At a patch corner Rx = 0 and the map fixes x.
     """
-    x, y = as_vec4(x), as_vec4(y)
-    if validate:
-        _require_dual_pair(patch, arc, x, y)
-    d = x - y
-    n = np.linalg.norm(d)
-    return x + float(patch.radius(x)) * d / n
+    x, y = _dual_pair_points(patch, arc, x, y)
+    return _envelope(x, y, patch.radius(x))
 
 
-def phi2(patch, arc, x, y, validate=True):
-    """Envelope point on the edge-wedge side: y pushed away from x."""
-    x, y = as_vec4(x), as_vec4(y)
-    if validate:
-        _require_dual_pair(patch, arc, x, y)
-    d = y - x
-    n = np.linalg.norm(d)
-    return y + float(arc.radius(y)) * d / n
+def phi2(patch, arc, x, y):
+    """Envelope points on the edge-wedge side: y pushed away from x."""
+    x, y = _dual_pair_points(patch, arc, x, y)
+    return _envelope(y, x, arc.radius(y))
 
 
 # ============================================================================
@@ -471,17 +479,13 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         xi = rng.integers(xs.start, xs.stop, size=cnt)
         yi = rng.integers(ys.start, ys.stop, size=cnt)
         X, Y = model.centers[xi], model.centers[yi]
-        D = X - Y
-        nn = np.linalg.norm(D, axis=1)
-        good = nn > 1e-12  # x = y only when both sit at a shared vertex
-        xi, yi, X, Y, D, nn = xi[good], yi[good], X[good], Y[good], D[good], nn[good]
+        good = np.linalg.norm(X - Y, axis=1) > 1e-12  # x = y only at a shared vertex
+        xi, yi, X, Y = xi[good], yi[good], X[good], Y[good]
         if phi1_side:
-            r = w - model.radii[xi]          # hyperbolic chain radius at x
-            P = X + (r / nn)[:, None] * D
+            P = _envelope(X, Y, w - model.radii[xi])   # hyperbolic radius at x
             active = yi
         else:
-            r = w - model.radii[yi]          # elliptic chain radius at y
-            P = Y - (r / nn)[:, None] * D
+            P = _envelope(Y, X, w - model.radii[yi])   # elliptic radius at y
             active = xi
         parts.append(_population(P, _PIECE_CODES[lab], active,
                                  xy=np.column_stack([xi, yi])))
@@ -560,22 +564,20 @@ def diameter_check(model, samples, pairs=10 ** 6, seed=0):
 # ============================================================================
 
 def _random_arc_points(c, n, rng):
-    a, b, t1 = base_arc_axes(c)
-    ts = rng.uniform(-t1, t1, size=n)
-    return np.column_stack([a * np.cos(ts), np.zeros(n), b * np.sin(ts),
-                            np.zeros(n)])
+    t1 = base_arc_axes(c)[2]
+    return ellipse_point(base_ellipse(c.a_sq), rng.uniform(-t1, t1, size=n))
 
 
 def _random_patch_points(c, n, rng):
-    out = []
+    # rounds of exactly the missing count draw and accept what drawing one
+    # point at a time would, and leave the generator in the same state
+    h = base_hyperboloid(c.a_sq)
+    out = np.empty((0, 4))
     while len(out) < n:
-        x = rng.uniform(1.0, c.x0)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        rho = math.sqrt((c.a_sq - 1.0) * (x * x - 1.0))
-        q = np.array([x, rho * math.cos(th), 0.0, rho * math.sin(th)])
-        if base_patch_contains(q, c):
-            out.append(q)
-    return np.array(out)
+        xt = rng.uniform([1.0, 0.0], [c.x0, 2.0 * math.pi], size=(n - len(out), 2))
+        q = hyperboloid_point(h, xt[:, 0], xt[:, 1])
+        out = np.concatenate([out, q[base_patch_contains(q, c)]])
+    return out
 
 
 def boundary_residual(model, skeleton, probes=256, seed=0):
@@ -588,17 +590,14 @@ def boundary_residual(model, skeleton, probes=256, seed=0):
     rng = np.random.default_rng(seed)
     c = skeleton.constants
     per = max(probes // 20, 4)
-    worst = 0.0
+    probe = []
     for patch in skeleton.triangle_faces():
         arc = skeleton.face(dual_label(patch.label))
         X = patch.generator.apply(_random_patch_points(c, per, rng))
         Y = arc.generator.apply(_random_arc_points(c, per, rng))
-        for x, y in zip(X, Y):
-            for p in (phi1(patch, arc, x, y, validate=False),
-                      phi2(patch, arc, x, y, validate=False)):
-                s, _ = model.min_slack(p)
-                worst = max(worst, abs(s))
-    return 2.0 * worst + 1e-10
+        probe += [phi1(patch, arc, X, Y), phi2(patch, arc, X, Y)]
+    s, _ = model.min_slack(np.concatenate(probe))
+    return 2.0 * float(np.max(np.abs(s))) + 1e-10
 
 
 def ray_displacements(skeleton, grids, probes=200, seed=0):

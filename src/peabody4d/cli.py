@@ -57,8 +57,6 @@ from .focal import (
     standard_focal_pair,
 )
 from .geometry import (
-    base_ellipse,
-    base_hyperboloid,
     ellipse_point,
     hyperboloid_point,
     isometry_from_vertex_permutation,
@@ -138,15 +136,19 @@ def _fmt(x):
 def _load_config(path):
     """Flat key = value file; '#' starts a comment."""
     cfg = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            cfg[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        cfg[key] = value
     return cfg
 
 
@@ -223,6 +225,8 @@ def _parse_tols(items):
             tols[name] = float(value)
         except ValueError as exc:
             raise _UsageError(f"--tol {name}: {exc}") from exc
+        if not 0.0 <= tols[name] < math.inf:
+            raise _UsageError(f"--tol {name}: expected a finite value >= 0")
     return tols
 
 
@@ -330,36 +334,30 @@ def _run_check(report, tols, name, anchor, samples, seed, fn, budget=None):
 
 
 def _focal_checks(report, tols, samples, seed, c):
-    E, H = base_ellipse(c.a_sq), base_hyperboloid(c.a_sq)
     pair = standard_focal_pair(c.a_sq)
+    E, H = pair.ellipse, pair.hyperboloid
+    two_pi = 2 * math.pi
 
     def sum_sweep():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
-                                    rng.uniform(0, 2 * math.pi))
-            b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
-                                    rng.uniform(0, 2 * math.pi))
-            worst = max(worst, abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
-        return worst
+        # row k holds the parameters of configuration k in draw order
+        t = np.random.default_rng(seed).uniform(
+            [0, 0, 1.0, 0, 1.0, 0], [two_pi, two_pi, 2.5, two_pi, 2.5, two_pi],
+            size=(samples, 6))
+        return np.max(np.abs(focal_sum_residual(
+            E, H, ellipse_point(E, t[:, 0]), ellipse_point(E, t[:, 1]),
+            hyperboloid_point(H, t[:, 2], t[:, 3]),
+            hyperboloid_point(H, t[:, 4], t[:, 5]))))
 
     def const_sweep():
-        rng = np.random.default_rng(seed + 1)
-        worst = 0.0
-        for _ in range(samples):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            a_h = hyperboloid_point(H, rng.uniform(1.0, 3.0),
-                                    rng.uniform(0, 2 * math.pi))
-            worst = max(worst, abs(focal_const_residual(pair, a_e, a_h)))
-        return worst
+        t = np.random.default_rng(seed + 1).uniform(
+            [0, 1.0, 0], [two_pi, 3.0, two_pi], size=(samples, 3))
+        return np.max(np.abs(focal_const_residual(
+            pair, ellipse_point(E, t[:, 0]), hyperboloid_point(H, t[:, 1], t[:, 2]))))
 
     def radius_sum_grid():
         xs = base_patch_grid(c, 20, 15)[:100]
         ys = base_arc_points(c, 100)
-        return max(abs(interlock_residual(c, x, y)) for x in xs for y in ys)
+        return np.max(np.abs(interlock_residual(c, xs[:, None], ys[None])))
 
     _run_check(report, tols, "focal-distance-sum",
                "sum of distances between dual quadric points splits by component",
@@ -390,7 +388,7 @@ def _skeleton_checks(report, tols, samples, seed, skeleton):
 
     def radius_match():
         pts = skeleton.face((4, 5)).points(102)[1:-1]
-        return max(abs(radius_consistency_residual(skeleton, x)) for x in pts)
+        return np.max(np.abs(radius_consistency_residual(skeleton, pts)))
 
     _run_check(report, tols, "rotation-closure",
                "the cycling motion maps the base arc onto the patch sheet",
@@ -419,12 +417,12 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
             arc = skeleton.face(dual_label(patch.label))
             xs = patch.grid_points(8, 9)
             ys = arc.points(40)
-            for _ in range(20):
-                x = xs[rng.integers(0, len(xs))]
-                y = ys[rng.integers(1, len(ys) - 1)]
-                gap = np.linalg.norm(phi1(patch, arc, x, y)
-                                     - phi2(patch, arc, x, y))
-                worst = max(worst, abs(gap - w))
+            # row k holds the (x, y) indices of pair k in draw order
+            i = rng.integers([0, 1], [len(xs), len(ys) - 1], size=(20, 2))
+            x, y = xs[i[:, 0]], ys[i[:, 1]]
+            gap = np.linalg.norm(phi1(patch, arc, x, y) - phi2(patch, arc, x, y),
+                                 axis=-1)
+            worst = max(worst, np.max(np.abs(gap - w)))
         return worst
 
     def partner_sweep():
@@ -574,8 +572,10 @@ class SliceSpec:
     def __post_init__(self):
         if not (np.all(np.isfinite(self.normal)) and math.isfinite(self.offset)):
             raise _UsageError("hyperplane normal and offset must be finite")
-        if np.linalg.norm(self.normal) < 1e-12:
-            raise _UsageError("hyperplane normal must be nonzero")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(self.normal)
+        if not 1e-12 <= norm < math.inf:
+            raise _UsageError("hyperplane normal must be nonzero, with a finite norm")
         if not 8 <= self.resolution <= MAX_RESOLUTION:
             raise _UsageError(
                 f"slice resolution must be between 8 and {MAX_RESOLUTION}")

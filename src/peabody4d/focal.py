@@ -24,7 +24,10 @@ the skeleton faces evaluate it about their transported foci.
 
 Every function here that needs the configuration (the base domains E12 and
 H345, their cut planes, the radius laws) takes the ``ModelConstants`` ``c``
-as an explicit argument, so it serves any a^2 > 1.
+as an explicit argument, so it serves any a^2 > 1.  Every point argument is
+a 4-vector or a (..., 4) batch: the functions broadcast their point
+arguments together and return one value per point, and a domain exception
+is raised when any point is out of its domain.
 """
 
 import functools
@@ -36,7 +39,7 @@ import numpy as np
 
 from .geometry import (
     Quadric,
-    as_vec4,
+    as_points,
     base_ellipse,
     base_hyperboloid,
     carrier_distance,
@@ -92,41 +95,32 @@ def _base_domains(c):
 
 
 def base_arc_contains(y, c, tol=1e-9):
-    """True when y lies on the edge arc E12 (the x >= x1 piece of E)."""
-    v = as_vec4(y)
+    """True where y lies on the edge arc E12 (the x >= x1 piece of E)."""
+    v = as_points(y)
     e = _base_domains(c)[0]
-    if abs(quadric_residual(e, v)) > tol:
-        return False
-    if carrier_distance(e, v) > tol:
-        return False
-    return v[0] >= c.x1 - tol
+    return ((np.abs(quadric_residual(e, v)) <= tol)
+            & (carrier_distance(e, v) <= tol) & (v[..., 0] >= c.x1 - tol))
 
 
 def base_patch_contains(x, c, tol=1e-9):
-    """True when x lies on the triangle patch H345.
+    """True where x lies on the triangle patch H345.
 
     The patch is the part of the right sheet of H cut out by the three
     boundary-arc planes; its corners are p3, p4, p5 and it contains the
     sheet vertex (1, 0, 0, 0).
     """
-    v = as_vec4(x)
+    v = as_points(x)
     _, h, planes = _base_domains(c)
-    if abs(quadric_residual(h, v)) > tol:
-        return False
-    if carrier_distance(h, v) > tol:
-        return False
-    if v[0] < 1.0 - tol:
-        return False
+    inside = ((np.abs(quadric_residual(h, v)) <= tol)
+              & (carrier_distance(h, v) <= tol) & (v[..., 0] >= 1.0 - tol))
     for n, p in planes:
-        if float(n @ (v - p)) < -tol:
-            return False
-    return True
+        inside &= (v - p) @ n >= -tol
+    return inside
 
 
 def sheet_sign(h, p):
     """+1 / -1 for the right / left sheet, judged by the frame x-coordinate."""
-    xi = float(h.to_frame(as_vec4(p))[0])
-    return 1 if xi >= 0.0 else -1
+    return np.where(h.to_frame(as_points(p))[..., 0] >= 0.0, 1, -1)
 
 
 # ============================================================================
@@ -193,6 +187,10 @@ def standard_focal_pair(a_sq=1.5):
 # residual oracles and radius laws
 # ============================================================================
 
+def _dist(p, q):
+    return np.linalg.norm(p - q, axis=-1)
+
+
 def focal_sum_residual(e, h, a_e, b_e, a_h, b_h):
     """Residual of the four-point identity on a candidate focal pair.
 
@@ -200,13 +198,13 @@ def focal_sum_residual(e, h, a_e, b_e, a_h, b_h):
     magnitude when (e, h) really are focal.  a_h and b_h must lie on the
     same sheet of h.
     """
-    va_e, vb_e = as_vec4(a_e), as_vec4(b_e)
-    va_h, vb_h = as_vec4(a_h), as_vec4(b_h)
-    if sheet_sign(h, va_h) != sheet_sign(h, vb_h):
+    va_e, vb_e = as_points(a_e), as_points(b_e)
+    va_h, vb_h = as_points(a_h), as_points(b_h)
+    if np.any(sheet_sign(h, va_h) != sheet_sign(h, vb_h)):
         raise NotSameComponent("a_h and b_h lie on different sheets")
-    lhs = np.linalg.norm(va_e - va_h) + np.linalg.norm(vb_e - vb_h)
-    rhs = np.linalg.norm(va_h - vb_e) + np.linalg.norm(va_e - vb_h)
-    return float(lhs - rhs)
+    lhs = _dist(va_e, va_h) + _dist(vb_e, vb_h)
+    rhs = _dist(va_h, vb_e) + _dist(va_e, vb_h)
+    return lhs - rhs
 
 
 def focal_const_residual(pair, a_e, a_h):
@@ -218,19 +216,17 @@ def focal_const_residual(pair, a_e, a_h):
     foci into the four-point identity, and the one its proof actually uses).
     Zero up to roundoff on a genuine pair; a_h must be on the near sheet.
     """
-    va_e, va_h = as_vec4(a_e), as_vec4(a_h)
-    if sheet_sign(pair.hyperboloid, va_h) < 0:
+    va_e, va_h = as_points(a_e), as_points(a_h)
+    if np.any(sheet_sign(pair.hyperboloid, va_h) < 0):
         raise WrongComponent("a_h is on the far sheet")
     f_e = pair.ellipse.foci()[0]
     f_h = pair.hyperboloid.foci()[0]
-    return float(np.linalg.norm(va_e - va_h)
-                 - np.linalg.norm(va_h - f_h)
-                 - np.linalg.norm(va_e - f_e)
-                 + np.linalg.norm(f_h - f_e))
+    return (_dist(va_e, va_h) - _dist(va_h, f_h) - _dist(va_e, f_e)
+            + _dist(f_h, f_e))
 
 
 def chain_radius(r_splus, focus, p):
-    """The chain radius law r_S+ - |p - f| at a center p or an (N, 4) batch.
+    """The chain radius law r_S+ - |p - f| at a center p or a (..., 4) batch.
 
     focus is the near focus f as a 4-vector and r_splus the radius of the
     tangent circle/sphere S+ about it.
@@ -243,26 +239,28 @@ def _on_axis(x):
 
 
 def steiner_radius_elliptic(c, y, tol=1e-9):
-    """Radius R_y of the elliptic-chain circle centered at y on E12.
+    """Radii R_y of the elliptic-chain circles centered at y on E12.
 
     R_y = r_S+ - |y - f_e|; nonnegative on the arc, zero at p1 and p2.
     """
-    v = as_vec4(y)
-    if not base_arc_contains(v, c, tol):
-        raise OffArc(f"{v} is not on the edge arc")
-    return float(chain_radius(c.r_splus_e, _on_axis(c.focus_e), v))
+    v = as_points(y)
+    off = ~base_arc_contains(v, c, tol)
+    if np.any(off):
+        raise OffArc(f"{v[off][0]} is not on the edge arc")
+    return chain_radius(c.r_splus_e, _on_axis(c.focus_e), v)
 
 
 def steiner_radius_hyperbolic(c, x, tol=1e-9):
-    """Radius Rx of the hyperbolic-chain ball centered at x on H345.
+    """Radii Rx of the hyperbolic-chain balls centered at x on H345.
 
     Rx = r_HS+ - |x - f_h|; nonnegative on the patch, zero exactly on the
     vertex circle C (in particular at p3, p4, p5).
     """
-    v = as_vec4(x)
-    if not base_patch_contains(v, c, tol):
-        raise OffPatch(f"{v} is not on the triangle patch")
-    return float(chain_radius(c.r_splus_h, _on_axis(c.focus_h), v))
+    v = as_points(x)
+    off = ~base_patch_contains(v, c, tol)
+    if np.any(off):
+        raise OffPatch(f"{v[off][0]} is not on the triangle patch")
+    return chain_radius(c.r_splus_h, _on_axis(c.focus_h), v)
 
 
 def interlock_residual(c, x, y):
@@ -274,5 +272,4 @@ def interlock_residual(c, x, y):
     """
     rx = steiner_radius_hyperbolic(c, x)
     ry = steiner_radius_elliptic(c, y)
-    d = float(np.linalg.norm(as_vec4(x) - as_vec4(y)))
-    return d + rx + ry - c.width
+    return _dist(as_points(x), as_points(y)) + rx + ry - c.width

@@ -39,6 +39,14 @@ def as_vec4(p):
     return a
 
 
+def as_points(p):
+    """A 4-vector or a (..., 4) batch of them as a float ndarray."""
+    a = np.asarray(p, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != 4:
+        raise ValueError(f"expected 4-vectors, got shape {a.shape}")
+    return a
+
+
 # ============================================================================
 # rigid motions
 # ============================================================================
@@ -189,9 +197,12 @@ class Quadric:
 
     # ---- coordinates ------------------------------------------------------
     def to_frame(self, pts):
-        """World -> frame coordinates, batched."""
+        """World -> frame coordinates of a point or a (..., 4) batch.
+
+        einsum, unlike BLAS, gives a point the same bits alone as in a batch.
+        """
         a = np.asarray(pts, dtype=float)
-        return (a - self.origin) @ self.axes.T
+        return np.einsum("...j,ij->...i", a - self.origin, self.axes)
 
     def transformed(self, iso):
         """The image quadric under a rigid motion."""
@@ -215,13 +226,14 @@ def base_hyperbola(a_sq=1.5):
 
 
 def quadric_residual(q, p):
-    """Signed residual of the quadric's implicit equation at a world point.
+    """Signed residual of the quadric's implicit equation, one per point.
 
-    The point is moved into the quadric's frame first.  The residual is zero
-    exactly on the quadric surface/curve; membership additionally requires
-    lying in the carrier plane / 3-space, measured by carrier_distance.
+    p is a world point (4,) or a batch (..., 4), moved into the quadric's
+    frame first.  The residual is zero exactly on the quadric surface/curve;
+    membership additionally requires lying in the carrier plane / 3-space,
+    measured by carrier_distance.
     """
-    xi, eta, zeta, nu = q.to_frame(as_vec4(p))
+    xi, eta, zeta, nu = np.moveaxis(q.to_frame(as_points(p)), -1, 0)
     k = q.a_sq - 1.0
     if q.kind == "ellipse":
         return zeta * zeta - k * (1.0 - xi * xi / q.a_sq)
@@ -231,43 +243,46 @@ def quadric_residual(q, p):
 
 
 def carrier_distance(q, p):
-    """Distance from a world point to the quadric's carrier plane / 3-space."""
-    xi, eta, zeta, nu = q.to_frame(as_vec4(p))
+    """Distance from world points (4,) or (..., 4) to the quadric's carrier."""
+    xi, eta, zeta, nu = np.moveaxis(q.to_frame(as_points(p)), -1, 0)
     if q.kind == "ellipse":
-        return math.hypot(eta, nu)
+        return np.hypot(eta, nu)
     if q.kind == "hyperbola":
-        return math.hypot(zeta, nu)
-    return abs(zeta)
+        return np.hypot(zeta, nu)
+    return np.abs(zeta)
 
 
 def ellipse_point(q, t):
-    """Point of an ellipse quadric at eccentric angle t, a world (4,) array.
+    """Points of an ellipse quadric at eccentric angles t, world coordinates.
 
-    t = 0 is the vertex on the +x frame axis.
+    t is a number or an array; the result has shape t.shape + (4,).  t = 0
+    is the vertex on the +x frame axis.
     """
     if q.kind != "ellipse":
         raise ValueError("ellipse_point needs an ellipse quadric")
-    if not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise OutOfDomain(f"bad eccentric angle {t}")
-    a = math.sqrt(q.a_sq)
-    b = math.sqrt(q.b_sq)
-    return q.origin + a * math.cos(t) * q.axes[0] + b * math.sin(t) * q.axes[2]
+    return (q.origin + (math.sqrt(q.a_sq) * np.cos(t))[..., None] * q.axes[0]
+            + (math.sqrt(q.b_sq) * np.sin(t))[..., None] * q.axes[2])
 
 
 def hyperboloid_point(q, x, theta):
-    """Point of the right sheet of a hyperboloid quadric, a world (4,) array.
+    """Points of the right sheet of a hyperboloid quadric, world coordinates.
 
     The sheet is parametrized by the axial coordinate x >= 1 and the
-    revolution angle theta; the radius of the circle at height x is
-    rho = sqrt((a^2-1)(x^2-1)).
+    revolution angle theta, numbers or arrays that broadcast together; the
+    result has their broadcast shape + (4,).  The radius of the circle at
+    height x is rho = sqrt((a^2-1)(x^2-1)).
     """
     if q.kind != "hyperboloid-of-revolution":
         raise ValueError("hyperboloid_point needs a hyperboloid quadric")
-    if not (math.isfinite(x) and math.isfinite(theta)):
+    x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(theta))):
         raise OutOfDomain(f"bad parameters x={x}, theta={theta}")
-    if x < 1.0:
+    if np.any(x < 1.0):
         raise OutOfDomain(f"x={x} is left of the sheet vertex (right sheet only)")
-    rho = math.sqrt(q.b_sq * (x * x - 1.0))
-    return (q.origin + x * q.axes[0]
-            + rho * math.cos(theta) * q.axes[1]
-            + rho * math.sin(theta) * q.axes[3])
+    rho = np.sqrt(q.b_sq * (x * x - 1.0))
+    return (q.origin + x[..., None] * q.axes[0]
+            + (rho * np.cos(theta))[..., None] * q.axes[1]
+            + (rho * np.sin(theta))[..., None] * q.axes[3])

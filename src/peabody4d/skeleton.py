@@ -31,9 +31,12 @@ from .focal import (
 from .geometry import (
     Isometry4,
     Quadric,
+    as_points,
     as_vec4,
     base_ellipse,
     base_hyperboloid,
+    ellipse_point,
+    hyperboloid_point,
     isometry_from_vertex_permutation,
     quadric_residual,
     simplex_vertices,
@@ -125,33 +128,23 @@ def base_arc_axes(c):
 
 def base_arc_points(c, n):
     """n points of E_12 at symmetric eccentric angles (endpoints included)."""
-    a, b, t1 = base_arc_axes(c)
-    ts = np.linspace(-t1, t1, n)
-    pts = np.zeros((n, 4))
-    pts[:, 0] = a * np.cos(ts)
-    pts[:, 2] = b * np.sin(ts)
-    return pts
+    t1 = base_arc_axes(c)[2]
+    return ellipse_point(base_ellipse(c.a_sq), np.linspace(-t1, t1, n))
 
 
 def base_patch_grid_params(c, nx, ntheta, tol=1e-9):
     """Clipped (x, theta) grid of the base patch: (params (N, 2), points (N, 4)).
 
-    The product grid over [1, x0] x [0, 2pi) is clipped to the patch by the
-    three cut planes.  ntheta should be divisible by 3 so the grid is
+    The product grid over [1, x0] x [0, 2pi) is clipped to the patch by
+    base_patch_contains.  ntheta should be divisible by 3 so the grid is
     exactly invariant under the patch's own dihedral symmetry -- that makes
     transported face samples agree across group motions to roundoff instead
     of to grid resolution.
     """
-    xs = np.linspace(1.0, c.x0, nx)
-    thetas = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    rho = np.sqrt((c.a_sq - 1.0) * (xs * xs - 1.0))
-    X = np.repeat(xs, ntheta)
-    R = np.repeat(rho, ntheta)
-    T = np.tile(thetas, nx)
-    pts = np.column_stack([X, R * np.cos(T), np.zeros_like(X), R * np.sin(T)])
-    keep = np.ones(len(pts), dtype=bool)
-    for nrm, p0 in patch_cut_planes(c):
-        keep &= (pts - p0) @ nrm >= -tol
+    X = np.repeat(np.linspace(1.0, c.x0, nx), ntheta)
+    T = np.tile(2.0 * math.pi * np.arange(ntheta) / ntheta, nx)
+    pts = hyperboloid_point(base_hyperboloid(c.a_sq), X, T)
+    keep = base_patch_contains(pts, c, tol)
     return np.column_stack([X, T])[keep], pts[keep]
 
 
@@ -174,8 +167,6 @@ class SkeletonFace:
     generator   motion taking the base face (E_12 or H_345) onto this face
     focus_plus  transported near focus -- center of the tangent circle/sphere
     r_splus     radius of that tangent circle/sphere
-    cut_planes  for patches: three (normal, point) world-frame half-space
-                boundaries; empty for arcs
     constants   the ModelConstants the skeleton was built from
     """
 
@@ -185,7 +176,6 @@ class SkeletonFace:
     generator: Isometry4
     focus_plus: np.ndarray
     r_splus: float
-    cut_planes: tuple
     constants: object
 
     # ---- chain radius law -------------------------------------------------
@@ -195,8 +185,8 @@ class SkeletonFace:
 
     # ---- membership -------------------------------------------------------
     def contains(self, p, tol=1e-9):
-        """Face membership, decided in the base frame via the generator."""
-        v = self.generator.inverse().apply(as_vec4(p))
+        """Membership of a point or (..., 4) batch, decided in the base frame."""
+        v = self.generator.inverse().apply(as_points(p))
         if self.kind == "triangle-patch":
             return base_patch_contains(v, self.constants, tol)
         return base_arc_contains(v, self.constants, tol)
@@ -254,14 +244,12 @@ def _make_face(label, c, gen):
         focus = gen.apply(np.array([c.focus_e, 0.0, 0.0, 0.0]))
         return SkeletonFace(label=label, kind="edge-arc", quadric=quadric,
                             generator=gen, focus_plus=focus,
-                            r_splus=c.r_splus_e, cut_planes=(), constants=c)
+                            r_splus=c.r_splus_e, constants=c)
     quadric = base_hyperboloid(c.a_sq).transformed(gen)
     focus = gen.apply(np.array([c.focus_h, 0.0, 0.0, 0.0]))
-    planes = tuple((gen.linear @ nrm, gen.apply(p0))
-                   for nrm, p0 in patch_cut_planes(c))
     return SkeletonFace(label=label, kind="triangle-patch", quadric=quadric,
                         generator=gen, focus_plus=focus,
-                        r_splus=c.r_splus_h, cut_planes=planes, constants=c)
+                        r_splus=c.r_splus_h, constants=c)
 
 
 def base_edge_arc(c, s):
@@ -311,8 +299,7 @@ def rotation_closure_check(c, s, n=200):
     """
     phi = isometry_from_vertex_permutation(s.vertices, (4, 5, 3, 1, 2))
     img = phi.apply(base_arc_points(c, n))
-    h = base_hyperboloid(c.a_sq)
-    res = max(abs(quadric_residual(h, q)) for q in img)
+    res = np.max(np.abs(quadric_residual(base_hyperboloid(c.a_sq), img)))
     nrm, p0 = patch_cut_planes(c)[0]
     in_carrier = (img - p0) @ nrm       # offset inside the {x,y,w} space
     out_carrier = img[:, 2]             # z component
@@ -351,7 +338,7 @@ def tangent_slopes(c, s):
 
 
 def radius_consistency_residual(skeleton, x, tol=1e-9):
-    """Difference of the two radius laws at a point of E_45.
+    """Difference of the two radius laws at points of E_45, (4,) or (..., 4).
 
     E_45 bounds the patch H_345 but also carries its own elliptic chain (as
     the edge arc of the dual pair with H_123).  The elliptic radius of that
@@ -359,9 +346,10 @@ def radius_consistency_residual(skeleton, x, tol=1e-9):
     is what lets the wedge pieces assemble seamlessly.
     """
     face45 = skeleton.face((4, 5))
-    v = as_vec4(x)
-    if not face45.contains(v, tol):
-        raise OffArc(f"{v} is not on the arc between p4 and p5")
+    v = as_points(x)
+    off = ~face45.contains(v, tol)
+    if np.any(off):
+        raise OffArc(f"{v[off][0]} is not on the arc between p4 and p5")
     c = skeleton.constants
     focus_h = np.array([c.focus_h, 0.0, 0.0, 0.0])
-    return float(face45.radius(v)) - float(chain_radius(c.r_splus_h, focus_h, v))
+    return face45.radius(v) - chain_radius(c.r_splus_h, focus_h, v)

@@ -10,6 +10,12 @@ import pytest
 from frozen_values import FROZEN
 from peabody4d import cli
 from peabody4d.cli import CHECK_NAMES, main, plane_basis
+from peabody4d.focal import (
+    focal_const_residual,
+    focal_sum_residual,
+    standard_focal_pair,
+)
+from peabody4d.geometry import ellipse_point, hyperboloid_point
 from peabody4d.numerics import tolerance_policy
 
 ALL_PIECE_LABELS = {
@@ -163,6 +169,32 @@ def test_verify_tolerance_override_is_recorded(capsys):
     by_name = {c["name"]: c for c in doc["checks"]}
     assert by_name["focal-distance-sum"]["tolerance"] == 1e-3
     assert by_name["focal-difference-constant"]["tolerance"] == 1e-10
+
+
+def test_focal_sweeps_draw_their_configurations_one_at_a_time(capsys):
+    """The batched sweeps see the configurations of drawing each parameter
+    in turn, configuration after configuration."""
+    code, out, _ = run(capsys, "verify", "--suite", "focal", "--samples",
+                       "300", "--seed", "4")
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    pair = standard_focal_pair()
+    E, H = pair.ellipse, pair.hyperboloid
+    rng = np.random.default_rng(4)
+    worst = 0.0
+    for _ in range(300):
+        a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
+        b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
+        a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
+        b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
+        worst = max(worst, abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
+    assert by_name["focal-distance-sum"]["max_residual"] == worst
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(300):
+        a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
+        a_h = hyperboloid_point(H, rng.uniform(1.0, 3.0), rng.uniform(0, 2 * math.pi))
+        worst = max(worst, abs(focal_const_residual(pair, a_e, a_h)))
+    assert by_name["focal-difference-constant"]["max_residual"] == worst
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +369,15 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "seed" in err
 
+    # a config file that is not UTF-8 text is a usage error too
+    cfg.write_bytes(b"seed = \xff\xfe\n")
+    code, out, err = run(capsys, "verify", "--suite", "focal",
+                         "--samples", "5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "UTF-8" in err
+
     # the config value still beats the environment, and the flag beats both
     cfg.write_text("seed = 11\n")
     monkeypatch.setenv("PEABODY4D_SEED", "77")
@@ -386,10 +427,19 @@ def test_unknown_tolerance_name_is_a_usage_error(capsys):
     assert out == ""
     assert "focal-distnce-sum" in err and err.count("\n") == 1
 
+    # a tolerance that is not a finite number >= 0 cannot judge a check
+    for value in ("nan", "inf", "-inf", "-1e-3"):
+        code, out, err = run(capsys, "verify", "--suite", "focal", "--samples",
+                             "5", "--tol", f"focal-distance-sum={value}")
+        assert code == 2, value
+        assert out == ""
+        assert "focal-distance-sum" in err and err.count("\n") == 1
+
 
 def test_slice_rejects_a_non_finite_hyperplane(capsys):
+    # the last normal is finite, but its norm overflows to inf
     for plane in ("nan,0,0,1,0", "inf,0,0,1,0", "0,0,0,-inf,0",
-                  "0,0,0,1,nan", "0,0,0,1,inf"):
+                  "0,0,0,1,nan", "0,0,0,1,inf", "1e308,1e308,0,0,0"):
         code, out, err = run(capsys, "slice", "--hyperplane", plane, *GRID)
         assert code == 2, plane
         assert out == "" and err.startswith("error:")
