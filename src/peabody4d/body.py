@@ -26,8 +26,10 @@ Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
 triangle wedges (phi1 images over a patch), and "12"-style edge wedges
 (phi2 images over an arc).  A ball centered on a patch is tight exactly at
-phi2 points of the dual arc and vice versa, so the active center of a
-sample lives on the face dual to the sample's own piece.
+phi2 points of the dual arc and vice versa, and a vertex ball is tight on
+the opposite cap, so each ball carries the piece code of the face dual to
+its own (BallModel.sample_face) and every sample takes its piece from its
+active ball.
 """
 
 import itertools
@@ -67,28 +69,27 @@ class UnclassifiedSample(Exception):
     """Boundary sample carries an unknown face label."""
 
 
+class UncertifiedCap(Exception):
+    """Cap sampling certified fewer directions than requested."""
+
+
 class TooFewSamples(Exception):
     """Not enough samples for the requested statistic."""
 
 
-def _label_str(label):
-    return "".join(str(i) for i in sorted(label))
-
-
-_CAP_LABELS = {i: _label_str(set(range(1, 6)) - {i}) for i in range(1, 6)}
 # the 25 piece labels (10 edge wedges, 10 triangle wedges, 5 caps); a
 # population stores indices into this tuple
-PIECE_LABELS = tuple(sorted(_label_str(t) for k in (2, 3, 4)
+PIECE_LABELS = tuple(sorted("".join(map(str, t)) for k in (2, 3, 4)
                             for t in itertools.combinations(range(1, 6), k)))
-_PIECE_CODES = {lab: k for k, lab in enumerate(PIECE_LABELS)}
 
 
-def face_codes(labels):
-    """Piece codes of the given label strings (UnclassifiedSample if unknown)."""
+def piece_code(label):
+    """Index into PIECE_LABELS of a piece label, as a tuple such as (3, 4, 5)
+    or a string such as "345" (UnclassifiedSample if there is no such piece)."""
     try:
-        return np.array([_PIECE_CODES[lab] for lab in labels], dtype=np.int8)
-    except KeyError as exc:
-        raise UnclassifiedSample(f"unknown face label {exc.args[0]!r}") from None
+        return PIECE_LABELS.index("".join(map(str, sorted(label))))
+    except ValueError:
+        raise UnclassifiedSample(f"unknown piece label {label!r}") from None
 
 
 # ============================================================================
@@ -189,16 +190,18 @@ def phi2(patch, arc, x, y):
 
 @dataclass(frozen=True)
 class BallModel:
-    """Immutable intersection-of-balls representation.
+    """Immutable intersection-of-balls representation, arrays only.
 
-    centers        (N, 4) ball centers: the 5 vertices first, then grid
-                   samples of the 10 arcs, then of the 10 patches
+    centers        (N, 4) ball centers: the 5 vertices first (rows 0-4,
+                   vertex i in row i - 1), then grid samples of the 10 arcs,
+                   then of the 10 patches
     radii          (N,) ball radii: 2 z1 for vertices, 2 z1 - r(c) else
-    origin_labels  per center: "v1".."v5" or the face label string
-    origin_params  per center: () / (t,) / (x, theta)
-    sample_labels  per center: the piece label a boundary sample gets when
-                   this ball is the active one (the dual-face rule)
-    face_slices    label -> slice into the center arrays
+    sample_face    (N,) int8 piece code (index into PIECE_LABELS) that a
+                   boundary sample gets when this ball is the active one:
+                   the face dual to the ball's own face, the cap opposite
+                   for a vertex ball
+    face_slices    skeleton face label (a tuple such as (1, 2)) -> slice
+                   of the rows of that face's balls
     interior_point the simplex centroid g
     width          2 z1
     patch_grid     (nx, ntheta) used for patch centers
@@ -207,9 +210,7 @@ class BallModel:
 
     centers: np.ndarray
     radii: np.ndarray
-    origin_labels: tuple
-    origin_params: tuple
-    sample_labels: tuple
+    sample_face: np.ndarray
     face_slices: dict
     interior_point: np.ndarray
     width: float
@@ -251,49 +252,33 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
     w = c.width
 
     centers, radii = [V], [np.full(5, w)]
-    o_labels = [f"v{i}" for i in range(1, 6)]
-    o_params = [()] * 5
-    s_labels = [_CAP_LABELS[i] for i in range(1, 6)]
-    face_slices = {"vertices": slice(0, 5)}
+    codes = [np.array([piece_code(dual_label((i,))) for i in range(1, 6)])]
+    face_slices = {}
 
-    _, _, t1 = base_arc_axes(c)
-    ts = np.linspace(-t1, t1, arc_n)
     arc_base = base_arc_points(c, arc_n)
     patch_params, patch_base = base_patch_grid_params(c, nx, ntheta)
     # the x = 1 grid row collapses to the sheet vertex; keep one copy
-    first = (patch_params[:, 0] > 1.0) | (patch_params[:, 1] == 0.0)
-    patch_params, patch_base = patch_params[first], patch_base[first]
+    patch_base = patch_base[(patch_params[:, 0] > 1.0) | (patch_params[:, 1] == 0.0)]
 
+    start = 5
     for face in skeleton.edge_faces() + skeleton.triangle_faces():
-        lab = _label_str(face.label)
-        dual = _label_str(dual_label(face.label))
-        if face.kind == "edge-arc":
-            pts = face.generator.apply(arc_base)
-            params = [(float(t),) for t in ts]
-        else:
-            pts = face.generator.apply(patch_base)
-            params = [tuple(p) for p in patch_params]
+        base = arc_base if face.kind == "edge-arc" else patch_base
+        pts = face.generator.apply(base)
         # drop centers that duplicate a vertex ball (arc endpoints, patch
         # corners): the copies differ by roundoff, and whichever wins the
         # ray-cast argmin would mislabel cap hits
         dv = np.min(np.linalg.norm(pts[:, None, :] - V[None, :, :], axis=2), axis=1)
-        keep = dv > 1e-12
-        pts = pts[keep]
-        params = [q for q, k in zip(params, keep) if k]
-        start = len(o_labels)
+        pts = pts[dv > 1e-12]
         centers.append(pts)
         radii.append(w - face.radius(pts))
-        o_labels.extend([lab] * len(pts))
-        o_params.extend(params)
-        s_labels.extend([dual] * len(pts))
-        face_slices[lab] = slice(start, len(o_labels))
+        codes.append(np.full(len(pts), piece_code(dual_label(face.label))))
+        face_slices[face.label] = slice(start, start + len(pts))
+        start += len(pts)
 
     model = BallModel(
         centers=np.concatenate(centers),
         radii=np.concatenate(radii),
-        origin_labels=tuple(o_labels),
-        origin_params=tuple(o_params),
-        sample_labels=tuple(s_labels),
+        sample_face=np.concatenate(codes).astype(np.int8),
         face_slices=face_slices,
         interior_point=skeleton.simplex.centroid.copy(),
         width=w,
@@ -353,13 +338,15 @@ class BoundaryPopulation:
                      for f in fields(cls)))
 
 
-def _population(points, face, active, xy=None, direction=None):
-    # rows of a population; scalar face/active values apply to every row
+def _population(model, points, active, xy=None, direction=None):
+    # rows of a population, each on the piece of its active ball; a scalar
+    # active value applies to every row
     n = len(points)
+    active = np.full(n, active, dtype=np.intp)
     return BoundaryPopulation(
         points=points,
-        face=np.full(n, face, dtype=np.int8),
-        active=np.full(n, active, dtype=np.intp),
+        face=model.sample_face[active],
+        active=active,
         xy=np.full((n, 2), -1 if xy is None else xy, dtype=np.intp),
         direction=np.full((n, 4), np.nan if direction is None else direction))
 
@@ -378,8 +365,7 @@ def ray_cast_boundary(model, U):
     if U.shape[1:] != (4,) or np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-8):
         raise ValueError("directions must be unit 4-vectors")
     ts, args = _ray_cast_many(model, U)
-    return _population(model.interior_point + ts[:, None] * U,
-                       face_codes(model.sample_labels)[args], args,
+    return _population(model, model.interior_point + ts[:, None] * U, args,
                        direction=U)
 
 
@@ -401,30 +387,31 @@ def binormal_partner(model, pop):
 # exact boundary population
 # ----------------------------------------------------------------------------
 
-def _cap_directions(model, skeleton, i, count, rng,
-                    vertex_margin=1e-7, face_margin=2e-4):
+# a certified cap point keeps 2 z1 - _CAP_VERTEX_MARGIN from the other
+# vertices and slack _CAP_FACE_MARGIN against every face ball
+_CAP_VERTEX_MARGIN = 1e-7
+_CAP_FACE_MARGIN = 2e-4
+
+
+def _cap_directions(model, skeleton, i, count, rng):
     """Certified directions u with p_i + 2 z1 u on the cap opposite p_i.
 
     A candidate passes when the cap point keeps distance <= 2 z1 - margin
     from the four other vertices (the Reuleaux condition, strictly) and
-    slack >= face_margin against every face-sample ball.  Face centers that
-    coincide with a vertex (arc endpoints, patch corners) restate the
-    vertex condition and are skipped.  The face margin beats the sag of the
-    slack function between grid nodes (a few 1e-5 even on coarse grids), so
-    certified points satisfy the continuum constraints, not just the
-    sampled ones; the price is a thin uncertified band along the cap rim,
-    which wedge samples cover from the other side.
+    slack >= _CAP_FACE_MARGIN against every face-sample ball (rows 5.. of
+    the model; the build drops face centers that duplicate a vertex).  The
+    face margin beats the sag of the slack function between grid nodes (a
+    few 1e-5 even on coarse grids), so certified points satisfy the
+    continuum constraints, not just the sampled ones; the price is a thin
+    uncertified band along the cap rim, which wedge samples cover from the
+    other side.  UncertifiedCap when 400 rounds certify too few, as on a
+    model whose radii were shrunk.
     """
     V = skeleton.simplex.vertices
     p = V[i - 1]
     others = np.array([V[j] for j in range(5) if j != i - 1])
     w = model.width
-    fstart = model.face_slices["vertices"].stop
-    C, R = model.centers[fstart:], model.radii[fstart:]
-    near_vertex = np.zeros(len(C), dtype=bool)
-    for v in V:
-        near_vertex |= np.linalg.norm(C - v, axis=1) <= 1e-9
-    C, R = C[~near_vertex], R[~near_vertex]
+    C, R = model.centers[5:], model.radii[5:]
     step = _block_rows(len(C))
 
     out = []
@@ -437,17 +424,17 @@ def _cap_directions(model, skeleton, i, count, rng,
         W /= np.linalg.norm(W, axis=1)[:, None]
         Q = p + w * W
         dv = np.linalg.norm(Q[:, None, :] - others[None, :, :], axis=2)
-        keep = np.all(dv <= w - vertex_margin, axis=1)
+        keep = np.all(dv <= w - _CAP_VERTEX_MARGIN, axis=1)
         Q, Wk = Q[keep], W[keep]
         # one kernel block at a time, stopping as soon as enough passed
         for j in range(0, len(Q), step):
             if need <= 0:
                 break
             slack, _ = _min_slack(C, R, Q[j:j + step])
-            out.append(Wk[j:j + step][slack >= face_margin][:need])
+            out.append(Wk[j:j + step][slack >= _CAP_FACE_MARGIN][:need])
             need -= len(out[-1])
     if need > 0:
-        raise RuntimeError(f"cap {i}: certified only {count - need} of {count}")
+        raise UncertifiedCap(f"cap {i}: certified only {count - need} of {count}")
     return np.concatenate(out)
 
 
@@ -472,7 +459,7 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         cnt = n_phi // len(pieces) + (1 if k < n_phi % len(pieces) else 0)
         if cnt == 0:
             continue
-        lab, dual = _label_str(face.label), _label_str(dual_label(face.label))
+        lab, dual = face.label, dual_label(face.label)
         phi1_side = face.kind == "triangle-patch"
         xs = model.face_slices[lab if phi1_side else dual]
         ys = model.face_slices[dual if phi1_side else lab]
@@ -487,7 +474,7 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         else:
             P = _envelope(Y, X, w - model.radii[yi])   # elliptic radius at y
             active = xi
-        parts.append(_population(P, _PIECE_CODES[lab], active,
+        parts.append(_population(model, P, active,
                                  xy=np.column_stack([xi, yi])))
 
     for i in range(1, 6):
@@ -495,14 +482,12 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         if cnt == 0:
             continue
         U = _cap_directions(model, skeleton, i, cnt, rng)
-        parts.append(_population(V[i - 1] + w * U, _PIECE_CODES[_CAP_LABELS[i]],
-                                 i - 1, direction=U))
+        parts.append(_population(model, V[i - 1] + w * U, i - 1, direction=U))
 
     # vertex p_i on the tight ball of p_j; any j != i works.  Below five
     # samples only the first n vertices fit.
     j = np.array([2, 1, 1, 1, 1])[:n]
-    parts.append(_population(V[:n].copy(),
-                             face_codes(_CAP_LABELS[k] for k in j), j - 1))
+    parts.append(_population(model, V[:n].copy(), j - 1))
     return BoundaryPopulation.concat(parts)
 
 

@@ -19,8 +19,9 @@ Checks are independent of each other and keep no state beyond the report
 accumulator, so they are safe to reorder or run concurrently; all
 randomness flows through explicitly seeded generators.
 
-Exit statuses: 0 success, 1 verification failure (or an empty slice),
-2 usage error, 3 I/O error.
+Exit statuses: 0 success, 1 verification failure (or an empty slice, or
+caps that a perturbed model no longer certifies), 2 usage error, 3 I/O
+error.
 """
 
 import argparse
@@ -38,6 +39,7 @@ from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
 from .body import (
+    UncertifiedCap,
     _ray_cast_many,
     _ray_hits,
     binormal_partner,
@@ -499,6 +501,8 @@ def cmd_verify(args):
     seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
     tols = _parse_tols(args.tol)
+    if not math.isfinite(args.perturb):
+        raise _UsageError(f"--perturb must be finite, got {args.perturb}")
 
     start = time.perf_counter()
     c = compute_model_constants()
@@ -539,9 +543,6 @@ def cmd_sample(args):
     cfg = _load_config(args.config) if args.config else {}
     n = _resolve(args.samples, cfg, "samples", _int_in(1, MAX_SAMPLES), 1000)
     seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
-    fmt = _resolve(args.format, cfg, "format", str, "csv")
-    if fmt != "csv":
-        raise _UsageError(f"sample supports format csv, got {fmt!r}")
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
 
     skeleton = _build_skeleton(compute_model_constants())
@@ -740,7 +741,6 @@ def _build_parser():
     ps = sub.add_parser("sample", help="write boundary samples as CSV")
     ps.add_argument("--samples", type=int, default=None)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--format", choices=["csv"], default=None)
     ps.add_argument("--grid", default=None, metavar="NXxNTHETA")
     ps.add_argument("--out", default=None)
     ps.add_argument("--config", default=None)
@@ -770,6 +770,10 @@ def main(argv=None):
         return 2
     except EmptySlice as exc:
         print(f"error: empty slice: {exc}", file=sys.stderr)
+        return 1
+    except UncertifiedCap as exc:
+        # only a model with corrupted radii (--perturb) loses its caps
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -252,18 +252,6 @@ def _make_face(label, c, gen):
                         r_splus=c.r_splus_h, constants=c)
 
 
-def base_edge_arc(c, s):
-    """The base edge arc E_12 (identity generator)."""
-    return _make_face((1, 2), c, isometry_from_vertex_permutation(
-        s.vertices, (1, 2, 3, 4, 5)))
-
-
-def base_triangle_patch(c, s):
-    """The base triangle patch H_345 (identity generator)."""
-    return _make_face((3, 4, 5), c, isometry_from_vertex_permutation(
-        s.vertices, (1, 2, 3, 4, 5)))
-
-
 def build_focal_skeleton(c, s, group):
     """All twenty faces: ten edge arcs and ten triangle patches."""
     faces = [_make_face(lab, c, _lex_min_generator(group, base, lab))

@@ -34,9 +34,9 @@ from peabody4d.body import (
     boundary_residual,
     build_ball_model,
     diameter_check,
-    face_codes,
     phi1,
     phi2,
+    piece_code,
     ray_cast_boundary,
     ray_displacements,
     width_in_direction,
@@ -144,9 +144,7 @@ def test_ball_radii_follow_the_chain_radius_law(model, skeleton, constants):
                        atol=0, rtol=0)
     arc_sizes, patch_sizes = set(), set()
     for lab, sl in model.face_slices.items():
-        if lab == "vertices":
-            continue
-        face = skeleton.face(tuple(int(ch) for ch in lab))
+        face = skeleton.face(lab)
         r = face.radius(model.centers[sl])
         assert np.max(np.abs(model.radii[sl] - (w - r))) <= 1e-12
         assert np.all(r > 0)  # vertex-coincident nodes were dropped
@@ -154,6 +152,45 @@ def test_ball_radii_follow_the_chain_radius_law(model, skeleton, constants):
     # symmetric grids: every arc, and every patch, holds the same count
     assert arc_sizes == {model.arc_n - 2}
     assert len(patch_sizes) == 1
+
+
+def test_face_slices_tile_the_face_rows_in_order(model, skeleton):
+    assert set(model.face_slices) == {face.label for face in skeleton.faces}
+    assert len(model.face_slices) == 20
+    # rows 0-4 are the vertex balls; the faces follow, one block each
+    slices = list(model.face_slices.values())
+    assert [sl.start for sl in slices] == [5] + [sl.stop for sl in slices[:-1]]
+    assert slices[-1].stop == len(model.centers)
+    assert all(sl.step is None and sl.stop > sl.start for sl in slices)
+
+
+def test_every_ball_carries_the_piece_dual_to_its_face(model):
+    assert model.sample_face.dtype == np.int8
+    assert model.sample_face.shape == (len(model.centers),)
+    caps = [piece_code(dual_label((i,))) for i in range(1, 6)]
+    assert model.sample_face[:5].tolist() == caps
+    assert [PIECE_LABELS[k] for k in caps] == ["2345", "1345", "1245", "1235",
+                                               "1234"]
+    for lab, sl in model.face_slices.items():
+        assert np.all(model.sample_face[sl] == piece_code(dual_label(lab)))
+
+
+@pytest.mark.parametrize("grid, arc_n", [((16, 24), 64), ((64, 96), 256)])
+def test_no_face_center_sits_near_a_vertex(skeleton, grid, arc_n):
+    # the build drops the face centers that duplicate a vertex; every other
+    # one keeps clear of the vertices, so the cap certification can take
+    # all face balls (rows 5..) as they are
+    m = build_ball_model(skeleton, patch_grid=grid, arc_n=arc_n)
+    V = skeleton.simplex.vertices
+    dist = np.linalg.norm(m.centers[5:, None, :] - V[None, :, :], axis=2)
+    assert dist.min() > 1e-4
+
+
+def test_every_sample_takes_its_piece_from_its_active_ball(model, exact_pop,
+                                                           mixed_pop):
+    rays = ray_cast_boundary(model, sobol_directions(5000, seed=7))
+    for pop in (exact_pop, mixed_pop, rays):
+        assert np.array_equal(pop.face, model.sample_face[pop.active])
 
 
 def test_interior_point_is_the_centroid_and_is_deep(model):
@@ -193,10 +230,7 @@ def test_vertex_balls_alone_give_the_reuleaux_simplex(model, skeleton,
     w = model.width
     vertex_only = BallModel(
         centers=V.copy(), radii=np.full(5, w),
-        origin_labels=tuple(f"v{i}" for i in range(1, 6)),
-        origin_params=((),) * 5,
-        sample_labels=model.sample_labels[:5],
-        face_slices={"vertices": slice(0, 5)},
+        sample_face=model.sample_face[:5], face_slices={},
         interior_point=model.interior_point, width=w,
         patch_grid=(0, 0), arc_n=0)
     # each vertex touches the four other vertex spheres
@@ -237,13 +271,15 @@ def test_ray_cast_along_the_symmetry_axis(model, model_fine, constants):
     assert not np.any(plus.points[0, 1:])
     assert abs(plus.points[0, 0] - x_plus) <= 1e-9
     assert plus.labels[0] == "12"
-    assert model.origin_labels[plus.active[0]] == "345"
+    patch_rows = model.face_slices[(3, 4, 5)]
+    assert patch_rows.start <= plus.active[0] < patch_rows.stop
 
     minus = ray_cast_boundary(model, np.array([-1.0, 0.0, 0.0, 0.0]))
     assert not np.any(minus.points[0, 1:])
     assert abs(minus.points[0, 0] - x_minus) <= 1e-5
     assert minus.labels[0] == "345"
-    assert model.origin_labels[minus.active[0]] == "12"
+    arc_rows = model.face_slices[(1, 2)]
+    assert arc_rows.start <= minus.active[0] < arc_rows.stop
 
     # the chord realizes the width, and the two active families are dual
     chord = plus.points[0, 0] - minus.points[0, 0]
@@ -283,13 +319,13 @@ def test_ray_sweep_invariants_and_full_piece_census(model):
     ms, _ = model.min_slack(pts)
     assert ms.min() >= -1e-9   # inside every ball
     assert ms.max() <= 1e-9    # with the active one tight
-    labels = {model.sample_labels[i] for i in act}
+    labels = {PIECE_LABELS[k] for k in model.sample_face[act]}
     assert labels == ALL_PIECE_LABELS
 
     # the scalar interface agrees with the batch sweep
     for u in U[:50]:
         s = ray_cast_boundary(model, u)
-        assert s.labels[0] == model.sample_labels[s.active[0]]
+        assert s.face[0] == model.sample_face[s.active[0]]
         slack, _ = model.min_slack(s.points[0])
         assert abs(slack) <= 1e-9
 
@@ -392,9 +428,12 @@ def test_population_slices_masks_and_concatenates(exact_pop):
 
 
 def test_population_labels_round_trip(mixed_pop):
-    assert face_codes(PIECE_LABELS).tolist() == list(range(len(PIECE_LABELS)))
+    assert ([piece_code(lab) for lab in PIECE_LABELS]
+            == list(range(len(PIECE_LABELS))))
     assert set(PIECE_LABELS) == ALL_PIECE_LABELS
-    assert np.array_equal(face_codes(mixed_pop.labels), mixed_pop.face)
+    labels, rows = np.unique(mixed_pop.labels, return_inverse=True)
+    codes = np.array([piece_code(lab) for lab in labels])
+    assert np.array_equal(codes[rows], mixed_pop.face)
 
 
 def test_population_rejects_invalid_face_codes(exact_pop):
@@ -402,8 +441,9 @@ def test_population_rejects_invalid_face_codes(exact_pop):
         with pytest.raises(UnclassifiedSample):
             dataclasses.replace(exact_pop[:3], face=np.array([0, bad, 0],
                                                              dtype=np.int8))
-    with pytest.raises(UnclassifiedSample):
-        face_codes(["12", "6"])
+    for bad in ("6", (1,), (1, 6), (), (1, 2, 3, 4, 5)):
+        with pytest.raises(UnclassifiedSample):
+            piece_code(bad)
 
 
 def test_population_parameters_regenerate_the_points(model, simplex,
@@ -474,7 +514,7 @@ def classify_on_model(model, q):
     assert len(tight) == 1
     j = int(tight[0])
     return BoundaryPopulation(
-        points=q[None, :], face=face_codes([model.sample_labels[j]]),
+        points=q[None, :], face=model.sample_face[[j]],
         active=np.array([j]), xy=np.full((1, 2), -1),
         direction=np.full((1, 4), np.nan))
 
@@ -495,7 +535,7 @@ def test_partner_rejects_unlabeled_samples(model, exact_pop):
     for bad_face in ("99", "1", ""):
         with pytest.raises(UnclassifiedSample):
             binormal_partner(model, dataclasses.replace(
-                s, face=face_codes([bad_face])))
+                s, face=np.array([piece_code(bad_face)], dtype=np.int8)))
 
 
 def test_width_in_every_coordinate_direction(mixed_pop):

@@ -160,6 +160,25 @@ def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
     assert any("diameter" in name for name in failed)
 
 
+def test_verify_rejects_a_non_finite_perturbation(capsys):
+    for value in ("nan", "inf", "-inf"):
+        _assert_one_error_line(*run(capsys, "verify", "--suite", "body",
+                                    "--samples", "10", *GRID,
+                                    f"--perturb={value}"))
+
+
+def test_verify_perturbation_that_loses_the_caps_is_one_error(capsys):
+    # shrunken radii leave no cap direction clear of the face balls, so the
+    # sampling gives up before any body check can run
+    code, out, err = run(capsys, "verify", "--suite", "body", "--samples",
+                         "10", *GRID, "--perturb", "-0.01")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[-1].startswith("error: cap 1: certified only 0 of")
+    assert sum(line.startswith("error:") for line in lines) == 1
+
+
 def test_verify_tolerance_override_is_recorded(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "focal", "--samples",
                        "50", "--seed", "2", "--tol",
@@ -455,6 +474,7 @@ def test_usage_errors_exit_with_two(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "verify", "--tol", "oops")[0] == 2
     assert run(capsys, "verify", "--grid", "16x25")[0] == 2
+    assert run(capsys, "sample", "--format", "csv")[0] == 2
 
 
 def test_help_exits_cleanly(capsys):

@@ -27,10 +27,8 @@ from peabody4d.geometry import (
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
     base_arc_points,
-    base_edge_arc,
     base_patch_grid,
     base_patch_grid_params,
-    base_triangle_patch,
     build_focal_skeleton,
     build_simplex,
     build_symmetry_group,
@@ -185,8 +183,8 @@ def test_orbit_of_midpoint(simplex, group):
 # base faces
 # ============================================================================
 
-def test_base_arc(constants, simplex):
-    face = base_edge_arc(constants, simplex)
+def test_base_arc(constants, simplex, skeleton):
+    face = skeleton.face((1, 2))
     pts = face.points(7)
     ends = {tuple(np.round(pts[0], 10)), tuple(np.round(pts[-1], 10))}
     verts = {tuple(np.round(simplex.vertices[0], 10)),
@@ -200,8 +198,8 @@ def test_base_arc(constants, simplex):
     assert abs(face.radius(simplex.vertices[1])) <= 1e-12
 
 
-def test_base_patch_corners(constants, simplex):
-    face = base_triangle_patch(constants, simplex)
+def test_base_patch_corners(constants, simplex, skeleton):
+    face = skeleton.face((3, 4, 5))
     h = base_hyperboloid(constants.a_sq)
     for v in simplex.vertices[2:]:
         assert abs(quadric_residual(h, v)) <= 1e-13
@@ -235,10 +233,10 @@ def test_omega_two_routes(constants, simplex, group, skeleton):
     assert abs(patch.radius(omega_direct) - FROZEN["R_omega"]) <= 1e-12
 
 
-def test_circumcircle_meets_patch_only_at_corners(constants, simplex):
+def test_circumcircle_meets_patch_only_at_corners(constants, skeleton):
     """Sweeping the x = x0 circle: membership holds at the three corner
     angles and nowhere else."""
-    face = base_triangle_patch(constants, simplex)
+    face = skeleton.face((3, 4, 5))
     hits = []
     for k in range(360):
         phi = 2.0 * math.pi * k / 360.0
