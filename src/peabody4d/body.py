@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.spatial import ConvexHull
 from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
@@ -52,6 +53,7 @@ from .geometry import (
 from .skeleton import (
     base_arc_axes,
     base_arc_points,
+    base_patch_grid,
     base_patch_grid_params,
     dual_label,
 )
@@ -67,10 +69,6 @@ class InteriorPointNotInterior(Exception):
 
 class UnclassifiedSample(Exception):
     """Boundary sample carries an unknown face label."""
-
-
-class UncertifiedCap(Exception):
-    """Cap sampling certified fewer directions than requested."""
 
 
 class TooFewSamples(Exception):
@@ -217,6 +215,11 @@ class BallModel:
     patch_grid: tuple
     arc_n: int
 
+    def __post_init__(self):
+        slack, _ = self.min_slack(self.interior_point)
+        if not slack >= 1e-6:
+            raise InteriorPointNotInterior(f"centroid slack {slack:.3e}")
+
     def min_slack(self, pts):
         """Smallest ball slack rho(c) - |p - c| and its argmin, vectorized.
 
@@ -275,7 +278,7 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
         face_slices[face.label] = slice(start, start + len(pts))
         start += len(pts)
 
-    model = BallModel(
+    return BallModel(
         centers=np.concatenate(centers),
         radii=np.concatenate(radii),
         sample_face=np.concatenate(codes).astype(np.int8),
@@ -285,10 +288,6 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
         patch_grid=(nx, ntheta),
         arc_n=arc_n,
     )
-    slack, _ = model.min_slack(model.interior_point)
-    if slack < 1e-6:
-        raise InteriorPointNotInterior(f"centroid slack {slack:.3e}")
-    return model
 
 
 # ============================================================================
@@ -376,75 +375,74 @@ def binormal_partner(model, pop):
     the boundary point p - 2 z1 * (p - c)/|p - c|: for caps that is the
     opposite vertex, for wedges the phi-image on the dual side.
     """
-    D = pop.points - model.centers[pop.active]
-    nn = np.linalg.norm(D, axis=1)
-    if np.any(nn < 1e-12):
+    C = model.centers[pop.active]
+    if np.any(np.linalg.norm(pop.points - C, axis=1) < 1e-12):
         raise UnclassifiedSample("sample coincides with its active center")
-    return pop.points - model.width * D / nn[:, None]
+    return _envelope(pop.points, C, -model.width)
 
 
 # ----------------------------------------------------------------------------
 # exact boundary population
 # ----------------------------------------------------------------------------
 
-# a certified cap point keeps 2 z1 - _CAP_VERTEX_MARGIN from the other
-# vertices and slack _CAP_FACE_MARGIN against every face ball
-_CAP_VERTEX_MARGIN = 1e-7
-_CAP_FACE_MARGIN = 2e-4
+# the patch grid whose projection from p_i outlines the cap opposite p_i
+_CAP_RIM_GRID = (16, 24)
 
 
-def _cap_directions(model, skeleton, i, count, rng):
-    """Certified directions u with p_i + 2 z1 u on the cap opposite p_i.
+def _cap_cone(skeleton, i):
+    """The directions u of the cap points p_i + 2 z1 u opposite p_i.
 
-    A candidate passes when the cap point keeps distance <= 2 z1 - margin
-    from the four other vertices (the Reuleaux condition, strictly) and
-    slack >= _CAP_FACE_MARGIN against every face-sample ball (rows 5.. of
-    the model; the build drops face centers that duplicate a vertex).  The
-    face margin beats the sag of the slack function between grid nodes (a
-    few 1e-5 even on coarse grids), so certified points satisfy the
-    continuum constraints, not just the sampled ones; the price is a thin
-    uncertified band along the cap rim, which wedge samples cover from the
-    other side.  UncertifiedCap when 400 rounds certify too few, as on a
-    model whose radii were shrunk.
+    -u is an outer normal at p_i, so the u fill a convex cone whose rim is the
+    projection (x - p_i)/|x - p_i| of the four patches x without i.  Returns
+    the unit axis a from p_i to the centroid, the smallest rim cosine u.a,
+    the rim directions of the _CAP_RIM_GRID points, and depth(U): per row,
+    the least facet margin of the rim hull in gnomonic coordinates
+    (u.E)/(u.a), >= 0 inside.  Built from the skeleton alone.
     """
-    V = skeleton.simplex.vertices
-    p = V[i - 1]
-    others = np.array([V[j] for j in range(5) if j != i - 1])
-    w = model.width
-    C, R = model.centers[5:], model.radii[5:]
-    step = _block_rows(len(C))
+    p = skeleton.simplex.vertices[i - 1]
+    a = skeleton.simplex.centroid - p
+    a /= np.linalg.norm(a)
+    E = np.linalg.svd(a[None, :])[2][1:].T      # (4, 3) complement of a
+    base = base_patch_grid(skeleton.constants, *_CAP_RIM_GRID)
+    rim = np.concatenate([f.generator.apply(base) - p
+                          for f in skeleton.triangle_faces() if i not in f.label])
+    rim /= np.linalg.norm(rim, axis=1)[:, None]
+    hull = ConvexHull((rim @ E) / (rim @ a)[:, None])
+    A, b = hull.equations[:, :-1], hull.equations[:, -1]
 
-    out = []
-    need = count
-    for _ in range(400):
-        if need <= 0:
-            break
-        m = max(20000, 60 * need)
-        W = rng.standard_normal((m, 4))
-        W /= np.linalg.norm(W, axis=1)[:, None]
-        Q = p + w * W
-        dv = np.linalg.norm(Q[:, None, :] - others[None, :, :], axis=2)
-        keep = np.all(dv <= w - _CAP_VERTEX_MARGIN, axis=1)
-        Q, Wk = Q[keep], W[keep]
-        # one kernel block at a time, stopping as soon as enough passed
-        for j in range(0, len(Q), step):
-            if need <= 0:
-                break
-            slack, _ = _min_slack(C, R, Q[j:j + step])
-            out.append(Wk[j:j + step][slack >= _CAP_FACE_MARGIN][:need])
-            need -= len(out[-1])
-    if need > 0:
-        raise UncertifiedCap(f"cap {i}: certified only {count - need} of {count}")
+    def depth(U):
+        Y = (U @ E) / (U @ a)[:, None]
+        return _row_min(lambda rows: -(Y[rows] @ A.T + b), len(Y), len(A))[0]
+    return a, float(np.min(rim @ a)), rim, depth
+
+
+def _cap_directions(skeleton, i, count, rng):
+    """count directions u, uniform over the cap opposite p_i (_cap_cone).
+
+    Uniform unit proposals within the rim cosine are kept inside the rim
+    hull, whose points are convex combinations of rim directions of a convex
+    cone: every cap point is exact, whatever the model.  About 1.5 % of the
+    proposals pass, a figure of the skeleton alone."""
+    a, floor, _, depth = _cap_cone(skeleton, i)
+    out, need = [], count
+    while need > 0:
+        U = rng.standard_normal((1 << 16, 4))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        U = U[U @ a >= floor]
+        out.append(U[depth(U) >= 0.0][:need])
+        need -= len(out[-1])
     return np.concatenate(out)
 
 
 def sample_exact_boundary(model, skeleton, n, seed=0):
-    """n exact boundary samples: phi images, certified cap points, vertices.
+    """n exact boundary samples: phi images, cap points, vertices.
 
     All points lie on the true body boundary to roundoff (none come from
     ray casts against the discretized model), which is what the diameter
     check requires.  phi samples use the model's own face grids, so their
-    active ball is tight exactly.
+    active ball is tight exactly.  Cap directions come from the skeleton
+    alone (_cap_directions), so a model with corrupted radii keeps the true
+    caps, and they show up in its slack checks.
     """
     rng = np.random.default_rng(seed)
     V = skeleton.simplex.vertices
@@ -481,7 +479,7 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
         if cnt == 0:
             continue
-        U = _cap_directions(model, skeleton, i, cnt, rng)
+        U = _cap_directions(skeleton, i, cnt, rng)
         parts.append(_population(model, V[i - 1] + w * U, i - 1, direction=U))
 
     # vertex p_i on the tight ball of p_j; any j != i works.  Below five

@@ -19,9 +19,9 @@ Checks are independent of each other and keep no state beyond the report
 accumulator, so they are safe to reorder or run concurrently; all
 randomness flows through explicitly seeded generators.
 
-Exit statuses: 0 success, 1 verification failure (or an empty slice, or
-caps that a perturbed model no longer certifies), 2 usage error, 3 I/O
-error.
+Exit statuses: 0 success, 1 verification failure or an empty slice, 2 usage
+error (among them a hidden ``--perturb`` outside (-1, 1) or one whose scaled
+radii leave the centroid outside a ball), 3 I/O error.
 """
 
 import argparse
@@ -39,7 +39,7 @@ from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
 from .body import (
-    UncertifiedCap,
+    InteriorPointNotInterior,
     _ray_cast_many,
     _ray_hits,
     binormal_partner,
@@ -315,7 +315,7 @@ class VerificationReport:
             "checks": [dataclasses.asdict(check) for check in self.checks],
             "passed": self.passed,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _run_check(report, tols, name, anchor, samples, seed, fn, budget=None):
@@ -460,7 +460,7 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
             pop_w = pop
         else:
             # exact samples from any grid lie on the same boundary, and a
-            # coarse grid certifies its cap samples much faster
+            # coarse grid makes the ray casts much cheaper
             src = model
             if len(model.centers) > 4000:
                 src = build_ball_model(skeleton, patch_grid=(16, 24), arc_n=64)
@@ -501,30 +501,34 @@ def cmd_verify(args):
     seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
     tols = _parse_tols(args.tol)
-    if not math.isfinite(args.perturb):
-        raise _UsageError(f"--perturb must be finite, got {args.perturb}")
+    if not -1.0 < args.perturb < 1.0:
+        raise _UsageError(f"--perturb must lie in (-1, 1), got {args.perturb}")
 
     start = time.perf_counter()
     c = compute_model_constants()
-    report = VerificationReport(suite=suite, seed=seed, samples=samples,
-                                a_sq=c.a_sq, width=c.width, patch_grid=grid,
-                                arc_n=_arc_count(grid[1]), checks=[])
-    print(f"suite {suite}: grid {grid[0]}x{grid[1]}, arcs {report.arc_n}, "
-          f"samples {samples}, seed {seed}", file=sys.stderr)
-
     skeleton = _build_skeleton(c)
-    if suite in ("all", "focal"):
-        _focal_checks(report, tols, samples, seed, c)
-    if suite in ("all", "skeleton"):
-        _skeleton_checks(report, tols, samples, seed, skeleton)
     if suite in ("all", "body"):
         model = _build_model(skeleton, grid)
         # the residual budget is calibrated on the as-built model so that a
         # corrupted radius law (--perturb) cannot loosen its own tolerances
         resid_budget = boundary_residual(model, skeleton, probes=128, seed=seed)
         if args.perturb:
-            model = dataclasses.replace(
-                model, radii=model.radii * (1.0 + args.perturb))
+            try:
+                model = dataclasses.replace(
+                    model, radii=model.radii * (1.0 + args.perturb))
+            except InteriorPointNotInterior as exc:
+                raise _UsageError(f"--perturb {args.perturb}: {exc}") from exc
+
+    report = VerificationReport(suite=suite, seed=seed, samples=samples,
+                                a_sq=c.a_sq, width=c.width, patch_grid=grid,
+                                arc_n=_arc_count(grid[1]), checks=[])
+    print(f"suite {suite}: grid {grid[0]}x{grid[1]}, arcs {report.arc_n}, "
+          f"samples {samples}, seed {seed}", file=sys.stderr)
+    if suite in ("all", "focal"):
+        _focal_checks(report, tols, samples, seed, c)
+    if suite in ("all", "skeleton"):
+        _skeleton_checks(report, tols, samples, seed, skeleton)
+    if suite in ("all", "body"):
         _body_checks(report, tols, samples, seed, skeleton, model, resid_budget)
 
     text = report.to_json()
@@ -770,10 +774,6 @@ def main(argv=None):
         return 2
     except EmptySlice as exc:
         print(f"error: empty slice: {exc}", file=sys.stderr)
-        return 1
-    except UncertifiedCap as exc:
-        # only a model with corrupted radii (--perturb) loses its caps
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

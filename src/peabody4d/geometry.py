@@ -80,9 +80,10 @@ class Isometry4:
         return Isometry4(np.eye(4), np.zeros(4))
 
     def apply(self, pts):
-        """Apply to a single 4-vector or an (N, 4) batch."""
+        """Apply to a 4-vector or a (..., 4) batch; einsum, unlike BLAS,
+        moves a point to the same bits alone as in a batch."""
         a = np.asarray(pts, dtype=float)
-        return a @ self.linear.T + self.translation
+        return np.einsum("...j,ij->...i", a, self.linear) + self.translation
 
     def compose(self, other):
         """Motion equal to: first apply `other`, then self."""

@@ -100,6 +100,7 @@ def _cases(c, skeleton, rng):
         "base_arc_contains": (lambda p: base_arc_contains(p, c), [mixed], 1),
         "base_patch_contains": (lambda p: base_patch_contains(p, c), [mixed], 1),
         "SkeletonFace.contains": (moved_patch.contains, [near_face], 1),
+        "Isometry4.apply": (moved_patch.generator.apply, [mixed], 1),
         "focal_sum_residual": (lambda *p: focal_sum_residual(E, H, *p),
                                [a_e, b_e, a_h, b_h], 1),
         "focal_const_residual": (lambda p, q: focal_const_residual(pair, p, q),
@@ -120,7 +121,7 @@ def _cases(c, skeleton, rng):
 CASE_NAMES = (
     "ellipse_point", "hyperboloid_point", "quadric_residual",
     "carrier_distance", "base_arc_contains", "base_patch_contains",
-    "SkeletonFace.contains", "focal_sum_residual", "focal_const_residual",
+    "SkeletonFace.contains", "Isometry4.apply", "focal_sum_residual", "focal_const_residual",
     "steiner_radius_elliptic", "steiner_radius_hyperbolic",
     "interlock_residual", "radius_consistency_residual", "phi1", "phi2")
 

@@ -25,6 +25,8 @@ from peabody4d.body import (
     TooFewSamples,
     UnclassifiedSample,
     _block_rows,
+    _cap_cone,
+    _cap_directions,
     _min_slack,
     _random_arc_points,
     _random_patch_points,
@@ -41,7 +43,13 @@ from peabody4d.body import (
     ray_displacements,
     width_in_direction,
 )
-from peabody4d.skeleton import dual_label
+from peabody4d.numerics import compute_model_constants
+from peabody4d.skeleton import (
+    build_focal_skeleton,
+    build_simplex,
+    build_symmetry_group,
+    dual_label,
+)
 
 ALL_PIECE_LABELS = {
     "".join(map(str, comb))
@@ -178,8 +186,8 @@ def test_every_ball_carries_the_piece_dual_to_its_face(model):
 @pytest.mark.parametrize("grid, arc_n", [((16, 24), 64), ((64, 96), 256)])
 def test_no_face_center_sits_near_a_vertex(skeleton, grid, arc_n):
     # the build drops the face centers that duplicate a vertex; every other
-    # one keeps clear of the vertices, so the cap certification can take
-    # all face balls (rows 5..) as they are
+    # one keeps clear of the vertices, so no roundoff copy of a vertex ball
+    # is left to win a ray-cast argmin and mislabel a cap hit
     m = build_ball_model(skeleton, patch_grid=grid, arc_n=arc_n)
     V = skeleton.simplex.vertices
     dist = np.linalg.norm(m.centers[5:, None, :] - V[None, :, :], axis=2)
@@ -485,6 +493,84 @@ def test_population_reaches_all_pieces_and_all_vertices(mixed_pop, simplex):
     pts = mixed_pop.points
     for v in simplex.vertices:
         assert np.linalg.norm(pts - v, axis=1).min() <= 1e-12
+
+
+# ----------------------------------------------------------------------------
+# the cap certificate: the rim hull of each cap's normal cone
+# ----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[1.5, 2.0])
+def scaled_skeleton(request):
+    c = compute_model_constants(request.param)
+    s = build_simplex(c)
+    return build_focal_skeleton(c, s, build_symmetry_group(s))
+
+
+def cone_proposals(skeleton, i, count, seed):
+    """Uniform unit directions within the rim cosine of cap i's axis."""
+    a, floor, _, _ = _cap_cone(skeleton, i)
+    U = np.random.default_rng(seed).standard_normal((count, 4))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    return U[U @ a >= floor]
+
+
+def in_cap_hull(skeleton, i, U):
+    return _cap_cone(skeleton, i)[3](U) >= 0.0
+
+
+def test_every_rim_point_lies_on_its_hull(scaled_skeleton):
+    # the projected rim is in convex position: the normal cone is convex
+    for i in range(1, 6):
+        _, _, rim, depth = _cap_cone(scaled_skeleton, i)
+        assert np.max(np.abs(depth(rim))) <= 1e-12
+
+
+def test_hull_accepted_cap_points_lie_in_the_fine_model(scaled_skeleton):
+    fine = build_ball_model(scaled_skeleton, patch_grid=(64, 96), arc_n=256)
+    V = scaled_skeleton.simplex.vertices
+    rng = np.random.default_rng(11)
+    for i in range(1, 6):
+        U = _cap_directions(scaled_skeleton, i, 400, rng)
+        assert len(U) == 400
+        slack, _ = fine.min_slack(V[i - 1] + fine.width * U)
+        assert slack.min() >= -1e-9
+
+
+def test_the_hull_holds_every_direction_the_ball_margin_accepts(
+        scaled_skeleton):
+    # the reference is the margin rule the hull replaced: the cap point is
+    # within the width of the other vertices and keeps slack >= 2e-4
+    # against every face ball of a 16x24 model
+    m = build_ball_model(scaled_skeleton, patch_grid=(16, 24), arc_n=64)
+    V, w = scaled_skeleton.simplex.vertices, m.width
+    for i in range(1, 6):
+        U = cone_proposals(scaled_skeleton, i, 200000, seed=i)
+        Q = V[i - 1] + w * U
+        others = np.delete(V, i - 1, axis=0)
+        reuleaux = np.all(np.linalg.norm(Q[:, None, :] - others[None], axis=2)
+                          <= w - 1e-7, axis=1)
+        slack, _ = _min_slack(m.centers[5:], m.radii[5:], Q)
+        reference = reuleaux & (slack >= 2e-4)
+        assert reference.sum() >= 50
+        assert np.all(in_cap_hull(scaled_skeleton, i, U[reference]))
+
+
+def test_the_hull_holds_a_quarter_of_the_cone(scaled_skeleton):
+    for i in range(1, 6):
+        U = cone_proposals(scaled_skeleton, i, 400000, seed=20 + i)
+        assert np.mean(in_cap_hull(scaled_skeleton, i, U)) >= 0.25
+
+
+def test_each_cap_sample_lies_on_its_own_cap(skeleton, exact_pop):
+    # a cap sample is its vertex pushed out along its direction (checked
+    # with the population parameters): the direction lies in that vertex's
+    # cap, and the sample carries the cap's piece
+    caps = exact_pop[~np.isnan(exact_pop.direction[:, 0])]
+    for i in range(1, 6):
+        cap = caps[caps.active == i - 1]
+        assert len(cap) > 200
+        assert np.all(cap.face == piece_code(dual_label((i,))))
+        assert np.all(in_cap_hull(skeleton, i, cap.direction))
 
 
 # ----------------------------------------------------------------------------

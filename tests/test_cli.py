@@ -167,16 +167,24 @@ def test_verify_rejects_a_non_finite_perturbation(capsys):
                                     f"--perturb={value}"))
 
 
-def test_verify_perturbation_that_loses_the_caps_is_one_error(capsys):
-    # shrunken radii leave no cap direction clear of the face balls, so the
-    # sampling gives up before any body check can run
-    code, out, err = run(capsys, "verify", "--suite", "body", "--samples",
-                         "10", *GRID, "--perturb", "-0.01")
+def test_verify_rejects_a_perturbation_that_breaks_the_model(capsys):
+    # 1e300 and -1 lie outside (-1, 1); at -0.5 the centroid leaves a ball
+    for value in ("1e300", "-0.5", "-1"):
+        _assert_one_error_line(*run(capsys, "verify", "--suite", "body",
+                                    "--samples", "10", *GRID,
+                                    f"--perturb={value}"))
+
+
+def test_verify_shrunken_radii_fail_the_inner_slack_check(capsys):
+    # cap points come from the skeleton, so they stay on the true body and
+    # fall outside the shrunken vertex balls
+    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples",
+                       "10", *GRID, "--perturb", "-0.01")
     assert code == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert lines[-1].startswith("error: cap 1: certified only 0 of")
-    assert sum(line.startswith("error:") for line in lines) == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert by_name["boundary-slack-inner"]["passed"] is False
 
 
 def test_verify_tolerance_override_is_recorded(capsys):
