@@ -20,7 +20,10 @@ other: ray casts probe the ball model, phi samples must land on its
 boundary, and boundary samples are classified by which ball is tight.
 A population of samples is one BoundaryPopulation of parallel arrays.  Ball
 slack, ray hits and the envelope step each have one array kernel
-(_min_slack, _ray_hits, _envelope).
+(_min_slack, _ray_hits, _envelope).  The slack and ray kernels and the cap
+hull's depth share one block engine (_row_min): blocks of rows whose float64
+buffer stays near 8 MB, spread over the CPUs this process may use, with
+results bit-identical for any worker count.
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
@@ -34,6 +37,8 @@ active ball.
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -94,21 +99,40 @@ def piece_code(label):
 # array kernels
 # ============================================================================
 
-def _block_rows(n_balls):
-    # rows per block, so that each (rows x balls) temporary stays near 32 MB
-    return max(16, int(4e6) // max(1, n_balls))
+# one block worker per CPU this process may use; the executor starts its
+# threads on first use, not at import
+_POOL = ThreadPoolExecutor(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1)
 
 
-def _row_min(values, n_rows, n_balls):
-    """Row-wise min and argmin of values(rows), one block of rows at a time."""
+def _block_rows(n_cols):
+    """Rows per block, so that a (rows x n_cols) float64 buffer stays near 8 MB."""
+    return max(16, 10 ** 6 // max(1, n_cols))
+
+
+def _row_min(block, n_rows, n_cols):
+    """Row-wise min and argmin of an (n_rows, n_cols) matrix, block by block.
+
+    block(rows) returns the matrix rows of the slice rows, at most
+    _block_rows(n_cols) of them.  The blocks run on _POOL (numpy and BLAS
+    release the GIL) and each writes only its own rows of the result, so the
+    result is bit-identical for any worker count.  An exception in a block
+    propagates.  A block must never call _row_min: a nested map on a full
+    pool waits on workers that are all waiting, and deadlocks.
+    """
     out = np.empty(n_rows)
     arg = np.empty(n_rows, dtype=np.intp)
-    step = _block_rows(n_balls)
-    for i in range(0, n_rows, step):
-        V = values(slice(i, i + step))
+    step = _block_rows(n_cols)
+
+    def run(start):
+        rows = slice(start, start + step)
+        V = block(rows)
         j = np.argmin(V, axis=1)
-        out[i:i + step] = V[np.arange(len(V)), j]
-        arg[i:i + step] = j
+        out[rows] = V[np.arange(len(V)), j]
+        arg[rows] = j
+
+    list(_POOL.map(run, range(0, n_rows, step)))
     return out, arg
 
 
@@ -118,12 +142,17 @@ def _min_slack(C, R, P):
     Negative slack means outside some ball; zero means on a sphere.
     """
     c2 = np.einsum("ij,ij->i", C, C)
+    b2 = np.einsum("ij,ij->i", P, P)
 
     def slack(rows):
-        B = P[rows]
-        d2 = np.einsum("ij,ij->i", B, B)[:, None] + c2[None, :] - 2.0 * (B @ C.T)
-        np.maximum(d2, 0.0, out=d2)
-        return R[None, :] - np.sqrt(d2)
+        # (|b|^2 + |c|^2) - 2 b.c, clamped at 0, then R - sqrt, in one buffer
+        V = P[rows] @ C.T
+        V *= 2.0
+        for v, b in zip(V, b2[rows]):
+            np.subtract(b + c2, v, out=v)
+        np.maximum(V, 0.0, out=V)
+        np.sqrt(V, out=V)
+        return np.subtract(R, V, out=V)
     return _row_min(slack, len(P), len(C))
 
 
@@ -137,8 +166,12 @@ def _ray_hits(C, R, origin, U):
     r2md2 = R ** 2 - np.einsum("ij,ij->i", D, D)
 
     def roots(rows):
+        # B + sqrt(B^2 + (R^2 - |D|^2)) with B = u.D
         B = U[rows] @ D.T
-        return B + np.sqrt(B * B + r2md2[None, :])
+        V = np.multiply(B, B)
+        V += r2md2
+        np.sqrt(V, out=V)
+        return np.add(B, V, out=V)
     return _row_min(roots, len(U), len(C))
 
 
@@ -412,7 +445,13 @@ def _cap_cone(skeleton, i):
 
     def depth(U):
         Y = (U @ E) / (U @ a)[:, None]
-        return _row_min(lambda rows: -(Y[rows] @ A.T + b), len(Y), len(A))[0]
+
+        def margins(rows):
+            # -(Y A^T + b), in the product's buffer
+            V = Y[rows] @ A.T
+            V += b
+            return np.negative(V, out=V)
+        return _row_min(margins, len(Y), len(A))[0]
     return a, float(np.min(rim @ a)), rim, depth
 
 

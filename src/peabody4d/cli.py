@@ -318,6 +318,11 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _layer_line(name, work, start):
+    """A stderr timer line for an untimed layer of verify, in _run_check style."""
+    return f"  {name}: {work} ({time.perf_counter() - start:.2f}s)"
+
+
 def _run_check(report, tols, name, anchor, samples, seed, fn, budget=None):
     """Run one check; its tolerance is --tol, else budget, else the policy's."""
     if budget is None:
@@ -409,8 +414,14 @@ def _skeleton_checks(report, tols, samples, seed, skeleton):
 def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
     w = model.width
     n = max(samples, 10 ** 4)
+    start = time.perf_counter()
     pop = sample_theta(model, skeleton, n, seed=seed)
+    print(_layer_line("sample-theta", f"{len(pop)} samples", start),
+          file=sys.stderr)
+    start = time.perf_counter()
     ms, _ = model.min_slack(pop.points)
+    print(_layer_line("min-slack", f"{len(pop)} samples x "
+                      f"{len(model.centers)} balls", start), file=sys.stderr)
 
     def separation():
         rng = np.random.default_rng(seed + 3)
@@ -507,11 +518,20 @@ def cmd_verify(args):
     start = time.perf_counter()
     c = compute_model_constants()
     skeleton = _build_skeleton(c)
+    # the layer lines wait for the header, so that a --perturb error stays
+    # the only stderr line
+    layer_lines = []
     if suite in ("all", "body"):
+        layer_start = time.perf_counter()
         model = _build_model(skeleton, grid)
+        layer_lines.append(_layer_line(
+            "model-build", f"{len(model.centers)} balls", layer_start))
         # the residual budget is calibrated on the as-built model so that a
         # corrupted radius law (--perturb) cannot loosen its own tolerances
+        layer_start = time.perf_counter()
         resid_budget = boundary_residual(model, skeleton, probes=128, seed=seed)
+        layer_lines.append(_layer_line(
+            "residual-calibration", f"budget {resid_budget:.1e}", layer_start))
         if args.perturb:
             try:
                 model = dataclasses.replace(
@@ -524,6 +544,8 @@ def cmd_verify(args):
                                 arc_n=_arc_count(grid[1]), checks=[])
     print(f"suite {suite}: grid {grid[0]}x{grid[1]}, arcs {report.arc_n}, "
           f"samples {samples}, seed {seed}", file=sys.stderr)
+    for line in layer_lines:
+        print(line, file=sys.stderr)
     if suite in ("all", "focal"):
         _focal_checks(report, tols, samples, seed, c)
     if suite in ("all", "skeleton"):

@@ -8,6 +8,7 @@ behaviour on large sampled populations.
 """
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import norm, qmc
 
 from frozen_values import FROZEN
+from peabody4d import body
 from peabody4d.body import (
     PIECE_LABELS,
     BallModel,
@@ -32,6 +34,7 @@ from peabody4d.body import (
     _random_patch_points,
     _ray_cast_many,
     _ray_hits,
+    _row_min,
     binormal_partner,
     boundary_residual,
     build_ball_model,
@@ -410,6 +413,69 @@ def test_ray_kernel_agrees_with_brute_force_distances(model):
             Q = hits[lo:lo + 256]
             dist = np.linalg.norm(Q[:, None, :] - C[None, :, :], axis=2)
             assert np.min(R[None, :] - dist) >= -1e-12
+
+
+@pytest.fixture
+def use_pool(monkeypatch):
+    """Run the block engine on a pool of the given worker count."""
+    pools = []
+
+    def use(workers):
+        pools.append(ThreadPoolExecutor(max_workers=workers))
+        monkeypatch.setattr(body, "_POOL", pools[-1])
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+def kernel_outputs(model, skeleton, monkeypatch):
+    """Every block kernel's arrays at ragged_count rows of its column count."""
+    C, R = model.centers, model.radii
+    rng = np.random.default_rng(35)
+    P = model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4))
+    outputs = [*_min_slack(C, R, P)]
+    for C, R, origin in kernel_inputs(model):
+        U = sobol_directions(ragged_count(len(C)), seed=36)[:, :C.shape[1]]
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        outputs += _ray_hits(C, R, origin, U)
+    # the hull's facet count is the depth kernel's column count
+    facets = []
+
+    def spy(block, n_rows, n_cols):
+        facets.append(n_cols)
+        return _row_min(block, n_rows, n_cols)
+    with monkeypatch.context() as m:
+        m.setattr(body, "_row_min", spy)
+        a, _, _, depth = _cap_cone(skeleton, 2)
+        depth(a[None, :])
+    U = a + 0.3 * rng.standard_normal((ragged_count(facets[0]), 4))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    outputs.append(depth(U))
+    return outputs
+
+
+def test_kernels_are_bit_identical_for_any_worker_count(model, skeleton,
+                                                       use_pool, monkeypatch):
+    results = []
+    for workers in (1, 3):
+        use_pool(workers)
+        results.append(kernel_outputs(model, skeleton, monkeypatch))
+    assert len(results[1]) == 7
+    for one, three in zip(*results):
+        assert np.array_equal(one, three)
+
+
+def test_an_exception_in_one_block_propagates(use_pool):
+    n_cols = 10 ** 5     # a block of _block_rows(n_cols) = 16 rows
+
+    def block(rows):
+        if rows.start > 0:
+            raise FloatingPointError("block failed")
+        return np.zeros((16, n_cols))
+    for workers in (1, 3):
+        use_pool(workers)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            _row_min(block, ragged_count(n_cols), n_cols)
 
 
 # ----------------------------------------------------------------------------

@@ -150,6 +150,22 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert budget["diameter-chords"] == 2.0 * budget["boundary-slack-outer"] + 1e-9
 
 
+def test_verify_times_each_body_layer_on_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "body", "--samples",
+                         "10", "--seed", "2", *GRID)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    lines = err.splitlines()
+    assert lines[0].startswith("suite body: grid 16x24")
+    # the model is built before the header, yet its line follows it
+    layers = [line.split(":")[0].strip() for line in lines[1:5]]
+    assert layers == ["model-build", "residual-calibration", "sample-theta",
+                      "min-slack"]
+    assert lines[1].startswith("  model-build: 2465 balls (")
+    assert lines[4].startswith("  min-slack: 10000 samples x 2465 balls (")
+    assert all(line.endswith("s)") for line in lines[1:5])
+
+
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "body", "--samples",
                        "500", "--seed", "5", *GRID, "--perturb", "1e-3")
