@@ -43,8 +43,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import ConvexHull
-from scipy.stats import norm as _norm
-from scipy.stats import qmc
 
 from .focal import base_patch_contains
 from .geometry import (
@@ -383,6 +381,14 @@ def _population(model, points, active, xy=None, direction=None):
         direction=np.full((n, 4), np.nan if direction is None else direction))
 
 
+def unit_directions(rng, n):
+    """n random unit 4-vectors, uniform on the sphere: the rows of
+    rng.standard_normal((n, 4)), each divided by its norm."""
+    U = rng.standard_normal((n, 4))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    return U
+
+
 def _ray_cast_many(model, U):
     """Smallest positive sphere hit along g + t u for each row of U."""
     return _ray_hits(model.centers, model.radii, model.interior_point, U)
@@ -465,8 +471,7 @@ def _cap_directions(skeleton, i, count, rng):
     a, floor, _, depth = _cap_cone(skeleton, i)
     out, need = [], count
     while need > 0:
-        U = rng.standard_normal((1 << 16, 4))
-        U /= np.linalg.norm(U, axis=1)[:, None]
+        U = unit_directions(rng, 1 << 16)
         U = U[U @ a >= floor]
         out.append(U[depth(U) >= 0.0][:need])
         need -= len(out[-1])
@@ -531,18 +536,15 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
 def sample_theta(model, skeleton, n, seed=0):
     """Mixed boundary population: exact phi/cap/vertex samples plus ray casts.
 
-    Ray-cast samples (about 15%) sit on the discretized model's boundary,
-    within the grid residual of the true one; everything else is exact.
+    Ray-cast samples (about 15%, the last rows) sit on the discretized
+    model's boundary, within the grid residual of the true one; everything
+    else is exact.  The exact samples draw from default_rng(seed), the ray
+    directions from a stream of their own, default_rng([seed, 1]).
     """
     n_ray = int(round(0.15 * n))
-    out = sample_exact_boundary(model, skeleton, n - n_ray, seed=seed)
-    if n_ray:
-        sob = qmc.Sobol(d=4, scramble=True, seed=seed)
-        m = 1 << max(2, (n_ray - 1).bit_length())
-        U = _norm.ppf(sob.random(m)[:n_ray])
-        U /= np.linalg.norm(U, axis=1)[:, None]
-        out = BoundaryPopulation.concat([out, ray_cast_boundary(model, U)])
-    return out
+    exact = sample_exact_boundary(model, skeleton, n - n_ray, seed=seed)
+    U = unit_directions(np.random.default_rng([seed, 1]), n_ray)
+    return BoundaryPopulation.concat([exact, ray_cast_boundary(model, U)])
 
 
 # ============================================================================
@@ -629,9 +631,7 @@ def ray_displacements(skeleton, grids, probes=200, seed=0):
     fine as the last; the returned displacement maxima shrink ~4x per level
     for a second-order-accurate envelope.
     """
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((probes, 4))
-    U /= np.linalg.norm(U, axis=1)[:, None]
+    U = unit_directions(np.random.default_rng(seed), probes)
     hits = []
     for patch_grid, arc_n in grids:
         model = build_ball_model(skeleton, patch_grid=patch_grid, arc_n=arc_n)

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm as _norm
-from scipy.stats import qmc
 
 from .body import (
     InteriorPointNotInterior,
+    _min_slack,
     _ray_cast_many,
     _ray_hits,
     binormal_partner,
@@ -50,6 +49,7 @@ from .body import (
     phi2,
     sample_exact_boundary,
     sample_theta,
+    unit_directions,
     width_in_direction,
 )
 from .focal import (
@@ -450,14 +450,12 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
 
     def diameter_chords():
         # the ten dual-pair axes carry diameters through the centroid, so a
-        # corrupted radius law shows up here no matter how the random
+        # corrupted radius law shows up here no matter how the 2048 random
         # directions fall
         axes = np.array([line.direction
                          for line in skeleton.simplex.axes.values()])
-        eng = qmc.Sobol(d=4, scramble=True, seed=seed + 4)
-        U = _norm.ppf(eng.random(2048))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        U = np.vstack([axes, U])
+        rays = unit_directions(np.random.default_rng(seed + 4), 2048)
+        U = np.vstack([axes, rays])
         t_plus, _ = _ray_cast_many(model, U)
         t_minus, _ = _ray_cast_many(model, -U)
         return max(0.0, float(np.max(t_plus + t_minus)) - w)
@@ -644,7 +642,7 @@ def slice_surface(model, spec):
     R3 = np.sqrt(model.radii ** 2 - d ** 2)
 
     def min_slack3(q):
-        return float(np.min(R3 - np.linalg.norm(C3 - q, axis=1)))
+        return float(_min_slack(C3, R3, q[None])[0][0])
 
     p0 = (model.interior_point - origin) @ B.T
     if min_slack3(p0) <= 1e-9:

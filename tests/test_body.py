@@ -44,6 +44,9 @@ from peabody4d.body import (
     piece_code,
     ray_cast_boundary,
     ray_displacements,
+    sample_exact_boundary,
+    sample_theta,
+    unit_directions,
     width_in_direction,
 )
 from peabody4d.numerics import compute_model_constants
@@ -559,6 +562,38 @@ def test_population_reaches_all_pieces_and_all_vertices(mixed_pop, simplex):
     pts = mixed_pop.points
     for v in simplex.vertices:
         assert np.linalg.norm(pts - v, axis=1).min() <= 1e-12
+
+
+def test_unit_directions_are_normalized_standard_normal_rows():
+    U = unit_directions(np.random.default_rng(8), 1000)
+    G = np.random.default_rng(8).standard_normal((1000, 4))
+    assert np.array_equal(U, G / np.linalg.norm(G, axis=1)[:, None])
+    assert np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) <= 1e-15
+    assert unit_directions(np.random.default_rng(8), 0).shape == (0, 4)
+
+
+def test_ray_rows_of_the_mixed_population_have_their_own_stream(model,
+                                                                skeleton):
+    n, seed = 2000, 5
+    n_ray = 300                                  # the last 15 % of the rows
+    pop = sample_theta(model, skeleton, n, seed=seed)
+    rays = pop[n - n_ray:]
+    assert np.max(np.abs(np.linalg.norm(rays.direction, axis=1) - 1.0)) <= 1e-15
+    assert np.array_equal(
+        rays.points, ray_cast_boundary(model, rays.direction).points)
+
+    again = sample_theta(model, skeleton, n, seed=seed)
+    for f in dataclasses.fields(BoundaryPopulation):
+        assert np.array_equal(getattr(again, f.name), getattr(pop, f.name),
+                              equal_nan=True)
+
+    # the exact rows are the exact sampler's own, and the rays do not replay
+    # its stream
+    exact = sample_exact_boundary(model, skeleton, n - n_ray, seed=seed)
+    assert np.array_equal(pop[:n - n_ray].points, exact.points)
+    replay = unit_directions(np.random.default_rng(seed), n_ray)
+    gap = np.linalg.norm(rays.direction[:, None] - replay[None], axis=2)
+    assert gap.min() > 1e-6
 
 
 # ----------------------------------------------------------------------------

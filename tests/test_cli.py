@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +352,43 @@ def test_slice_beyond_the_support_is_empty(capsys):
     code, _, err = run(capsys, "slice", "--hyperplane", "0,0,0,1,0.5", *GRID)
     assert code == 1
     assert "empty" in err.lower()
+
+
+def test_slice_whose_projected_centroid_lies_outside_searches_for_a_start(
+        tmp_path, capsys, model):
+    # the centroid projected onto w = 0.13 lies outside the body, so the
+    # slice needs the Nelder-Mead search for an interior start point
+    normal = np.array([0.0, 0.0, 0.0, 1.0])
+    g = model.interior_point
+    assert model.min_slack(g + (0.13 - g @ normal) * normal)[0] < 0.0
+
+    out_path = tmp_path / "cap.off"
+    code, _, _ = run(capsys, "slice", "--hyperplane", "0,0,0,1,0.13", *GRID,
+                     "--out", str(out_path))
+    assert code == 0
+    verts, faces = _parse_off(out_path.read_text())
+    _assert_closed(verts, faces)
+    v4 = 0.13 * normal + verts @ plane_basis(normal)
+    slack, _ = model.min_slack(v4)
+    assert slack.min() >= -1e-9
+
+    # just past the vertex support z1 = 0.13698 the slice is empty
+    code, _, err = run(capsys, "slice", "--hyperplane", "0,0,0,1,0.137", *GRID)
+    assert code == 1
+    assert "empty" in err.lower()
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, peabody4d.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_slice_ply_and_csv_formats(tmp_path, capsys):
