@@ -37,6 +37,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .body import (
+    BoundaryPopulation,
     InteriorPointNotInterior,
     _min_slack,
     _ray_cast_many,
@@ -47,6 +48,7 @@ from .body import (
     diameter_check,
     phi1,
     phi2,
+    ray_cast_boundary,
     sample_exact_boundary,
     sample_theta,
     unit_directions,
@@ -414,6 +416,19 @@ def _skeleton_checks(report, tols, samples, seed, skeleton):
 def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
     w = model.width
     n = max(samples, 10 ** 4)
+    # support extents converge like n^(-2/3), so the 1e-3 width tolerance
+    # needs ~2e5 samples whatever --samples is; the model's hits along +-e_k
+    # join them, since the support pair along x (arc apex, sheet vertex) is
+    # never a pair of grid nodes.  Measured and dropped first: drawn after
+    # the other samples, this population raised verify's peak RSS by ~10 MB.
+    start = time.perf_counter()
+    pop_w = BoundaryPopulation.concat([
+        sample_exact_boundary(model, skeleton, max(n, 2 * 10 ** 5), seed=seed + 5),
+        ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)]))])
+    n_w = len(pop_w)
+    width_err = max(abs(width_in_direction(pop_w, u) - w) for u in np.eye(4))
+    del pop_w
+    print(_layer_line("width-sample", f"{n_w} samples", start), file=sys.stderr)
     start = time.perf_counter()
     pop = sample_theta(model, skeleton, n, seed=seed)
     print(_layer_line("sample-theta", f"{len(pop)} samples", start),
@@ -460,22 +475,6 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
         t_minus, _ = _ray_cast_many(model, -U)
         return max(0.0, float(np.max(t_plus + t_minus)) - w)
 
-    # support extents converge like n^(-2/3); the 1e-3 width tolerance
-    # needs a population in the 2e5 range regardless of --samples
-    n_w = max(n, 2 * 10 ** 5)
-
-    def width_axes():
-        if n_w == n:
-            pop_w = pop
-        else:
-            # exact samples from any grid lie on the same boundary, and a
-            # coarse grid makes the ray casts much cheaper
-            src = model
-            if len(model.centers) > 4000:
-                src = build_ball_model(skeleton, patch_grid=(16, 24), arc_n=64)
-            pop_w = sample_theta(src, skeleton, n_w, seed=seed + 5)
-        return max(abs(width_in_direction(pop_w, u) - w) for u in np.eye(4))
-
     _run_check(report, tols, "boundary-slack-inner",
                "every boundary sample lies inside every ball",
                n, seed, lambda: max(0.0, -float(ms.min())))
@@ -497,7 +496,7 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
                budget=2.0 * resid_budget + tolerance_policy("diameter"))
     _run_check(report, tols, "width-coordinate-axes",
                "support width along the coordinate axes matches the width",
-               n_w, seed + 5, width_axes)
+               n_w, seed + 5, lambda: width_err)
 
 
 def cmd_verify(args):
@@ -510,8 +509,9 @@ def cmd_verify(args):
     seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
     tols = _parse_tols(args.tol)
-    if not -1.0 < args.perturb < 1.0:
-        raise _UsageError(f"--perturb must lie in (-1, 1), got {args.perturb}")
+    perturb = _resolve(args.perturb, {}, "perturb", float, 0.0)  # flag only
+    if not -1.0 < perturb < 1.0:
+        raise _UsageError(f"--perturb must lie in (-1, 1), got {perturb}")
 
     start = time.perf_counter()
     c = compute_model_constants()
@@ -530,12 +530,12 @@ def cmd_verify(args):
         resid_budget = boundary_residual(model, skeleton, probes=128, seed=seed)
         layer_lines.append(_layer_line(
             "residual-calibration", f"budget {resid_budget:.1e}", layer_start))
-        if args.perturb:
+        if perturb:
             try:
                 model = dataclasses.replace(
-                    model, radii=model.radii * (1.0 + args.perturb))
+                    model, radii=model.radii * (1.0 + perturb))
             except InteriorPointNotInterior as exc:
-                raise _UsageError(f"--perturb {args.perturb}: {exc}") from exc
+                raise _UsageError(f"--perturb {perturb}: {exc}") from exc
 
     report = VerificationReport(suite=suite, seed=seed, samples=samples,
                                 a_sq=c.a_sq, width=c.width, patch_grid=grid,
@@ -743,28 +743,26 @@ def _build_parser():
 
     pc = sub.add_parser("constants", help="print the model constants")
     pc.add_argument("--json", action="store_true")
-    pc.add_argument("--a2", type=float, default=None,
+    pc.add_argument("--a2", default=None,
                     help="solve the embedding for another ellipse scale")
     pc.add_argument("--config", default=None)
     pc.set_defaults(func=cmd_constants)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", choices=["all", "focal", "skeleton", "body"],
-                    default=None)
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--suite", default=None)
+    pv.add_argument("--samples", default=None)
+    pv.add_argument("--seed", default=None)
     pv.add_argument("--tol", action="append", metavar="NAME=VALUE",
                     help="override a check tolerance")
     pv.add_argument("--grid", default=None, metavar="NXxNTHETA")
     pv.add_argument("--out", default=None)
     pv.add_argument("--config", default=None)
-    pv.add_argument("--perturb", type=float, default=0.0,
-                    help=argparse.SUPPRESS)
+    pv.add_argument("--perturb", default=None, help=argparse.SUPPRESS)
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("sample", help="write boundary samples as CSV")
-    ps.add_argument("--samples", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--samples", default=None)
+    ps.add_argument("--seed", default=None)
     ps.add_argument("--grid", default=None, metavar="NXxNTHETA")
     ps.add_argument("--out", default=None)
     ps.add_argument("--config", default=None)
@@ -772,8 +770,8 @@ def _build_parser():
 
     pl = sub.add_parser("slice", help="export a hyperplane slice as a mesh")
     pl.add_argument("--hyperplane", default=None, metavar="NX,NY,NZ,NW,OFFSET")
-    pl.add_argument("--resolution", type=int, default=None)
-    pl.add_argument("--format", choices=["off", "ply", "csv"], default=None)
+    pl.add_argument("--resolution", default=None)
+    pl.add_argument("--format", default=None)
     pl.add_argument("--grid", default=None, metavar="NXxNTHETA")
     pl.add_argument("--out", default=None)
     pl.add_argument("--config", default=None)

@@ -13,6 +13,7 @@ import pytest
 
 from frozen_values import FROZEN
 from peabody4d import cli
+from peabody4d.body import build_ball_model
 from peabody4d.cli import CHECK_NAMES, main, plane_basis
 from peabody4d.focal import (
     focal_const_residual,
@@ -162,12 +163,15 @@ def test_verify_times_each_body_layer_on_stderr(capsys):
     lines = err.splitlines()
     assert lines[0].startswith("suite body: grid 16x24")
     # the model is built before the header, yet its line follows it
-    layers = [line.split(":")[0].strip() for line in lines[1:5]]
-    assert layers == ["model-build", "residual-calibration", "sample-theta",
-                      "min-slack"]
+    layers = [line.split(":")[0].strip() for line in lines[1:6]]
+    assert layers == ["model-build", "residual-calibration", "width-sample",
+                      "sample-theta", "min-slack"]
     assert lines[1].startswith("  model-build: 2465 balls (")
-    assert lines[4].startswith("  min-slack: 10000 samples x 2465 balls (")
-    assert all(line.endswith("s)") for line in lines[1:5])
+    width = json.loads(out)["checks"][-1]
+    assert width["name"] == "width-coordinate-axes"
+    assert lines[3].startswith(f"  width-sample: {width['samples']} samples (")
+    assert lines[5].startswith("  min-slack: 10000 samples x 2465 balls (")
+    assert all(line.endswith("s)") for line in lines[1:6])
 
 
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
@@ -205,6 +209,23 @@ def test_verify_shrunken_radii_fail_the_inner_slack_check(capsys):
     assert doc["passed"] is False
     by_name = {c["name"]: c for c in doc["checks"]}
     assert by_name["boundary-slack-inner"]["passed"] is False
+
+
+def test_verify_width_check_reads_the_perturbed_model(capsys, monkeypatch):
+    # a 9,045-ball model: whatever the grid, the width population comes from
+    # the one verify model, and so carries its perturbed radii
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("patch_grid"))
+        return build_ball_model(*args, **kwargs)
+    monkeypatch.setattr(cli, "build_ball_model", counting)
+    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
+                       "--grid", "32x48", "--perturb", "-0.01")
+    assert code == 1
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert by_name["width-coordinate-axes"]["passed"] is False
+    assert built == [(32, 48)]
 
 
 def test_verify_tolerance_override_is_recorded(capsys):
@@ -378,6 +399,20 @@ def test_slice_whose_projected_centroid_lies_outside_searches_for_a_start(
     assert "empty" in err.lower()
 
 
+def test_slice_just_past_a_vertex_misses_the_body(capsys, model, simplex):
+    # every ball top along (p1 - g) lies about 0.012 past the vertex
+    # support, so the bounding-ball test passes and the start search is
+    # what finds the slice empty
+    p1 = simplex.vertices[0]
+    n_hat = p1 - model.interior_point
+    n_hat /= np.linalg.norm(n_hat)
+    plane = ",".join(repr(float(v)) for v in [*n_hat, n_hat @ p1 + 1e-4])
+    code, out, err = run(capsys, "slice", "--hyperplane", plane, *GRID)
+    assert code == 1
+    assert out == ""
+    assert err == "error: empty slice: hyperplane misses the body\n"
+
+
 def test_importing_the_cli_does_not_load_scipy_stats():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -502,6 +537,17 @@ def test_oversized_requests_stop_before_any_model_is_built(
                                 "--resolution", big))
     cfg.write_text(f"hyperplane = 0,0,0,1,0\nresolution = {big}\n")
     _assert_one_error_line(*run(capsys, "slice", "--config", str(cfg)))
+
+
+def test_malformed_flag_values_are_one_line_errors(capsys):
+    # each value is parsed once, by the converter that also reads config
+    # values, so argparse never prints its usage block for them
+    for argv in (["verify", "--samples", "abc"], ["verify", "--suite", "bogus"],
+                 ["verify", "--perturb", "abc"], ["sample", "--seed", "x"],
+                 ["constants", "--a2", "abc"],
+                 ["slice", "--hyperplane", "0,0,0,1,0", "--format", "xyz"],
+                 ["slice", "--hyperplane", "0,0,0,1,0", "--resolution", "ten"]):
+        _assert_one_error_line(*run(capsys, *argv))
 
 
 def test_unknown_tolerance_name_is_a_usage_error(capsys):
