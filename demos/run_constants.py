@@ -1,9 +1,9 @@
 """Where the numbers come from.
 
 Every coordinate of the construction is a radical in sqrt(10).  This demo
-prints the canonical constants next to their closed forms and then re-solves
-the embedding for a few other ellipse scales to show the canonical one is
-the only scale with the closure property (see run_skeleton_closure.py).
+prints the canonical constants next to their closed forms and then evaluates
+the same closed-form embedding at a few other ellipse scales; the canonical
+one is the only scale with the closure property (see run_skeleton_closure.py).
 """
 
 import math

@@ -87,8 +87,8 @@ class _UsageError(Exception):
     """Malformed flag or config values (exit status 2)."""
 
 
-# exact radical forms for the canonical constants; quantities obtained by
-# tangency solves (the chain seed radii) have no closed form and are omitted
+# exact radical forms for the canonical constants; the chain seed radii
+# r_splus_e = a - x1/a and r_splus_h = a*x0 - 1 follow from them and are omitted
 EXACT_FORMS = {
     "a_sq": "3/2",
     "focus_e": "1",
@@ -181,6 +181,15 @@ def _int_in(low, high=None):
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ValueError(f"expected an integer {bound}, got {n}")
         return n
+    return convert
+
+
+def _one_of(*choices):
+    """Converter that accepts exactly the given strings."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
     return convert
 
 
@@ -417,13 +426,14 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
     w = model.width
     n = max(samples, 10 ** 4)
     # support extents converge like n^(-2/3), so the 1e-3 width tolerance
-    # needs ~2e5 samples whatever --samples is; the model's hits along +-e_k
-    # join them, since the support pair along x (arc apex, sheet vertex) is
-    # never a pair of grid nodes.  Measured and dropped first: drawn after
-    # the other samples, this population raised verify's peak RSS by ~10 MB.
+    # needs ~2e5 samples whatever --samples is, and draws exactly that many;
+    # the model's hits along +-e_k join them, since the support pair along x
+    # (arc apex, sheet vertex) is never a pair of grid nodes.  Measured and
+    # dropped first: drawn after the other samples, this population raised
+    # verify's peak RSS by ~10 MB.
     start = time.perf_counter()
     pop_w = BoundaryPopulation.concat([
-        sample_exact_boundary(model, skeleton, max(n, 2 * 10 ** 5), seed=seed + 5),
+        sample_exact_boundary(model, skeleton, 2 * 10 ** 5, seed=seed + 5),
         ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)]))])
     n_w = len(pop_w)
     width_err = max(abs(width_in_direction(pop_w, u) - w) for u in np.eye(4))
@@ -501,9 +511,8 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
 
 def cmd_verify(args):
     cfg = _load_config(args.config) if args.config else {}
-    suite = _resolve(args.suite, cfg, "suite", str, "all")
-    if suite not in ("all", "focal", "skeleton", "body"):
-        raise _UsageError(f"unknown suite {suite!r}")
+    suite = _resolve(args.suite, cfg, "suite",
+                     _one_of("all", "focal", "skeleton", "body"), "all")
     samples = _resolve(args.samples, cfg, "samples", _int_in(1, MAX_SAMPLES),
                        DEFAULT_SAMPLES)
     seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
@@ -601,11 +610,6 @@ class SliceSpec:
             norm = np.linalg.norm(self.normal)
         if not 1e-12 <= norm < math.inf:
             raise _UsageError("hyperplane normal must be nonzero, with a finite norm")
-        if not 8 <= self.resolution <= MAX_RESOLUTION:
-            raise _UsageError(
-                f"slice resolution must be between 8 and {MAX_RESOLUTION}")
-        if self.fmt not in ("off", "ply", "csv"):
-            raise _UsageError(f"unknown slice format {self.fmt!r}")
 
 
 def _parse_hyperplane(text):
@@ -719,8 +723,10 @@ def cmd_slice(args):
     normal, offset = _parse_hyperplane(plane)
     spec = SliceSpec(
         normal=normal, offset=offset,
-        resolution=_resolve(args.resolution, cfg, "resolution", int, 24),
-        fmt=_resolve(args.format, cfg, "format", str, "off"))
+        resolution=_resolve(args.resolution, cfg, "resolution",
+                            _int_in(8, MAX_RESOLUTION), 24),
+        fmt=_resolve(args.format, cfg, "format", _one_of("off", "ply", "csv"),
+                     "off"))
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
 
     model = _build_model(_build_skeleton(compute_model_constants()), grid)

@@ -1,11 +1,11 @@
-"""Model constants, tolerance policy, and the general-parameter embedding solver.
+"""Model constants, tolerance policy, and the closed-form focal embedding.
 
 The whole construction is driven by a handful of algebraic numbers: the
 coordinates (x0, y0) and (x1, z1) at which a regular 4-simplex can be placed
 with three vertices on a hyperboloid of revolution and two on an ellipse, the
 two quadrics being focal to each other.  ``compute_model_constants(a_sq)``
-builds them for any a^2 > 1: from closed radical forms at the canonical
-a^2 = 3/2, otherwise from ``solve_focal_embedding``, a bracketed root solve.
+builds them for any a^2 > 1 from one closed form, ``solve_focal_embedding``,
+with no iteration and no special case for the canonical a^2 = 3/2.
 
 Everything here is pure and immutable.  ``ModelConstants`` is the only
 carrier of a^2: every later layer takes it as an explicit argument, so one
@@ -15,11 +15,9 @@ code path serves the canonical body and its broken-closure controls alike.
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 
 class NoConvergence(Exception):
-    """Raised when the embedding root solve fails to bracket or converge."""
+    """Raised when the embedding misses its defining equations."""
 
 
 class UnknownKind(Exception):
@@ -78,19 +76,10 @@ class ModelConstants:
 def compute_model_constants(a_sq=1.5):
     """ModelConstants for the ellipse parameter a_sq > 1.
 
-    At the canonical a_sq = 3/2 every coordinate comes from an explicit
-    radical, with no iteration; any other value goes through
-    solve_focal_embedding.  The ellipse always has foci at +-1 and the
-    hyperboloid at +-sqrt(a_sq).
+    The coordinates come from solve_focal_embedding for every a_sq.  The
+    ellipse always has foci at +-1 and the hyperboloid at +-sqrt(a_sq).
     """
-    if a_sq == 1.5:
-        s10 = math.sqrt(10.0)
-        x0 = math.sqrt((41.0 - 4.0 * s10) / 27.0)
-        y0 = math.sqrt((7.0 - 2.0 * s10) / 27.0)
-        x1 = math.sqrt((11.0 + 2.0 * s10) / 12.0)
-        z1 = math.sqrt(3.0) / 2.0 * y0
-    else:
-        x0, x1, y0, z1 = solve_focal_embedding(a_sq)
+    x0, x1, y0, z1 = solve_focal_embedding(a_sq)
     a = math.sqrt(a_sq)
     return ModelConstants(
         a_sq=a_sq,
@@ -112,27 +101,8 @@ def compute_model_constants(a_sq=1.5):
 model_constants_for = compute_model_constants
 
 
-def _edge_mismatch(t, a_sq):
-    """Edge-equality residual as a function of t = x0^2.
-
-    With x0 fixed, the on-quadric conditions force
-        y0 = sqrt((a^2-1)(x0^2-1)),   z1 = (sqrt3/2) y0,
-        x1^2 = a^2 (7 - 3 x0^2) / 4,
-    and the remaining requirement (all simplex edges equal) reduces to
-        x1 - x0 = (sqrt5/2) y0.
-    This function returns the signed mismatch of that last equation; it is
-    strictly increasing in t on the bracket, so a sign change pins the root.
-    """
-    a = math.sqrt(a_sq)
-    x0 = math.sqrt(t)
-    y0 = math.sqrt((a_sq - 1.0) * (t - 1.0))
-    # 7 - 3 t > 0 is guaranteed by the bracket cap below
-    x1 = a / 2.0 * math.sqrt(7.0 - 3.0 * t)
-    return x0 + math.sqrt(5.0) / 2.0 * y0 - x1
-
-
 def solve_focal_embedding(a_sq):
-    """Solve the focal embedding for a general ellipse parameter a_sq > 1.
+    """The focal embedding for a general ellipse parameter a_sq > 1.
 
     Returns (x0, x1, y0, z1) such that the five points
 
@@ -142,32 +112,21 @@ def solve_focal_embedding(a_sq):
     z^2 = (a^2-1)(1 - x^2/a^2) and three on the hyperboloid sheet
     y^2 + w^2 = (a^2-1)(x^2-1).
 
-    Raises NoConvergence if the bracketing solve fails or the returned
-    tuple does not satisfy the defining equations to 1e-12.
+    With u = x0^2 - 1 the quadrics give y0^2 = (a^2-1) u and
+    x1^2 = a^2 (1 - 3u/4).  Squaring x1 = x0 + (sqrt5/2) y0 twice leaves a
+    quadratic in u whose small root is u = 4(a^2-1)/D with
+    D = 8a^2 + 4 sqrt15 a + 9, so y0 = 2(a^2-1)/sqrt(D).
+
+    Raises NoConvergence if the returned tuple does not satisfy the
+    defining equations to 1e-12, as happens in doubles above a_sq ~ 1e4.
     """
     if not (a_sq > 1.0 and math.isfinite(a_sq)):
         raise ValueError(f"a_sq must be a finite number above 1, got {a_sq}")
 
-    # Bracket t = x0^2 in (1, a^2); the sqrt(7 - 3t) factor additionally
-    # requires t < 7/3, which matters once a^2 > 7/3.
-    eps = 1e-13
-    lo = 1.0 + eps
-    hi = min(a_sq, 7.0 / 3.0) - eps
-    try:
-        f_lo = _edge_mismatch(lo, a_sq)
-        f_hi = _edge_mismatch(hi, a_sq)
-        if not (f_lo < 0.0 < f_hi):
-            raise NoConvergence(
-                f"no sign change for a_sq={a_sq}: F({lo})={f_lo}, F({hi})={f_hi}"
-            )
-        t = brentq(_edge_mismatch, lo, hi, args=(a_sq,), xtol=1e-15, rtol=8.9e-16)
-    except NoConvergence:
-        raise
-    except Exception as exc:  # scipy signals failures as ValueError/RuntimeError
-        raise NoConvergence(f"root solve failed for a_sq={a_sq}: {exc}") from exc
-
-    x0 = math.sqrt(t)
-    y0 = math.sqrt((a_sq - 1.0) * (t - 1.0))
+    a = math.sqrt(a_sq)
+    d = 8.0 * a_sq + 4.0 * math.sqrt(15.0) * a + 9.0
+    x0 = math.sqrt(1.0 + 4.0 * (a_sq - 1.0) / d)
+    y0 = 2.0 * (a_sq - 1.0) / math.sqrt(d)
     x1 = x0 + math.sqrt(5.0) / 2.0 * y0
     z1 = math.sqrt(3.0) / 2.0 * y0
 

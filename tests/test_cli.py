@@ -174,6 +174,16 @@ def test_verify_times_each_body_layer_on_stderr(capsys):
     assert all(line.endswith("s)") for line in lines[1:6])
 
 
+def test_verify_width_population_is_fixed_above_its_size(capsys):
+    # 2e5 exact samples plus the model's eight axis hits, whatever --samples
+    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples",
+                       "200001", *GRID)
+    assert code == 0
+    width = json.loads(out)["checks"][-1]
+    assert width["name"] == "width-coordinate-axes"
+    assert width["samples"] == 200008
+
+
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "body", "--samples",
                        "500", "--seed", "5", *GRID, "--perturb", "1e-3")
@@ -413,14 +423,18 @@ def test_slice_just_past_a_vertex_misses_the_body(capsys, model, simplex):
     assert err == "error: empty slice: hyperplane misses the body\n"
 
 
-def test_importing_the_cli_does_not_load_scipy_stats():
+@pytest.mark.parametrize("module,unwanted", [
+    ("peabody4d.cli", "scipy.stats"),
+    ("peabody4d", "scipy.optimize"),
+])
+def test_importing_the_cli_does_not_load_scipy_stats(module, unwanted):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1])]
         + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, peabody4d.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, {module}; print({unwanted!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
@@ -539,15 +553,26 @@ def test_oversized_requests_stop_before_any_model_is_built(
     _assert_one_error_line(*run(capsys, "slice", "--config", str(cfg)))
 
 
-def test_malformed_flag_values_are_one_line_errors(capsys):
+def test_malformed_flag_values_are_one_line_errors(tmp_path, capsys):
     # each value is parsed once, by the converter that also reads config
-    # values, so argparse never prints its usage block for them
+    # values, so argparse never prints its usage block for them, and the
+    # error names where the bad value came from
     for argv in (["verify", "--samples", "abc"], ["verify", "--suite", "bogus"],
                  ["verify", "--perturb", "abc"], ["sample", "--seed", "x"],
                  ["constants", "--a2", "abc"],
                  ["slice", "--hyperplane", "0,0,0,1,0", "--format", "xyz"],
                  ["slice", "--hyperplane", "0,0,0,1,0", "--resolution", "ten"]):
-        _assert_one_error_line(*run(capsys, *argv))
+        code, out, err = run(capsys, *argv)
+        _assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: {argv[-2]}: "), err
+    cfg = tmp_path / "bad.cfg"
+    for command, key, value in (("verify", "suite", "bogus"),
+                                ("slice", "format", "xyz"),
+                                ("slice", "resolution", "4")):
+        cfg.write_text(f"hyperplane = 0,0,0,1,0\n{key} = {value}\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        _assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: config key {key!r}: "), err
 
 
 def test_unknown_tolerance_name_is_a_usage_error(capsys):

@@ -28,6 +28,11 @@ class TestModelConstants:
         assert c.focus_e == 1.0
         assert rel(c.focus_h, FROZEN["a"]) <= 1e-14
 
+    def test_canonical_coordinates_are_the_rounded_oracle(self, constants):
+        """The closed form lands on the nearest doubles of the 60-digit values."""
+        for name in ("x0", "x1", "y0", "z1", "width"):
+            assert getattr(constants, name) == FROZEN[name], name
+
     def test_squared_radicals(self, constants):
         c = constants
         s10 = math.sqrt(10.0)
@@ -76,11 +81,21 @@ class TestSolveFocalEmbedding:
     def test_matches_bisection_oracle(self, a_sq, key):
         got = solve_focal_embedding(a_sq)
         for g, want in zip(got, FROZEN[key]):
-            assert abs(g - want) <= 1e-12
+            assert abs(g - want) <= 1e-15
 
     def test_defining_residuals(self):
         """Returned tuple satisfies all four defining equations at a_sq = 2."""
         a_sq = 2.0
+        x0, x1, y0, z1 = solve_focal_embedding(a_sq)
+        assert abs(z1 * z1 - (a_sq - 1.0) * (1.0 - x1 * x1 / a_sq)) <= 1e-12
+        assert abs(y0 * y0 - (a_sq - 1.0) * (x0 * x0 - 1.0)) <= 1e-12
+        assert abs(z1 - math.sqrt(3.0) / 2.0 * y0) <= 1e-12
+        edge = math.sqrt((x1 - x0) ** 2 + y0 * y0 + z1 * z1)
+        assert abs(edge - 2.0 * z1) <= 1e-12
+
+    @pytest.mark.parametrize("a_sq", [1.0000000000000002, 1e4])
+    def test_extreme_parameters_meet_the_defining_equations(self, a_sq):
+        """The closed form holds from the next double above 1 up to 1e4."""
         x0, x1, y0, z1 = solve_focal_embedding(a_sq)
         assert abs(z1 * z1 - (a_sq - 1.0) * (1.0 - x1 * x1 / a_sq)) <= 1e-12
         assert abs(y0 * y0 - (a_sq - 1.0) * (x0 * x0 - 1.0)) <= 1e-12
