@@ -20,10 +20,12 @@ other: ray casts probe the ball model, phi samples must land on its
 boundary, and boundary samples are classified by which ball is tight.
 A population of samples is one BoundaryPopulation of parallel arrays.  Ball
 slack, ray hits and the envelope step each have one array kernel
-(_min_slack, _ray_hits, _envelope).  The slack and ray kernels and the cap
-hull's depth share one block engine (_row_min): blocks of rows whose float64
-buffer stays near 8 MB, spread over the CPUs this process may use, with
-results bit-identical for any worker count.
+(_min_slack, _ray_hits, _envelope).  The slack and ray kernels and the
+depth test of the cap certificate (the planes of a convex triangle mesh of
+each cap's rim, _cap_cone) share one block engine (_row_min): blocks of rows
+whose float64 buffer stays near 8 MB, spread over the CPUs this process may
+use, with results bit-identical for any worker count.  The package needs
+numpy alone.
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
@@ -42,7 +44,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .focal import base_patch_contains
 from .geometry import (
@@ -56,8 +57,8 @@ from .geometry import (
 from .skeleton import (
     base_arc_axes,
     base_arc_points,
-    base_patch_grid,
     base_patch_grid_params,
+    base_patch_mesh,
     dual_label,
 )
 
@@ -76,6 +77,10 @@ class UnclassifiedSample(Exception):
 
 class TooFewSamples(Exception):
     """Not enough samples for the requested statistic."""
+
+
+class NonConvexCap(Exception):
+    """A cap's rim mesh did not flip to a closed convex surface."""
 
 
 # the 25 piece labels (10 edge wedges, 10 triangle wedges, 5 caps); a
@@ -424,55 +429,165 @@ def binormal_partner(model, pop):
 # exact boundary population
 # ----------------------------------------------------------------------------
 
-# the patch grid whose projection from p_i outlines the cap opposite p_i
-_CAP_RIM_GRID = (16, 24)
+# (rows in s, angles in theta) of the base patch mesh whose projection from
+# p_i outlines the cap opposite p_i
+_CAP_RIM_GRID = (7, 24)
+# how far (gnomonic units) a rim node may lie outside a plane of the rim mesh
+_RIM_TOL = 1e-12
+# rounds of edge flips a rim mesh may take, the last of which must find no
+# reflex edge
+_FLIP_ROUNDS = 32
+
+
+def _complement(a):
+    """(4, 3) orthonormal basis of the complement of the unit vector a."""
+    return np.linalg.svd(a[None, :])[2][1:].T
+
+
+def _mesh_planes(Y, T):
+    """Unit outer normals (F, 3) and offsets (F,) of the triangles T of Y."""
+    A = Y[T[:, 0]]
+    N = np.cross(Y[T[:, 1]] - A, Y[T[:, 2]] - A)
+    N /= np.linalg.norm(N, axis=1)[:, None]
+    return N, np.einsum("ij,ij->i", N, A)
+
+
+def _flip_round(Y, T):
+    """One round of edge flips on the closed triangle mesh T of the points Y.
+
+    Every triangle is oriented with the origin on its inner side.  An edge
+    is reflex when a node opposite it lies more than _RIM_TOL outside the
+    other triangle's plane; the most reflex edges that share no triangle
+    are flipped to the other diagonal of their quad at once, unless that
+    diagonal is already an edge.  Returns the new triangles and the flip
+    count.
+    """
+    n = len(Y)
+    tail, head = T.ravel(), np.roll(T, -1, axis=1).ravel()
+    across = np.roll(T, -2, axis=1).ravel()
+    # half-edge h = 3 f + k runs tail[h] -> head[h] in triangle f = h // 3
+    key = np.minimum(tail, head) * n + np.maximum(tail, head)
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    h1, h2 = order[0::2], order[1::2]
+    if not (np.array_equal(keys[0::2], keys[1::2])
+            and np.all(keys[2::2] != keys[1:-1:2])
+            and np.array_equal(tail[h1], head[h2])):
+        raise NonConvexCap("the rim mesh is not a closed, oriented surface")
+    N, off = _mesh_planes(Y, T)
+    f1, f2, c, d = h1 // 3, h2 // 3, across[h1], across[h2]
+    reflex = np.maximum(np.einsum("ij,ij->i", Y[d], N[f1]) - off[f1],
+                        np.einsum("ij,ij->i", Y[c], N[f2]) - off[f2])
+    cand = np.flatnonzero(reflex > _RIM_TOL)
+    new = np.minimum(c[cand], d[cand]) * n + np.maximum(c[cand], d[cand])
+    at = np.minimum(np.searchsorted(keys, new), len(keys) - 1)
+    cand = cand[keys[at] != new]
+    cand = cand[np.argsort(-reflex[cand], kind="stable")]
+    # an edge flips when it is the most reflex candidate of both its triangles
+    rank = np.arange(len(cand))
+    first = np.full(len(T), len(cand))
+    np.minimum.at(first, f1[cand], rank)
+    np.minimum.at(first, f2[cand], rank)
+    e = cand[(first[f1[cand]] == rank) & (first[f2[cand]] == rank)]
+    T = T.copy()
+    T[f1[e]] = np.column_stack([c[e], tail[h1[e]], d[e]])
+    T[f2[e]] = np.column_stack([c[e], d[e], head[h1[e]]])
+    return T, len(e)
+
+
+def _cap_mesh(skeleton, i):
+    """The convex rim mesh of the cap opposite p_i, in gnomonic coordinates.
+
+    -u is an outer normal at p_i for every cap direction u, so the u fill a
+    convex cone whose rim is the projection (x - p_i)/|x - p_i| of the four
+    patches x without i.  The _CAP_RIM_GRID mesh of each patch
+    (base_patch_mesh) is carried there, its seam nodes merged, and the nodes
+    projected into gnomonic coordinates Y = (u.E)/(u.a) about the unit axis
+    a from p_i to the centroid, with E the complement of a.  Every triangle
+    is oriented with the axis on its inner side, and reflex edges are
+    flipped until none is left (NonConvexCap after _FLIP_ROUNDS rounds).
+    Returns a, E, the rim node directions, Y and the triangles.
+    """
+    p = skeleton.simplex.vertices[i - 1]
+    a = skeleton.simplex.centroid - p
+    a /= np.linalg.norm(a)
+    E = _complement(a)
+    base, tri, last = base_patch_mesh(skeleton.constants, *_CAP_RIM_GRID)
+    faces = [f for f in skeleton.triangle_faces() if i not in f.label]
+    rim = np.concatenate([f.generator.apply(base) - p for f in faces])
+    rim /= np.linalg.norm(rim, axis=1)[:, None]
+    T = np.concatenate([tri + k * len(base) for k in range(len(faces))])
+    # the patches meet along their last rows: each node there goes to the
+    # first node at its place
+    seam = np.concatenate([last + k * len(base) for k in range(len(faces))])
+    gap = np.linalg.norm(rim[seam, None] - rim[None, seam], axis=2)
+    node = np.arange(len(rim))
+    node[seam] = seam[np.argmax(gap < 1e-9, axis=1)]
+    node, index = np.unique(node, return_inverse=True)
+    rim, T = rim[node], index[T]
+    Y = (rim @ E) / (rim @ a)[:, None]
+    inward = np.einsum("ij,ij->i", Y[T[:, 0]], np.cross(Y[T[:, 1]], Y[T[:, 2]])) < 0.0
+    T[inward] = T[inward][:, ::-1]
+    for _ in range(_FLIP_ROUNDS):
+        T, flips = _flip_round(Y, T)
+        if not flips:
+            return a, E, rim, Y, T
+    raise NonConvexCap(f"cap {i}: reflex edges left after {_FLIP_ROUNDS} "
+                       "rounds of flips")
 
 
 def _cap_cone(skeleton, i):
     """The directions u of the cap points p_i + 2 z1 u opposite p_i.
 
-    -u is an outer normal at p_i, so the u fill a convex cone whose rim is the
-    projection (x - p_i)/|x - p_i| of the four patches x without i.  Returns
-    the unit axis a from p_i to the centroid, the smallest rim cosine u.a,
-    the rim directions of the _CAP_RIM_GRID points, and depth(U): per row,
-    the least facet margin of the rim hull in gnomonic coordinates
-    (u.E)/(u.a), >= 0 inside.  Built from the skeleton alone.
+    The planes of the rim mesh (_cap_mesh) bound the convex hull of its
+    nodes, points on the rim, so they hold only cone directions: that is
+    checked, every node within _RIM_TOL inside every plane (NonConvexCap).
+    Returns the unit axis a, the smallest rim cosine u.a, the rim node
+    directions, and depth(U): per row, the least plane margin of u in
+    gnomonic coordinates, >= 0 inside (-inf where u.a <= 0).  Built from the
+    skeleton alone.
     """
-    p = skeleton.simplex.vertices[i - 1]
-    a = skeleton.simplex.centroid - p
-    a /= np.linalg.norm(a)
-    E = np.linalg.svd(a[None, :])[2][1:].T      # (4, 3) complement of a
-    base = base_patch_grid(skeleton.constants, *_CAP_RIM_GRID)
-    rim = np.concatenate([f.generator.apply(base) - p
-                          for f in skeleton.triangle_faces() if i not in f.label])
-    rim /= np.linalg.norm(rim, axis=1)[:, None]
-    hull = ConvexHull((rim @ E) / (rim @ a)[:, None])
-    A, b = hull.equations[:, :-1], hull.equations[:, -1]
+    a, E, rim, Y, T = _cap_mesh(skeleton, i)
+    N, off = _mesh_planes(Y, T)
+    # margin (u.G)/(u.a) with G = off a - E N: the gnomonic margin off - Y.N
+    G = off[:, None] * a - N @ E.T
 
     def depth(U):
-        Y = (U @ E) / (U @ a)[:, None]
-
-        def margins(rows):
-            # -(Y A^T + b), in the product's buffer
-            V = Y[rows] @ A.T
-            V += b
-            return np.negative(V, out=V)
-        return _row_min(margins, len(Y), len(A))[0]
+        # the gnomonic map sends u and -u to one point: rows with u.a <= 0
+        # lie outside the cone
+        ua = U @ a
+        least = _row_min(lambda rows: U[rows] @ G.T, len(U), len(G))[0]
+        front = ua > 0.0
+        least[front] /= ua[front]
+        least[~front] = -np.inf
+        return least
+    if depth(rim).min() < -_RIM_TOL:
+        raise NonConvexCap(f"cap {i}: a rim node lies outside the rim mesh")
     return a, float(np.min(rim @ a)), rim, depth
 
 
 def _cap_directions(skeleton, i, count, rng):
     """count directions u, uniform over the cap opposite p_i (_cap_cone).
 
-    Uniform unit proposals within the rim cosine are kept inside the rim
-    hull, whose points are convex combinations of rim directions of a convex
-    cone: every cap point is exact, whatever the model.  About 1.5 % of the
-    proposals pass, a figure of the skeleton alone."""
+    Proposals are uniform within the rim cosine: the angle phi to the axis
+    by rejection from the sin^2 phi law, the direction across it from a
+    3-D normal draw, every draw on rng.  They are kept inside the rim
+    mesh, whose points are convex combinations of rim directions of a convex
+    cone: every cap point is exact, whatever the model.
+    """
     a, floor, _, depth = _cap_cone(skeleton, i)
+    E = _complement(a)
+    top = math.acos(floor)
     out, need = [], count
     while need > 0:
-        U = unit_directions(rng, 1 << 16)
-        U = U[U @ a >= floor]
+        # about a third of the angles pass the sin^2 law and 27 % of those
+        # the mesh, so one round nearly always suffices
+        X = rng.random((12 * need + 256, 2))
+        phi = top * X[:, 0]
+        phi = phi[X[:, 1] * math.sin(top) ** 2 <= np.sin(phi) ** 2]
+        V = rng.standard_normal((len(phi), 3))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        U = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * (V @ E.T)
         out.append(U[depth(U) >= 0.0][:need])
         need -= len(out[-1])
     return np.concatenate(out)

@@ -153,6 +153,49 @@ def base_patch_grid(c, nx, ntheta, tol=1e-9):
     return base_patch_grid_params(c, nx, ntheta, tol)[1]
 
 
+def base_patch_rim(c, theta):
+    """s = acosh x of the base patch boundary at revolution angles theta.
+
+    For theta in [2pi/3, 4pi/3] the boundary is the {4,5} cut, where
+    sqrt5 cosh s - 2 sqrt(a^2-1) cos(theta) sinh s = sqrt5 x0 + y0: a
+    quadratic in e^s whose larger root is the rim.  The other two arcs are
+    its images under the 2pi/3 revolution, so theta is first reduced to its
+    offset from the nearest arc midpoint (theta = pi/3, pi, 5pi/3).
+    """
+    cos_t = -np.cos(np.mod(theta, 2.0 * math.pi / 3.0) - math.pi / 3.0)
+    k, r5 = math.sqrt(c.a_sq - 1.0), math.sqrt(5.0)
+    rhs = r5 * c.x0 + c.y0
+    alpha, beta = 0.5 * r5 - k * cos_t, 0.5 * r5 + k * cos_t
+    return np.log((rhs + np.sqrt(rhs * rhs - 4.0 * alpha * beta)) / (2.0 * alpha))
+
+
+def base_patch_mesh(c, ns, ntheta):
+    """Triangle mesh of the base patch H345 on a structured (s, theta) grid.
+
+    Row k of ns (k = 1..ns-1) holds the points at s = (k / (ns - 1)) times
+    base_patch_rim(theta) for ntheta angles 2 pi j / ntheta; row 0 is the
+    sheet vertex alone.  The last row lies on the cut planes, so every
+    boundary arc is covered, with the corners at j = 0, ntheta/3, 2 ntheta/3
+    when ntheta is divisible by 3.  Returns the points (N, 4), the triangles
+    (F, 3) as point indices (a fan around the vertex, then two per grid
+    cell) and the indices of the last row.
+    """
+    theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    S = np.arange(1, ns)[:, None] / (ns - 1) * base_patch_rim(c, theta)
+    pts = np.vstack([[1.0, 0.0, 0.0, 0.0],
+                     hyperboloid_point(base_hyperboloid(c.a_sq), np.cosh(S),
+                                       theta).reshape(-1, 4)])
+    j = np.arange(ntheta)
+
+    def row(k, j):
+        return 1 + (k - 1) * ntheta + j % ntheta
+    tris = [np.column_stack([np.zeros(ntheta, dtype=int), row(1, j), row(1, j + 1)])]
+    for k in range(1, ns - 1):
+        tris += [np.column_stack([row(k, j), row(k + 1, j), row(k + 1, j + 1)]),
+                 np.column_stack([row(k, j), row(k + 1, j + 1), row(k, j + 1)])]
+    return pts, np.vstack(tris), row(ns - 1, j)
+
+
 # ============================================================================
 # skeleton faces
 # ============================================================================

@@ -13,8 +13,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
-from scipy.stats import norm, qmc
+from scipy.spatial import ConvexHull, cKDTree
+from scipy.stats import ks_2samp, norm, qmc
 
 from frozen_values import FROZEN
 from peabody4d import body
@@ -24,11 +24,14 @@ from peabody4d.body import (
     BoundaryPopulation,
     DomainError,
     InteriorPointNotInterior,
+    NonConvexCap,
     TooFewSamples,
     UnclassifiedSample,
     _block_rows,
     _cap_cone,
     _cap_directions,
+    _cap_mesh,
+    _mesh_planes,
     _min_slack,
     _random_arc_points,
     _random_patch_points,
@@ -51,6 +54,8 @@ from peabody4d.body import (
 )
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
+    base_patch_grid,
+    base_patch_mesh,
     build_focal_skeleton,
     build_simplex,
     build_symmetry_group,
@@ -441,7 +446,7 @@ def kernel_outputs(model, skeleton, monkeypatch):
         U = sobol_directions(ragged_count(len(C)), seed=36)[:, :C.shape[1]]
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         outputs += _ray_hits(C, R, origin, U)
-    # the hull's facet count is the depth kernel's column count
+    # the rim mesh's plane count is the depth kernel's column count
     facets = []
 
     def spy(block, n_rows, n_cols):
@@ -597,7 +602,7 @@ def test_ray_rows_of_the_mixed_population_have_their_own_stream(model,
 
 
 # ----------------------------------------------------------------------------
-# the cap certificate: the rim hull of each cap's normal cone
+# the cap certificate: the convex rim mesh of each cap's normal cone
 # ----------------------------------------------------------------------------
 
 @pytest.fixture(scope="module", params=[1.5, 2.0])
@@ -672,6 +677,102 @@ def test_each_cap_sample_lies_on_its_own_cap(skeleton, exact_pop):
         assert len(cap) > 200
         assert np.all(cap.face == piece_code(dual_label((i,))))
         assert np.all(in_cap_hull(skeleton, i, cap.direction))
+
+
+def gnomonic_hull(skeleton, i, base):
+    """scipy's hull of the base patch points carried to the four patches
+    without i and projected from p_i, in the gnomonic coordinates of
+    _cap_mesh."""
+    a, E, _, _, _ = _cap_mesh(skeleton, i)
+    p = skeleton.simplex.vertices[i - 1]
+    rim = np.concatenate([f.generator.apply(base) - p
+                          for f in skeleton.triangle_faces() if i not in f.label])
+    return ConvexHull((rim @ E) / (rim @ a)[:, None])
+
+
+def in_hull(hull, skeleton, i, U, tol=1e-12):
+    a, E, _, _, _ = _cap_mesh(skeleton, i)
+    Y = (U @ E) / (U @ a)[:, None]
+    A, b = hull.equations[:, :-1], hull.equations[:, -1]
+    return np.concatenate([np.all(y @ A.T + b <= tol, axis=1)
+                           for y in np.array_split(Y, len(Y) // 256 + 1)])
+
+
+def test_every_rim_mesh_edge_lies_in_two_triangles(scaled_skeleton):
+    for i in range(1, 6):
+        _, _, rim, _, T = _cap_mesh(scaled_skeleton, i)
+        edges = np.sort(np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]]),
+                        axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        assert np.all(counts == 2)
+        # a closed triangulated sphere: F = 2 V - 4
+        assert len(T) == 2 * len(rim) - 4
+
+
+def test_the_axis_lies_strictly_inside_every_rim_plane(scaled_skeleton):
+    for i in range(1, 6):
+        _, _, _, Y, T = _cap_mesh(scaled_skeleton, i)
+        _, off = _mesh_planes(Y, T)
+        assert off.min() > 0.1
+        a, _, _, depth = _cap_cone(scaled_skeleton, i)
+        assert depth(a[None, :])[0] == pytest.approx(off.min(), rel=1e-12)
+        # the antipode projects onto the axis too, but lies outside the cone
+        assert depth(-a[None, :])[0] < 0.0
+
+
+def test_the_rim_mesh_has_no_more_planes_than_the_old_rim_hull(
+        scaled_skeleton):
+    # the hull of the projected 16x24 patch grid was the certificate before
+    # the rim mesh; on the same directions the mesh accepts at least 99 % of
+    # what that hull did
+    old_grid = base_patch_grid(scaled_skeleton.constants, 16, 24)
+    U = unit_directions(np.random.default_rng(40), 1 << 18)
+    for i in range(1, 6):
+        old = gnomonic_hull(scaled_skeleton, i, old_grid)
+        _, _, _, _, T = _cap_mesh(scaled_skeleton, i)
+        assert len(T) <= len(old.simplices)
+        a, floor, _, depth = _cap_cone(scaled_skeleton, i)
+        V = U[U @ a >= floor]
+        assert (depth(V) >= 0.0).sum() >= 0.99 * in_hull(old, scaled_skeleton, i, V).sum()
+
+
+def test_mesh_accepted_directions_lie_in_a_finer_rim_hull(scaled_skeleton):
+    # the grid of 48 steps in s and 96 angles holds every node of the 7x24
+    # mesh (6 steps, 24 angles), so its hull holds the mesh's
+    fine = base_patch_mesh(scaled_skeleton.constants, 49, 96)[0]
+    U = unit_directions(np.random.default_rng(41), 1 << 18)
+    for i in range(1, 6):
+        a, floor, _, depth = _cap_cone(scaled_skeleton, i)
+        V = U[U @ a >= floor]
+        V = V[depth(V) >= 0.0]
+        assert len(V) > 2000
+        assert np.all(in_hull(gnomonic_hull(scaled_skeleton, i, fine),
+                              scaled_skeleton, i, V))
+
+
+def test_a_rim_mesh_short_of_flips_raises(skeleton, monkeypatch):
+    # the 7x24 mesh turns convex in three rounds of flips, and a fourth
+    # round must find no reflex edge left
+    monkeypatch.setattr(body, "_FLIP_ROUNDS", 3)
+    with pytest.raises(NonConvexCap, match="reflex edges"):
+        _cap_mesh(skeleton, 1)
+
+
+def test_cap_directions_follow_the_proposal_law_inside_the_mesh(skeleton):
+    # the angle law of the certified directions equals that of uniform
+    # proposals within the rim cosine kept by the mesh
+    n = 200000
+    a, _, _, _ = _cap_cone(skeleton, 1)
+    mine = _cap_directions(skeleton, 1, n, np.random.default_rng(42)) @ a
+    ref = []
+    for seed in range(43, 143):
+        U = cone_proposals(skeleton, 1, 1 << 20, seed)
+        ref.append(U[in_cap_hull(skeleton, 1, U)] @ a)
+        if sum(map(len, ref)) >= n:
+            break
+    ref = np.concatenate(ref)[:n]
+    assert len(ref) == n
+    assert ks_2samp(mine, ref).pvalue > 1e-3
 
 
 # ----------------------------------------------------------------------------

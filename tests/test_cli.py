@@ -388,7 +388,7 @@ def test_slice_beyond_the_support_is_empty(capsys):
 def test_slice_whose_projected_centroid_lies_outside_searches_for_a_start(
         tmp_path, capsys, model):
     # the centroid projected onto w = 0.13 lies outside the body, so the
-    # slice needs the Nelder-Mead search for an interior start point
+    # slice needs the walk to an interior start point
     normal = np.array([0.0, 0.0, 0.0, 1.0])
     g = model.interior_point
     assert model.min_slack(g + (0.13 - g @ normal) * normal)[0] < 0.0
@@ -426,6 +426,7 @@ def test_slice_just_past_a_vertex_misses_the_body(capsys, model, simplex):
 @pytest.mark.parametrize("module,unwanted", [
     ("peabody4d.cli", "scipy.stats"),
     ("peabody4d", "scipy.optimize"),
+    ("peabody4d.cli", "scipy"),
 ])
 def test_importing_the_cli_does_not_load_scipy_stats(module, unwanted):
     env = dict(os.environ)
@@ -438,6 +439,44 @@ def test_importing_the_cli_does_not_load_scipy_stats(module, unwanted):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_sampling_and_a_walked_slice_load_no_scipy(tmp_path):
+    # the cap certificate and the slice's start walk are numpy alone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    script = (
+        "import sys\n"
+        "from peabody4d.cli import main\n"
+        f"assert main(['sample', '--grid', '16x24', '--samples', '2000', "
+        f"'--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        f"assert main(['slice', '--hyperplane', '0,0,0,1,0.13', '--grid', "
+        f"'16x24', '--out', {str(tmp_path / 's.off')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 2001
+
+
+def test_slice_walk_starts_inside_every_ball(model, monkeypatch):
+    starts = []
+
+    def spy(C3, R3, q):
+        p = cli_start(C3, R3, q)
+        starts.append(float(np.min(R3 - np.linalg.norm(C3 - p, axis=1))))
+        return p
+    cli_start = cli._slice_start
+    monkeypatch.setattr(cli, "_slice_start", spy)
+    spec = cli.SliceSpec(normal=np.array([0.0, 0.0, 0.0, 1.0]), offset=0.13,
+                         resolution=24, fmt="off")
+    cli.slice_surface(model, spec)
+    # the walk's start, then the mean of its ray hits
+    assert len(starts) == 2
+    assert min(starts) >= 1e-9
 
 
 def test_slice_ply_and_csv_formats(tmp_path, capsys):

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from peabody4d.focal import OffArc, patch_cut_planes
+from peabody4d.focal import OffArc, base_patch_contains, patch_cut_planes
 from peabody4d.geometry import (
     base_hyperboloid,
     carrier_distance,
+    hyperboloid_point,
     isometry_from_vertex_permutation,
     quadric_residual,
 )
@@ -29,6 +30,8 @@ from peabody4d.skeleton import (
     base_arc_points,
     base_patch_grid,
     base_patch_grid_params,
+    base_patch_mesh,
+    base_patch_rim,
     build_focal_skeleton,
     build_simplex,
     build_symmetry_group,
@@ -286,6 +289,28 @@ def test_other_parameters_take_the_same_path(a_sq):
     assert np.max(np.abs(corners - s.vertices[[2, 4, 3]])) <= 1e-12
     assert np.max(np.abs(np.hypot(corners[:, 1], corners[:, 3]) - c.y0)) <= 1e-12
     assert np.max(np.abs(skeleton.face((3, 4, 5)).radius(corners))) <= 1e-12
+
+
+@pytest.mark.parametrize("a_sq", [1.4, 1.5, 2.0])
+def test_patch_mesh_rim_lies_on_the_cut_planes(a_sq):
+    """The closed form of the rim puts the last mesh row on the nearest cut
+    plane, with the corners on the vertices; every node is on the patch."""
+    c = compute_model_constants(a_sq)
+    s = build_simplex(c)
+    pts, tris, last = base_patch_mesh(c, 7, 24)
+    assert pts.shape == (1 + 6 * 24, 4)
+    assert np.all(base_patch_contains(pts, c, 1e-12))
+    offsets = np.array([(pts[last] - p0) @ nrm for nrm, p0 in patch_cut_planes(c)])
+    assert np.max(np.min(np.abs(offsets), axis=0)) <= 1e-12
+    assert np.max(np.abs(pts[last[[0, 8, 16]]] - s.vertices[[2, 4, 3]])) <= 1e-12
+    # a step out along s leaves the patch everywhere on the rim
+    theta = 2.0 * math.pi * np.arange(24) / 24
+    out = hyperboloid_point(base_hyperboloid(c.a_sq),
+                            np.cosh(base_patch_rim(c, theta) + 1e-6), theta)
+    assert not np.any(base_patch_contains(out, c, 1e-12))
+    # a fan of 24 around the sheet vertex and two triangles per grid cell
+    assert tris.shape == (24 + 2 * 5 * 24, 3)
+    assert set(np.unique(tris)) == set(range(len(pts)))
 
 
 def test_tangent_slopes(constants, simplex):
