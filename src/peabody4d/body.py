@@ -20,12 +20,16 @@ other: ray casts probe the ball model, phi samples must land on its
 boundary, and boundary samples are classified by which ball is tight.
 A population of samples is one BoundaryPopulation of parallel arrays.  Ball
 slack, ray hits and the envelope step each have one array kernel
-(_min_slack, _ray_hits, _envelope).  The slack and ray kernels and the
-depth test of the cap certificate (the planes of a convex triangle mesh of
-each cap's rim, _cap_cone) share one block engine (_row_min): blocks of rows
-whose float64 buffer stays near 8 MB, spread over the CPUs this process may
-use, with results bit-identical for any worker count.  The package needs
-numpy alone.
+(_min_slack, _ray_hits, _envelope).  Slack takes |p - c|^2 from one K = 6
+product about the first center; a chord through the interior point
+(chord_lengths) takes both of its ray hits from one product and one square
+root.  These kernels and the depth test of the cap certificate (the planes
+of a convex triangle mesh of each cap's rim, _cap_cone, built once per
+skeleton; a fixed 32 of its planes screen the proposals first) share one
+block engine (_row_blocks, _row_min): blocks of rows, each holding at most
+two float64 buffers near 8 MB, spread over the CPUs this process may use,
+with results bit-identical for any worker count.  The package needs numpy
+alone.
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
@@ -114,28 +118,35 @@ def _block_rows(n_cols):
     return max(16, 10 ** 6 // max(1, n_cols))
 
 
+def _row_blocks(run, n_rows, n_cols):
+    """run(rows) on each block of rows, at most _block_rows(n_cols) of them.
+
+    The blocks run on _POOL (numpy and BLAS release the GIL); a block that
+    writes only its own rows of a result makes it bit-identical for any
+    worker count.  An exception in a block propagates.  A block must never
+    call _row_blocks: a nested map on a full pool waits on workers that are
+    all waiting, and deadlocks.
+    """
+    step = _block_rows(n_cols)
+    list(_POOL.map(lambda start: run(slice(start, start + step)),
+                   range(0, n_rows, step)))
+
+
 def _row_min(block, n_rows, n_cols):
     """Row-wise min and argmin of an (n_rows, n_cols) matrix, block by block.
 
-    block(rows) returns the matrix rows of the slice rows, at most
-    _block_rows(n_cols) of them.  The blocks run on _POOL (numpy and BLAS
-    release the GIL) and each writes only its own rows of the result, so the
-    result is bit-identical for any worker count.  An exception in a block
-    propagates.  A block must never call _row_min: a nested map on a full
-    pool waits on workers that are all waiting, and deadlocks.
+    block(rows) returns the matrix rows of the slice rows (_row_blocks).
     """
     out = np.empty(n_rows)
     arg = np.empty(n_rows, dtype=np.intp)
-    step = _block_rows(n_cols)
 
-    def run(start):
-        rows = slice(start, start + step)
+    def run(rows):
         V = block(rows)
         j = np.argmin(V, axis=1)
         out[rows] = V[np.arange(len(V)), j]
         arg[rows] = j
 
-    list(_POOL.map(run, range(0, n_rows, step)))
+    _row_blocks(run, n_rows, n_cols)
     return out, arg
 
 
@@ -143,16 +154,22 @@ def _min_slack(C, R, P):
     """Smallest ball slack R - |p - C| per row p of P, and the ball attaining it.
 
     Negative slack means outside some ball; zero means on a sphere.
+    |p - c|^2 comes from one K = 6 product, [p, |p|^2, 1] . [-2 c, 1, |c|^2],
+    with p and c taken about the first center: any origin gives the same
+    distances, and one near the points keeps the squared norms, and their
+    rounding errors, small.
     """
-    c2 = np.einsum("ij,ij->i", C, C)
-    b2 = np.einsum("ij,ij->i", P, P)
+    o = C[0]
+    C = C - o
+    Ca = np.empty((len(C), 6))
+    np.multiply(C, -2.0, out=Ca[:, :4])
+    Ca[:, 4] = 1.0
+    Ca[:, 5] = np.einsum("ij,ij->i", C, C)
 
     def slack(rows):
-        # (|b|^2 + |c|^2) - 2 b.c, clamped at 0, then R - sqrt, in one buffer
-        V = P[rows] @ C.T
-        V *= 2.0
-        for v, b in zip(V, b2[rows]):
-            np.subtract(b + c2, v, out=v)
+        # |p - c|^2 clamped at 0, then R - sqrt, in one buffer
+        Q = P[rows] - o
+        V = np.column_stack([Q, np.einsum("ij,ij->i", Q, Q), np.ones(len(Q))]) @ Ca.T
         np.maximum(V, 0.0, out=V)
         np.sqrt(V, out=V)
         return np.subtract(R, V, out=V)
@@ -399,6 +416,39 @@ def _ray_cast_many(model, U):
     return _ray_hits(model.centers, model.radii, model.interior_point, U)
 
 
+def chord_lengths(model, U):
+    """Length t(u) + t(-u) of the model chord through the interior point
+    along each row u of U.
+
+    Bit for bit the sum of _ray_cast_many(model, U) and
+    _ray_cast_many(model, -U): (-u).D = -(u.D) exactly, so with B = u.D and
+    S = sqrt(B^2 + R^2 - |D|^2) the two roots are B + S and S - B, from one
+    product and one square root.  The products run on _ray_hits' blocks, so
+    they carry its bits; the roots of each half of a block's rows follow in
+    turn, in a second buffer of the block's size, so that a block holds two
+    buffers, as in _ray_hits.
+    """
+    D = model.centers - model.interior_point
+    r2md2 = model.radii ** 2 - np.einsum("ij,ij->i", D, D)
+    out = np.empty(len(U))
+
+    def chords(rows):
+        B = U[rows] @ D.T
+        half = (len(B) + 1) // 2
+        S, T = np.empty((2, half, len(D)))
+        for part in (slice(0, half), slice(half, None)):
+            b = B[part]
+            s, t = S[:len(b)], T[:len(b)]
+            np.multiply(b, b, out=s)
+            s += r2md2
+            np.sqrt(s, out=s)
+            t_plus = np.add(b, s, out=t).min(axis=1)
+            out[rows][part] = t_plus + np.subtract(s, b, out=s).min(axis=1)
+
+    _row_blocks(chords, len(U), len(D))
+    return out
+
+
 def ray_cast_boundary(model, U):
     """Population of the boundary hits from the interior point along U.
 
@@ -437,6 +487,9 @@ _RIM_TOL = 1e-12
 # rounds of edge flips a rim mesh may take, the last of which must find no
 # reflex edge
 _FLIP_ROUNDS = 32
+# the rim mesh planes that screen cap proposals before the full depth test:
+# every 33rd, 32 of the 1,056
+_CAP_SCREEN = slice(None, None, 33)
 
 
 def _complement(a):
@@ -543,27 +596,41 @@ def _cap_cone(skeleton, i):
     nodes, points on the rim, so they hold only cone directions: that is
     checked, every node within _RIM_TOL inside every plane (NonConvexCap).
     Returns the unit axis a, the smallest rim cosine u.a, the rim node
-    directions, and depth(U): per row, the least plane margin of u in
-    gnomonic coordinates, >= 0 inside (-inf where u.a <= 0).  Built from the
-    skeleton alone.
+    directions, and depth(U, planes): per row, the least margin of u in
+    gnomonic coordinates over the mesh planes that the slice planes picks,
+    all by default, >= 0 inside (-inf where u.a <= 0).  Built from the
+    skeleton alone, once per skeleton and cap (skeleton._cap_cones).
     """
+    if i in skeleton._cap_cones:
+        return skeleton._cap_cones[i]
     a, E, rim, Y, T = _cap_mesh(skeleton, i)
     N, off = _mesh_planes(Y, T)
     # margin (u.G)/(u.a) with G = off a - E N: the gnomonic margin off - Y.N
     G = off[:, None] * a - N @ E.T
 
-    def depth(U):
+    def depth(U, planes=slice(None)):
         # the gnomonic map sends u and -u to one point: rows with u.a <= 0
         # lie outside the cone
         ua = U @ a
-        least = _row_min(lambda rows: U[rows] @ G.T, len(U), len(G))[0]
+        H = G[planes]
+        least = _row_min(lambda rows: U[rows] @ H.T, len(U), len(H))[0]
         front = ua > 0.0
         least[front] /= ua[front]
         least[~front] = -np.inf
         return least
     if depth(rim).min() < -_RIM_TOL:
         raise NonConvexCap(f"cap {i}: a rim node lies outside the rim mesh")
-    return a, float(np.min(rim @ a)), rim, depth
+    cone = skeleton._cap_cones[i] = a, float(np.min(rim @ a)), rim, depth
+    return cone
+
+
+def _in_cap(depth, U):
+    """depth(U) >= 0 for a cap's depth (_cap_cone), screened: a direction
+    outside one of the _CAP_SCREEN planes lies outside the rim mesh, so only
+    the screen's survivors meet every plane."""
+    keep = depth(U, _CAP_SCREEN) >= 0.0
+    keep[keep] = depth(U[keep]) >= 0.0
+    return keep
 
 
 def _cap_directions(skeleton, i, count, rng):
@@ -588,7 +655,7 @@ def _cap_directions(skeleton, i, count, rng):
         V = rng.standard_normal((len(phi), 3))
         V /= np.linalg.norm(V, axis=1)[:, None]
         U = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * (V @ E.T)
-        out.append(U[depth(U) >= 0.0][:need])
+        out.append(U[_in_cap(depth, U)][:need])
         need -= len(out[-1])
     return np.concatenate(out)
 

@@ -38,11 +38,11 @@ import numpy as np
 from .body import (
     BoundaryPopulation,
     InteriorPointNotInterior,
-    _ray_cast_many,
     _ray_hits,
     binormal_partner,
     boundary_residual,
     build_ball_model,
+    chord_lengths,
     diameter_check,
     phi1,
     phi2,
@@ -110,6 +110,8 @@ MAX_RESOLUTION = 256
 # planes 1e-2 to 3e-7 inside the support needed at most 19 steps at grid
 # 16x24 (300 random normals) and 3 at 64x96 (100 normals)
 _START_STEPS = 200
+# rows of the sample CSV formatted and written at a time
+_CSV_ROWS = 8192
 
 # every check verify runs, in report order, with the tolerance_policy class
 # its default tolerance comes from; --tol accepts exactly these names
@@ -215,12 +217,14 @@ def _parse_a2(value):
 
 
 def _write(text, path):
-    """Write text to path, or to stdout when no path is given."""
+    """Write text, one string or an iterable of strings, to path, or to
+    stdout when no path is given."""
+    pieces = [text] if isinstance(text, str) else text
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _arc_count(ntheta):
@@ -483,9 +487,7 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
                          for line in skeleton.simplex.axes.values()])
         rays = unit_directions(np.random.default_rng(seed + 4), 2048)
         U = np.vstack([axes, rays])
-        t_plus, _ = _ray_cast_many(model, U)
-        t_minus, _ = _ray_cast_many(model, -U)
-        return max(0.0, float(np.max(t_plus + t_minus)) - w)
+        return max(0.0, float(np.max(chord_lengths(model, U))) - w)
 
     _run_check(report, tols, "boundary-slack-inner",
                "every boundary sample lies inside every ball",
@@ -584,13 +586,20 @@ def cmd_sample(args):
     model = _build_model(skeleton, grid)
     pop = sample_theta(model, skeleton, n, seed=seed)
     slack, _ = model.min_slack(pop.points)
-    lines = ["x,y,z,w,face,slack"]
-    for point, face, sl in zip(pop.points.tolist(), pop.labels.tolist(),
-                               slack.tolist()):
-        coords = ",".join(_fmt(v) for v in point)
-        lines.append(f"{coords},{face},{_fmt(sl)}")
-    text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+    # one format per row: the bytes of _fmt on each coordinate and the slack.
+    # The rows are formatted and written _CSV_ROWS at a time, so that the
+    # text never exists whole.
+    row = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
+    labels = pop.labels
+
+    def chunks():
+        yield "x,y,z,w,face,slack\n"
+        for k in range(0, len(pop), _CSV_ROWS):
+            rows = slice(k, k + _CSV_ROWS)
+            yield "".join(row % (*point, face, sl) for point, face, sl in zip(
+                pop.points[rows].tolist(), labels[rows].tolist(),
+                slack[rows].tolist()))
+    _write(chunks(), args.out)
     return 0
 
 

@@ -20,6 +20,8 @@ from peabody4d.body import (
     _random_patch_points,
     phi1,
     phi2,
+    ray_cast_boundary,
+    unit_directions,
 )
 from peabody4d.focal import (
     NotSameComponent,
@@ -233,3 +235,21 @@ def test_base_grids_equal_their_closed_forms(a_sq, grid):
     params, points = base_patch_grid_params(c, nx, ntheta)
     assert np.array_equal(params, np.column_stack([X, T])[keep])
     assert np.array_equal(points, pts[keep])
+
+
+# OpenBLAS's last bit of a product row depends on the call's row count, so a
+# one-point slack or ray hit agrees with its batch row to 1e-15, not bit for
+# bit
+def test_one_point_slack_agrees_with_its_batch_row(model, exact_pop):
+    P = exact_pop.points[::67]
+    batch, _ = model.min_slack(P)
+    one = np.array([model.min_slack(p)[0] for p in P])
+    assert len(P) == 299
+    assert np.max(np.abs(one - batch)) <= 1e-15
+
+
+def test_one_point_ray_hit_agrees_with_its_batch_row(model):
+    U = unit_directions(np.random.default_rng(46), 300)
+    batch = ray_cast_boundary(model, U)
+    for u, p in zip(U, batch.points):
+        assert np.max(np.abs(ray_cast_boundary(model, u).points[0] - p)) <= 1e-15

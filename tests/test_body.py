@@ -31,6 +31,7 @@ from peabody4d.body import (
     _cap_cone,
     _cap_directions,
     _cap_mesh,
+    _in_cap,
     _mesh_planes,
     _min_slack,
     _random_arc_points,
@@ -41,6 +42,7 @@ from peabody4d.body import (
     binormal_partner,
     boundary_residual,
     build_ball_model,
+    chord_lengths,
     diameter_check,
     phi1,
     phi2,
@@ -372,8 +374,12 @@ def test_slack_kernel_equals_the_one_shot_formula(model):
     P = model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4))
     s, arg = _min_slack(C, R, P)
 
-    d2 = (np.einsum("ij,ij->i", P, P)[:, None]
-          + np.einsum("ij,ij->i", C, C)[None, :] - 2.0 * (P @ C.T))
+    # |p - c|^2 as one K = 6 product [p, |p|^2, 1] . [-2 c, 1, |c|^2], both
+    # about the first center
+    p, c = P - C[0], C - C[0]
+    ones = np.ones((len(p), 1)), np.ones((len(c), 1))
+    d2 = (np.hstack([p, np.einsum("ij,ij->i", p, p)[:, None], ones[0]])
+          @ np.hstack([-2.0 * c, ones[1], np.einsum("ij,ij->i", c, c)[:, None]]).T)
     slack = R[None, :] - np.sqrt(np.maximum(d2, 0.0))
     j = np.argmin(slack, axis=1)
     assert np.array_equal(arg, j)
@@ -458,7 +464,9 @@ def kernel_outputs(model, skeleton, monkeypatch):
         depth(a[None, :])
     U = a + 0.3 * rng.standard_normal((ragged_count(facets[0]), 4))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    outputs.append(depth(U))
+    outputs += [depth(U), _in_cap(depth, U)]
+    U = sobol_directions(ragged_count(len(C)), seed=38)
+    outputs.append(chord_lengths(model, U))
     return outputs
 
 
@@ -468,9 +476,20 @@ def test_kernels_are_bit_identical_for_any_worker_count(model, skeleton,
     for workers in (1, 3):
         use_pool(workers)
         results.append(kernel_outputs(model, skeleton, monkeypatch))
-    assert len(results[1]) == 7
+    assert len(results[1]) == 9
     for one, three in zip(*results):
         assert np.array_equal(one, three)
+
+
+def test_chords_equal_two_ray_casts_bit_for_bit(model, use_pool):
+    U = unit_directions(np.random.default_rng(37), ragged_count(len(model.centers)))
+    for workers in (1, 3):
+        use_pool(workers)
+        both = _ray_cast_many(model, U)[0] + _ray_cast_many(model, -U)[0]
+        assert np.array_equal(chord_lengths(model, U), both)
+    # a one-row block, whose rows split into halves of 1 and 0
+    one = _ray_cast_many(model, U[:1])[0] + _ray_cast_many(model, -U[:1])[0]
+    assert np.array_equal(chord_lengths(model, U[:1]), one)
 
 
 def test_an_exception_in_one_block_propagates(use_pool):
@@ -748,6 +767,51 @@ def test_mesh_accepted_directions_lie_in_a_finer_rim_hull(scaled_skeleton):
         assert len(V) > 2000
         assert np.all(in_hull(gnomonic_hull(scaled_skeleton, i, fine),
                               scaled_skeleton, i, V))
+
+
+def test_the_plane_screen_keeps_exactly_the_full_depth_set(scaled_skeleton):
+    # 2^18 proposals per cap, uniform in the angle to the axis up to the rim
+    # cosine: the screened test accepts the same rows as every plane does
+    rng = np.random.default_rng(44)
+    for i in range(1, 6):
+        a, floor, _, depth = _cap_cone(scaled_skeleton, i)
+        phi = np.arccos(floor) * rng.random(1 << 18)
+        V = rng.standard_normal((1 << 18, 3)) @ body._complement(a).T
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        U = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * V
+        full = depth(U) >= 0.0
+        assert 0.1 < full.mean() < 0.9
+        # the screen alone rejects most of what the mesh rejects
+        assert (depth(U, body._CAP_SCREEN) < 0.0).sum() > 0.5 * (~full).sum()
+        assert np.array_equal(_in_cap(depth, U), full)
+
+
+def test_the_plane_screen_leaves_the_cap_draws_unchanged(skeleton, monkeypatch):
+    screened = [_cap_directions(skeleton, i, 3000, np.random.default_rng(45))
+                for i in range(1, 6)]
+    # a screen of every plane is the full depth test, twice
+    monkeypatch.setattr(body, "_CAP_SCREEN", slice(None))
+    for i, U in enumerate(screened, start=1):
+        assert np.array_equal(
+            _cap_directions(skeleton, i, 3000, np.random.default_rng(45)), U)
+
+
+def test_each_cap_mesh_is_built_once_per_skeleton(constants, simplex, group,
+                                                  monkeypatch):
+    fresh = build_focal_skeleton(constants, simplex, group)
+    model = build_ball_model(fresh, patch_grid=(16, 24), arc_n=64)
+    built = []
+
+    def counting_mesh(skeleton, i):
+        built.append(i)
+        return _cap_mesh(skeleton, i)
+    monkeypatch.setattr(body, "_cap_mesh", counting_mesh)
+    first = sample_exact_boundary(model, fresh, 2000, seed=1)
+    again = sample_exact_boundary(model, fresh, 2000, seed=1)
+    sample_theta(model, fresh, 2000, seed=2)
+    assert sorted(built) == [1, 2, 3, 4, 5]
+    assert np.array_equal(first.points, again.points)
+    assert _cap_cone(fresh, 3) is _cap_cone(fresh, 3)
 
 
 def test_a_rim_mesh_short_of_flips_raises(skeleton, monkeypatch):

@@ -311,6 +311,16 @@ def test_sample_writes_exactly_the_requested_rows(capsys):
         assert len(out.strip().splitlines()) == n + 1, n
 
 
+def test_sample_rows_are_fmt_fields_in_any_chunking(capsys, monkeypatch):
+    # every number is written as _fmt writes it, whatever rows a chunk holds
+    _, out, _ = run(capsys, "sample", "--samples", "1000", "--seed", "4", *GRID)
+    for line in out.splitlines()[1:]:
+        numbers = line.split(",")[:4] + line.split(",")[5:]
+        assert [cli._fmt(float(v)) for v in numbers] == numbers
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    assert run(capsys, "sample", "--samples", "1000", "--seed", "4", *GRID)[1] == out
+
+
 def test_sample_is_deterministic(tmp_path, capsys):
     paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
     for p in paths:
