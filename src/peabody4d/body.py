@@ -351,22 +351,18 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
 class BoundaryPopulation:
     """Boundary samples as parallel arrays, one row per sample.
 
-    points     (N, 4) boundary points
-    face       (N,) piece codes: index into PIECE_LABELS
-    active     (N,) index of the model ball that is tight at each point
-    xy         (N, 2) model center indices of the dual pair (x, y) that
-               generated a phi sample; -1 for the other samples
-    direction  (N, 4) unit direction of a cap sample (from its vertex) or a
-               ray sample (from the interior point); NaN for the others
+    points  (N, 4) boundary points
+    face    (N,) piece codes: index into PIECE_LABELS
+    active  (N,) index of the model ball that is tight at each point
 
-    Slices, boolean masks and index arrays select rows; concat joins.
+    A cap sample's direction is (p - c)/w with c its active vertex center
+    and w the width; a ray sample's is (p - g)/|p - g| with g the interior
+    point.  Slices, boolean masks and index arrays select rows; concat joins.
     """
 
     points: np.ndarray
     face: np.ndarray
     active: np.ndarray
-    xy: np.ndarray
-    direction: np.ndarray
 
     def __post_init__(self):
         if np.any((self.face < 0) | (self.face >= len(PIECE_LABELS))):
@@ -390,17 +386,11 @@ class BoundaryPopulation:
                      for f in fields(cls)))
 
 
-def _population(model, points, active, xy=None, direction=None):
+def _population(model, points, active):
     # rows of a population, each on the piece of its active ball; a scalar
     # active value applies to every row
-    n = len(points)
-    active = np.full(n, active, dtype=np.intp)
-    return BoundaryPopulation(
-        points=points,
-        face=model.sample_face[active],
-        active=active,
-        xy=np.full((n, 2), -1 if xy is None else xy, dtype=np.intp),
-        direction=np.full((n, 4), np.nan if direction is None else direction))
+    active = np.full(len(points), active, dtype=np.intp)
+    return BoundaryPopulation(points, model.sample_face[active], active)
 
 
 def unit_directions(rng, n):
@@ -458,8 +448,7 @@ def ray_cast_boundary(model, U):
     if U.shape[1:] != (4,) or np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-8):
         raise ValueError("directions must be unit 4-vectors")
     ts, args = _ray_cast_many(model, U)
-    return _population(model, model.interior_point + ts[:, None] * U, args,
-                       direction=U)
+    return _population(model, model.interior_point + ts[:, None] * U, args)
 
 
 def binormal_partner(model, pop):
@@ -492,8 +481,9 @@ _FLIP_ROUNDS = 32
 _CAP_SCREEN = slice(None, None, 33)
 
 
-def _complement(a):
-    """(4, 3) orthonormal basis of the complement of the unit vector a."""
+def complement_basis(a):
+    """(4, 3) orthonormal basis of the complement of the unit vector a: the
+    last three rows of V in the SVD of the 1 x 4 matrix a, as columns."""
     return np.linalg.svd(a[None, :])[2][1:].T
 
 
@@ -564,7 +554,7 @@ def _cap_mesh(skeleton, i):
     p = skeleton.simplex.vertices[i - 1]
     a = skeleton.simplex.centroid - p
     a /= np.linalg.norm(a)
-    E = _complement(a)
+    E = complement_basis(a)
     base, tri, last = base_patch_mesh(skeleton.constants, *_CAP_RIM_GRID)
     faces = [f for f in skeleton.triangle_faces() if i not in f.label]
     rim = np.concatenate([f.generator.apply(base) - p for f in faces])
@@ -643,7 +633,7 @@ def _cap_directions(skeleton, i, count, rng):
     cone: every cap point is exact, whatever the model.
     """
     a, floor, _, depth = _cap_cone(skeleton, i)
-    E = _complement(a)
+    E = complement_basis(a)
     top = math.acos(floor)
     out, need = [], count
     while need > 0:
@@ -698,15 +688,14 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         else:
             P = _envelope(Y, X, w - model.radii[yi])   # elliptic radius at y
             active = xi
-        parts.append(_population(model, P, active,
-                                 xy=np.column_stack([xi, yi])))
+        parts.append(_population(model, P, active))
 
     for i in range(1, 6):
         cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
         if cnt == 0:
             continue
         U = _cap_directions(skeleton, i, cnt, rng)
-        parts.append(_population(model, V[i - 1] + w * U, i - 1, direction=U))
+        parts.append(_population(model, V[i - 1] + w * U, i - 1))
 
     # vertex p_i on the tight ball of p_j; any j != i works.  Below five
     # samples only the first n vertices fit.

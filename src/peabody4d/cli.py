@@ -43,6 +43,7 @@ from .body import (
     boundary_residual,
     build_ball_model,
     chord_lengths,
+    complement_basis,
     diameter_check,
     phi1,
     phi2,
@@ -634,14 +635,6 @@ def _parse_hyperplane(text):
     return np.array(values[:4]), values[4]
 
 
-def plane_basis(normal):
-    """Deterministic orthonormal (3, 4) basis of the hyperplane through 0."""
-    n_hat = normal / np.linalg.norm(normal)
-    # rows of V orthogonal to n_hat, from the SVD of the 1 x 4 matrix
-    _, _, vt = np.linalg.svd(n_hat[None, :])
-    return vt[1:]
-
-
 def _slice_start(C3, R3, q):
     """A point of 3-D slack above 1e-9 in every ball (C3, R3), walked from q.
 
@@ -668,7 +661,7 @@ def slice_surface(model, spec):
     if np.any(np.abs(d) >= model.radii):
         raise EmptySlice("a bounding ball misses the hyperplane entirely")
 
-    B = plane_basis(spec.normal)
+    B = complement_basis(n_hat).T
     origin = off * n_hat
     C3 = (model.centers - origin - np.outer(d, n_hat)) @ B.T
     R3 = np.sqrt(model.radii ** 2 - d ** 2)
@@ -718,9 +711,11 @@ def _uv_sphere(res):
 
 
 def _mesh_text(verts, faces, fmt):
+    # one format per vertex row: the bytes of _fmt on each coordinate
+    row = "%.17g,%.17g,%.17g" if fmt == "csv" else "%.17g %.17g %.17g"
+    rows = [row % tuple(vert) for vert in verts.tolist()]
     if fmt == "csv":
-        lines = ["x,y,z"] + [",".join(_fmt(v) for v in vert) for vert in verts]
-        return "\n".join(lines) + "\n"
+        return "\n".join(["x,y,z"] + rows) + "\n"
     if fmt == "off":
         lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
     else:
@@ -732,7 +727,7 @@ def _mesh_text(verts, faces, fmt):
             "property list uchar int vertex_indices",
             "end_header",
         ]
-    lines += [" ".join(_fmt(v) for v in vert) for vert in verts]
+    lines += rows
     lines += ["3 %d %d %d" % face for face in faces]
     return "\n".join(lines) + "\n"
 

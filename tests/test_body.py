@@ -56,6 +56,7 @@ from peabody4d.body import (
 )
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
+    base_arc_points,
     base_patch_grid,
     base_patch_mesh,
     build_focal_skeleton,
@@ -85,6 +86,23 @@ def sobol_directions(count, seed):
 def phi_samples(pop):
     """Wedge samples only: the cap and vertex samples carry 4-digit labels."""
     return pop[np.char.str_len(pop.labels) < 4]
+
+
+def at_vertex(pop, simplex):
+    """Rows that lie at a simplex vertex: the vertex samples."""
+    V = simplex.vertices
+    return np.linalg.norm(pop.points[:, None] - V[None], axis=2).min(axis=1) <= 1e-12
+
+
+def cap_samples(pop, simplex):
+    """Cap samples only: the 4-digit rows that are not at a vertex."""
+    return pop[(np.char.str_len(pop.labels) == 4) & ~at_vertex(pop, simplex)]
+
+
+def cap_directions(model, caps):
+    """(p - p_active)/w of each cap sample: the unit direction that pushed
+    its vertex, the center of its active ball, out to the cap."""
+    return (caps.points - model.centers[caps.active]) / model.width
 
 
 # ----------------------------------------------------------------------------
@@ -319,7 +337,8 @@ def test_ray_cast_toward_a_vertex_sits_on_its_active_sphere(model, simplex):
     (j,) = s.active
     d = np.linalg.norm(s.points[0] - model.centers[j])
     assert abs(d - model.radii[j]) <= 1e-9
-    assert np.array_equal(s.direction[0], u)
+    # the sample lies along u from the interior point
+    assert np.max(np.abs(unit(s.points[0] - model.interior_point) - u)) <= 1e-15
     (t,), _ = _ray_cast_many(model, u[None, :])
     assert abs(np.linalg.norm(s.points[0] - model.interior_point) - t) <= 1e-12
 
@@ -368,18 +387,52 @@ def kernel_inputs(model):
             (model.centers[:, :3], model.radii, g[:3])]
 
 
-def test_slack_kernel_equals_the_one_shot_formula(model):
+def last_ball_normals(model, skeleton, n=1025):
+    """Unit vectors v at which the last ball alone is tight, at C[-1] + R[-1] v.
+
+    The last ball is centered at a node x of the last patch.  Each point y of
+    the dual arc gives the exact boundary point x + R[-1] (y - x)/|y - x| (a
+    phi2 image), on that ball's sphere and, since every model ball holds the
+    exact body, inside every other ball.  The arc is taken at the n - 2
+    inner points of base_arc_points, off the model's arc grid.
+    """
+    x = model.centers[-1]
+    patch = next(label for label, rows in model.face_slices.items()
+                 if rows.stop == len(model.centers))
+    arc = skeleton.face(dual_label(patch))
+    v = arc.generator.apply(base_arc_points(skeleton.constants, n)[1:-1]) - x
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def blockwise(block, n_rows, n_cols):
+    """block(rows) over the kernels' row partition (_block_rows), stacked.
+
+    BLAS may give the last column of an odd-width product other last bits at
+    another row count, so a reference that should match a kernel bit for bit
+    takes its products on the kernel's own blocks.
+    """
+    step = _block_rows(n_cols)
+    return np.concatenate([block(slice(lo, lo + step))
+                           for lo in range(0, n_rows, step)])
+
+
+def test_slack_kernel_equals_the_one_shot_formula(model, skeleton):
     C, R = model.centers, model.radii
     rng = np.random.default_rng(31)
-    P = model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4))
+    # random rows, then rows 1e-4 outside the last ball where it alone is
+    # tight, so that the last column holds row minima
+    P = np.concatenate([
+        model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4)),
+        C[-1] + (R[-1] + 1e-4) * last_ball_normals(model, skeleton)])
     s, arg = _min_slack(C, R, P)
+    assert np.all(arg[ragged_count(len(C)):] == len(C) - 1)
 
     # |p - c|^2 as one K = 6 product [p, |p|^2, 1] . [-2 c, 1, |c|^2], both
     # about the first center
     p, c = P - C[0], C - C[0]
-    ones = np.ones((len(p), 1)), np.ones((len(c), 1))
-    d2 = (np.hstack([p, np.einsum("ij,ij->i", p, p)[:, None], ones[0]])
-          @ np.hstack([-2.0 * c, ones[1], np.einsum("ij,ij->i", c, c)[:, None]]).T)
+    A = np.hstack([p, np.einsum("ij,ij->i", p, p)[:, None], np.ones((len(p), 1))])
+    Ca = np.hstack([-2.0 * c, np.ones((len(c), 1)), np.einsum("ij,ij->i", c, c)[:, None]])
+    d2 = blockwise(lambda rows: A[rows] @ Ca.T, len(P), len(C))
     slack = R[None, :] - np.sqrt(np.maximum(d2, 0.0))
     j = np.argmin(slack, axis=1)
     assert np.array_equal(arg, j)
@@ -400,15 +453,27 @@ def test_slack_kernel_agrees_with_brute_force_distances(model):
         assert np.max(at_arg - best) <= 1e-12
 
 
-def test_ray_kernel_equals_the_one_shot_formula(model):
+def test_ray_kernel_equals_the_one_shot_formula(model, skeleton):
+    # in 4-D, rows toward the points where the last ball alone is tight end
+    # on it, so that the last column holds row minima; the 3-D projection of
+    # the last ball lies off the boundary of the projected balls
+    aim = model.centers[-1] + model.radii[-1] * last_ball_normals(model, skeleton)
     for C, R, origin in kernel_inputs(model):
         U = sobol_directions(ragged_count(len(C)), seed=33)[:, :C.shape[1]]
+        if C.shape[1] == 4:
+            U = np.concatenate([U, aim - origin])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t, arg = _ray_hits(C, R, origin, U)
+        if C.shape[1] == 4:
+            assert np.all(arg[ragged_count(len(C)):] == len(C) - 1)
 
         D = C - origin
-        B = U @ D.T
-        roots = B + np.sqrt(B * B + (R ** 2 - np.einsum("ij,ij->i", D, D))[None, :])
+        r2md2 = R ** 2 - np.einsum("ij,ij->i", D, D)
+
+        def block(rows):
+            B = U[rows] @ D.T
+            return B + np.sqrt(B * B + r2md2[None, :])
+        roots = blockwise(block, len(U), len(C))
         j = np.argmin(roots, axis=1)
         assert np.array_equal(arg, j)
         assert np.array_equal(t, roots[np.arange(len(U)), j])
@@ -549,22 +614,37 @@ def test_population_rejects_invalid_face_codes(exact_pop):
 
 def test_population_parameters_regenerate_the_points(model, simplex,
                                                      exact_pop):
+    # a cap sample is its vertex, the center of its active ball, pushed out
+    # by the width along a unit direction (p - p_active)/w
     w = model.width
-    phi = exact_pop[exact_pop.xy[:, 0] >= 0]
-    assert len(phi) == len(phi_samples(exact_pop))
-    X, Y = model.centers[phi.xy[:, 0]], model.centers[phi.xy[:, 1]]
-    D = X - Y
-    tri = np.char.str_len(phi.labels) == 3     # phi1: x pushed away from y
-    P = np.where(tri[:, None], X, Y)
-    r = w - model.radii[np.where(tri, phi.xy[:, 0], phi.xy[:, 1])]
-    sign = np.where(tri, 1.0, -1.0)
-    P = P + (sign * r / np.linalg.norm(D, axis=1))[:, None] * D
-    assert np.max(np.abs(P - phi.points)) <= 1e-12
-
-    # a cap sample is its vertex pushed out by the width along its direction
-    caps = exact_pop[~np.isnan(exact_pop.direction[:, 0])]
+    caps = cap_samples(exact_pop, simplex)
+    assert np.all(caps.active < 5)
+    U = cap_directions(model, caps)
+    assert np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) <= 1e-15
     base = simplex.vertices[caps.active]
-    assert np.array_equal(base + w * caps.direction, caps.points)
+    assert np.max(np.abs(base + w * U - caps.points)) <= 1e-16
+
+    # the five vertex samples sit at the vertices, each on the sphere of
+    # another vertex's ball
+    verts = exact_pop[at_vertex(exact_pop, simplex)]
+    assert len(verts) == 5
+    nearest = np.linalg.norm(verts.points[:, None] - simplex.vertices[None],
+                             axis=2).argmin(axis=1)
+    assert sorted(nearest) == list(range(5))
+    assert np.all(verts.active < 5) and np.all(verts.active != nearest)
+    d = np.linalg.norm(verts.points - model.centers[verts.active], axis=1)
+    assert np.max(np.abs(d - w)) <= 1e-12
+
+
+def test_a_population_row_is_its_point_piece_and_active_ball(model, skeleton):
+    assert ([f.name for f in dataclasses.fields(BoundaryPopulation)]
+            == ["points", "face", "active"])
+    pops = [sample_exact_boundary(model, skeleton, 1000, seed=0),
+            ray_cast_boundary(model, unit_directions(np.random.default_rng(0), 100))]
+    for pop in pops:
+        nbytes = sum(getattr(pop, f.name).nbytes
+                     for f in dataclasses.fields(BoundaryPopulation))
+        assert nbytes == 41 * len(pop)     # 4 float64, an int8, an intp
 
 
 def test_exact_population_lies_on_the_model_boundary(model, exact_pop):
@@ -602,21 +682,27 @@ def test_ray_rows_of_the_mixed_population_have_their_own_stream(model,
     n_ray = 300                                  # the last 15 % of the rows
     pop = sample_theta(model, skeleton, n, seed=seed)
     rays = pop[n - n_ray:]
-    assert np.max(np.abs(np.linalg.norm(rays.direction, axis=1) - 1.0)) <= 1e-15
-    assert np.array_equal(
-        rays.points, ray_cast_boundary(model, rays.direction).points)
+    # each ray row lies along its direction from the interior point (the
+    # subtraction p - g costs a few ulps), and casting the replayed
+    # directions gives the rows bit for bit
+    own = unit_directions(np.random.default_rng([seed, 1]), n_ray)
+    U = rays.points - model.interior_point
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    assert np.max(np.abs(U - own)) <= 4e-15
+    cast = ray_cast_boundary(model, own)
+    for f in dataclasses.fields(BoundaryPopulation):
+        assert np.array_equal(getattr(cast, f.name), getattr(rays, f.name))
 
     again = sample_theta(model, skeleton, n, seed=seed)
     for f in dataclasses.fields(BoundaryPopulation):
-        assert np.array_equal(getattr(again, f.name), getattr(pop, f.name),
-                              equal_nan=True)
+        assert np.array_equal(getattr(again, f.name), getattr(pop, f.name))
 
     # the exact rows are the exact sampler's own, and the rays do not replay
     # its stream
     exact = sample_exact_boundary(model, skeleton, n - n_ray, seed=seed)
     assert np.array_equal(pop[:n - n_ray].points, exact.points)
     replay = unit_directions(np.random.default_rng(seed), n_ray)
-    gap = np.linalg.norm(rays.direction[:, None] - replay[None], axis=2)
+    gap = np.linalg.norm(U[:, None] - replay[None], axis=2)
     assert gap.min() > 1e-6
 
 
@@ -686,16 +772,16 @@ def test_the_hull_holds_a_quarter_of_the_cone(scaled_skeleton):
         assert np.mean(in_cap_hull(scaled_skeleton, i, U)) >= 0.25
 
 
-def test_each_cap_sample_lies_on_its_own_cap(skeleton, exact_pop):
-    # a cap sample is its vertex pushed out along its direction (checked
+def test_each_cap_sample_lies_on_its_own_cap(model, skeleton, exact_pop):
+    # a cap sample is its vertex pushed out along a unit direction (checked
     # with the population parameters): the direction lies in that vertex's
     # cap, and the sample carries the cap's piece
-    caps = exact_pop[~np.isnan(exact_pop.direction[:, 0])]
+    caps = cap_samples(exact_pop, skeleton.simplex)
     for i in range(1, 6):
         cap = caps[caps.active == i - 1]
         assert len(cap) > 200
         assert np.all(cap.face == piece_code(dual_label((i,))))
-        assert np.all(in_cap_hull(skeleton, i, cap.direction))
+        assert np.all(in_cap_hull(skeleton, i, cap_directions(model, cap)))
 
 
 def gnomonic_hull(skeleton, i, base):
@@ -776,7 +862,7 @@ def test_the_plane_screen_keeps_exactly_the_full_depth_set(scaled_skeleton):
     for i in range(1, 6):
         a, floor, _, depth = _cap_cone(scaled_skeleton, i)
         phi = np.arccos(floor) * rng.random(1 << 18)
-        V = rng.standard_normal((1 << 18, 3)) @ body._complement(a).T
+        V = rng.standard_normal((1 << 18, 3)) @ body.complement_basis(a).T
         V /= np.linalg.norm(V, axis=1)[:, None]
         U = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * V
         full = depth(U) >= 0.0
@@ -844,9 +930,7 @@ def test_cap_directions_follow_the_proposal_law_inside_the_mesh(skeleton):
 # ----------------------------------------------------------------------------
 
 def test_cap_samples_pair_with_the_opposite_vertex(model, simplex, exact_pop):
-    four = np.char.str_len(exact_pop.labels) == 4
-    has_direction = ~np.isnan(exact_pop.direction[:, 0])
-    caps = exact_pop[four & has_direction]
+    caps = cap_samples(exact_pop, simplex)
     assert len(caps) > 1000
     caps = caps[:300]
     partners = binormal_partner(model, caps)
@@ -854,8 +938,9 @@ def test_cap_samples_pair_with_the_opposite_vertex(model, simplex, exact_pop):
         (i,) = set(range(1, 6)) - {int(ch) for ch in face}
         assert np.allclose(partner, simplex.vertices[i - 1], atol=1e-12, rtol=0)
         assert abs(np.linalg.norm(p - partner) - model.width) <= 1e-12
-    verts = exact_pop[four & ~has_direction & (exact_pop.xy[:, 0] < 0)]
+    verts = exact_pop[at_vertex(exact_pop, simplex)]
     assert len(verts) == 5
+    assert np.all(np.char.str_len(verts.labels) == 4)
     assert np.allclose(binormal_partner(model, verts),
                        model.centers[verts.active], atol=1e-12, rtol=0)
 
@@ -866,9 +951,7 @@ def classify_on_model(model, q):
     assert len(tight) == 1
     j = int(tight[0])
     return BoundaryPopulation(
-        points=q[None, :], face=model.sample_face[[j]],
-        active=np.array([j]), xy=np.full((1, 2), -1),
-        direction=np.full((1, 4), np.nan))
+        points=q[None, :], face=model.sample_face[[j]], active=np.array([j]))
 
 
 def test_wedge_partners_are_dual_and_involutive(model, exact_pop):

@@ -13,8 +13,8 @@ import pytest
 
 from frozen_values import FROZEN
 from peabody4d import cli
-from peabody4d.body import build_ball_model
-from peabody4d.cli import CHECK_NAMES, main, plane_basis
+from peabody4d.body import build_ball_model, complement_basis
+from peabody4d.cli import CHECK_NAMES, main
 from peabody4d.focal import (
     focal_const_residual,
     focal_sum_residual,
@@ -365,7 +365,7 @@ def test_slice_through_centroid_is_a_closed_surface_inside_the_body(
     verts, faces = _parse_off(out_path.read_text())
     _assert_closed(verts, faces)
     normal = np.array([0.0, 0.0, 0.0, 1.0])
-    v4 = 0.0 * normal + verts @ plane_basis(normal)
+    v4 = 0.0 * normal + verts @ complement_basis(normal).T
     dist = np.linalg.norm(v4[:, None, :] - model.centers[None, :, :], axis=2)
     slack = model.radii[None, :] - dist
     assert slack.min() >= -1e-9
@@ -409,7 +409,7 @@ def test_slice_whose_projected_centroid_lies_outside_searches_for_a_start(
     assert code == 0
     verts, faces = _parse_off(out_path.read_text())
     _assert_closed(verts, faces)
-    v4 = 0.13 * normal + verts @ plane_basis(normal)
+    v4 = 0.13 * normal + verts @ complement_basis(normal).T
     slack, _ = model.min_slack(v4)
     assert slack.min() >= -1e-9
 
@@ -498,6 +498,12 @@ def test_slice_ply_and_csv_formats(tmp_path, capsys):
     text = ply.read_text()
     assert text.startswith("ply\nformat ascii 1.0\n")
     assert "element vertex" in text and "element face" in text
+    # every coordinate is written as _fmt writes it
+    header, rows = text.split("end_header\n")
+    n_verts = int(header.split("element vertex ")[1].split()[0])
+    for line in rows.splitlines()[:n_verts]:
+        numbers = line.split(" ")
+        assert [cli._fmt(float(v)) for v in numbers] == numbers
 
     csv = tmp_path / "s.csv"
     code, _, _ = run(capsys, "slice", "--hyperplane", "0,0,0,1,0",
@@ -507,6 +513,9 @@ def test_slice_ply_and_csv_formats(tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "x,y,z"
     assert all(len(line.split(",")) == 3 for line in lines[1:])
+    for line in lines[1:]:
+        numbers = line.split(",")
+        assert [cli._fmt(float(v)) for v in numbers] == numbers
 
 
 # ---------------------------------------------------------------------------
