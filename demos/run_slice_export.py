@@ -17,7 +17,8 @@ import tempfile
 import numpy as np
 
 from peabody4d import build_ball_model, compute_model_constants
-from peabody4d.cli import EmptySlice, SliceSpec, _mesh_text, slice_surface
+from peabody4d.body import EmptySlice, slice_surface
+from peabody4d.cli import _mesh_text
 from peabody4d.skeleton import build_focal_skeleton, build_simplex, build_symmetry_group
 
 c = compute_model_constants()
@@ -34,10 +35,9 @@ for name, normal, offset in (
         ("slice_w0.off", [0, 0, 0, 1], 0.0),
         ("slice_z0.off", [0, 0, 1, 0], 0.0),
         ("slice_x.off", [1, 0, 0, 0], 1.1)):
-    spec = SliceSpec(normal=np.array(normal, dtype=float), offset=offset,
-                     resolution=32, fmt="off")
     try:
-        verts, faces, _ = slice_surface(model, spec)
+        verts, faces = slice_surface(model, np.array(normal, dtype=float),
+                                     offset, 32)
     except EmptySlice as e:
         print(name, "-> empty:", e)
         continue
@@ -50,6 +50,6 @@ for name, normal, offset in (
 
 # pushing the plane past the support gives an empty slice, not a crash
 try:
-    slice_surface(model, SliceSpec(np.array([0.0, 0, 0, 1]), 0.4, 16, "off"))
+    slice_surface(model, np.array([0.0, 0, 0, 1]), 0.4, 16)
 except EmptySlice:
     print("offset 0.4 along w -> empty slice, as it should be")

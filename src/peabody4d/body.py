@@ -20,16 +20,17 @@ other: ray casts probe the ball model, phi samples must land on its
 boundary, and boundary samples are classified by which ball is tight.
 A population of samples is one BoundaryPopulation of parallel arrays.  Ball
 slack, ray hits and the envelope step each have one array kernel
-(_min_slack, _ray_hits, _envelope).  Slack takes |p - c|^2 from one K = 6
-product about the first center; a chord through the interior point
-(chord_lengths) takes both of its ray hits from one product and one square
-root.  These kernels and the depth test of the cap certificate (the planes
-of a convex triangle mesh of each cap's rim, _cap_cone, built once per
-skeleton; a fixed 32 of its planes screen the proposals first) share one
-block engine (_row_blocks, _row_min): blocks of rows, each holding at most
-two float64 buffers near 8 MB, spread over the CPUs this process may use,
-with results bit-identical for any worker count.  The package needs numpy
-alone.
+(_min_slack, _ray_hits, _envelope), in any dimension; a hyperplane slice
+(slice_surface) runs the first two on the 3-balls in which the plane cuts
+the model's balls.  Slack takes |p - c|^2 from one K = d + 2 product about
+the first center; a chord through the interior point (chord_lengths) takes
+both of its ray hits from one product and one square root.  These kernels
+and the depth test of the cap certificate (the planes of a convex triangle
+mesh of each cap's rim, _cap_cone, built once per skeleton; a fixed 32 of
+its planes screen the proposals first) share one block engine (_row_blocks,
+_row_min): blocks of rows, each holding at most two float64 buffers near
+8 MB, spread over the CPUs this process may use, with results
+bit-identical for any worker count.  The package needs numpy alone.
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
@@ -85,6 +86,10 @@ class TooFewSamples(Exception):
 
 class NonConvexCap(Exception):
     """A cap's rim mesh did not flip to a closed convex surface."""
+
+
+class EmptySlice(Exception):
+    """The requested hyperplane does not meet the body."""
 
 
 # the 25 piece labels (10 edge wedges, 10 triangle wedges, 5 caps); a
@@ -153,18 +158,19 @@ def _row_min(block, n_rows, n_cols):
 def _min_slack(C, R, P):
     """Smallest ball slack R - |p - C| per row p of P, and the ball attaining it.
 
-    Negative slack means outside some ball; zero means on a sphere.
-    |p - c|^2 comes from one K = 6 product, [p, |p|^2, 1] . [-2 c, 1, |c|^2],
-    with p and c taken about the first center: any origin gives the same
-    distances, and one near the points keeps the squared norms, and their
-    rounding errors, small.
+    Works in any dimension d.  Negative slack means outside some ball; zero
+    means on a sphere.  |p - c|^2 comes from one K = d + 2 product,
+    [p, |p|^2, 1] . [-2 c, 1, |c|^2], with p and c taken about the first
+    center: any origin gives the same distances, and one near the points
+    keeps the squared norms, and their rounding errors, small.
     """
     o = C[0]
     C = C - o
-    Ca = np.empty((len(C), 6))
-    np.multiply(C, -2.0, out=Ca[:, :4])
-    Ca[:, 4] = 1.0
-    Ca[:, 5] = np.einsum("ij,ij->i", C, C)
+    d = C.shape[1]
+    Ca = np.empty((len(C), d + 2))
+    np.multiply(C, -2.0, out=Ca[:, :d])
+    Ca[:, d] = 1.0
+    Ca[:, d + 1] = np.einsum("ij,ij->i", C, C)
 
     def slack(rows):
         # |p - c|^2 clamped at 0, then R - sqrt, in one buffer
@@ -284,14 +290,15 @@ class BallModel:
             return float(out[0]), int(arg[0])
         return out, arg
 
-    def contains(self, p, tol=1e-9):
+    def contains(self, p):
+        """Whether p lies in every ball, within 1e-9."""
         s, _ = self.min_slack(as_vec4(p))
-        return s >= -tol
+        return s >= -1e-9
 
-    def tight_centers(self, p, tol=1e-9):
-        """Indices of all balls whose sphere passes through p (within tol)."""
+    def tight_centers(self, p):
+        """Indices of all balls whose sphere passes through p (within 1e-9)."""
         d = np.linalg.norm(self.centers - as_vec4(p), axis=1)
-        return np.flatnonzero(np.abs(self.radii - d) <= tol)
+        return np.flatnonzero(np.abs(self.radii - d) <= 1e-9)
 
 
 def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
@@ -449,6 +456,92 @@ def ray_cast_boundary(model, U):
         raise ValueError("directions must be unit 4-vectors")
     ts, args = _ray_cast_many(model, U)
     return _population(model, model.interior_point + ts[:, None] * U, args)
+
+
+# steps of the slice's start walk before the hyperplane counts as missing;
+# planes 1e-2 to 3e-7 inside the support needed at most 19 steps at grid
+# 16x24 (300 random normals) and 3 at 64x96 (100 normals)
+_START_STEPS = 200
+
+
+def _slice_start(C3, R3, q):
+    """A point of 3-D slack above 1e-9 in every ball (C3, R3), walked from q.
+
+    The slack q -> min_j (R_j - |q - C_j|) is concave.  Each step projects q
+    onto its most violated ball (_min_slack), shrunk by 1e-8; after
+    _START_STEPS steps the balls count as disjoint (EmptySlice).
+    """
+    for _ in range(_START_STEPS):
+        (s,), (j,) = _min_slack(C3, R3, q[None])
+        if s > 1e-9:
+            return q
+        D = q - C3[j]
+        q = C3[j] + ((R3[j] - 1e-8) / np.sqrt(np.einsum("i,i->", D, D))) * D
+    raise EmptySlice("hyperplane misses the body")
+
+
+def _uv_sphere(res):
+    """Closed latitude-longitude triangulation of the unit 2-sphere."""
+    m = 2 * res
+    phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    dirs = [np.array([0.0, 0.0, 1.0])]
+    index = {}
+    for i in range(1, res - 1):
+        theta = math.pi * i / (res - 1)
+        st, ct = math.sin(theta), math.cos(theta)
+        for j, phi in enumerate(phis):
+            index[i, j] = len(dirs)
+            dirs.append(np.array([st * math.cos(phi), st * math.sin(phi), ct]))
+    south = len(dirs)
+    dirs.append(np.array([0.0, 0.0, -1.0]))
+
+    faces = []
+    for j in range(m):
+        faces.append((0, index[1, j], index[1, (j + 1) % m]))
+    for i in range(1, res - 2):
+        for j in range(m):
+            a, b = index[i, j], index[i, (j + 1) % m]
+            c, e = index[i + 1, j], index[i + 1, (j + 1) % m]
+            faces.append((a, c, e))
+            faces.append((a, e, b))
+    for j in range(m):
+        faces.append((south, index[res - 2, (j + 1) % m], index[res - 2, j]))
+    return np.array(dirs), faces
+
+
+def slice_surface(model, normal, offset, resolution):
+    """Vertices (M, 3) and triangles of the section by normal . p = offset.
+
+    A vertex v stands for the 4-D point (offset/|normal|) n + v B, with n the
+    unit normal and B = complement_basis(n).T.  Each ball meets the plane in
+    a 3-ball (C3, R3), and the rays of a _uv_sphere of the given resolution
+    are cast in-plane (_ray_hits) from a start inside all of them.
+    """
+    scale = np.linalg.norm(normal)
+    n_hat = normal / scale
+    off = offset / scale
+    d = model.centers @ n_hat - off
+    if np.any(np.abs(d) >= model.radii):
+        raise EmptySlice("a bounding ball misses the hyperplane entirely")
+
+    B = complement_basis(n_hat).T
+    origin = off * n_hat
+    C3 = (model.centers - origin - np.outer(d, n_hat)) @ B.T
+    R3 = np.sqrt(model.radii ** 2 - d ** 2)
+    # the projected centroid, or where the walk from it first gets inside
+    g3 = (model.interior_point - origin) @ B.T
+    p0 = _slice_start(C3, R3, g3)
+
+    dirs, faces = _uv_sphere(resolution)
+    t, _ = _ray_hits(C3, R3, p0, dirs)
+    verts = p0 + t[:, None] * dirs
+    if p0 is not g3:
+        # a walked start sits 1e-8 inside a sphere, where half the rays end
+        # at once: cast again from the mean of the hits, inside by convexity
+        p0 = _slice_start(C3, R3, verts.mean(axis=0))
+        t, _ = _ray_hits(C3, R3, p0, dirs)
+        verts = p0 + t[:, None] * dirs
+    return verts, faces
 
 
 def binormal_partner(model, pop):
@@ -653,12 +746,14 @@ def _cap_directions(skeleton, i, count, rng):
 def sample_exact_boundary(model, skeleton, n, seed=0):
     """n exact boundary samples: phi images, cap points, vertices.
 
-    All points lie on the true body boundary to roundoff (none come from
-    ray casts against the discretized model), which is what the diameter
-    check requires.  phi samples use the model's own face grids, so their
-    active ball is tight exactly.  Cap directions come from the skeleton
-    alone (_cap_directions), so a model with corrupted radii keeps the true
-    caps, and they show up in its slack checks.
+    On the as-built model all points lie on the true body boundary to
+    roundoff (none come from ray casts against the discretized model), as
+    the diameter check requires.  phi samples use the model's own face grids
+    and radii, so their active ball is tight exactly, and corrupted radii
+    move them (at 16x24 by up to 2.7e-4 for radii scaled by 1 + 1e-3): that
+    is how the diameter check sees a corrupted radius law.  Cap directions
+    come from the skeleton alone (_cap_directions), so such a model keeps
+    the true caps, and they show up in its slack checks.
     """
     rng = np.random.default_rng(seed)
     V = skeleton.simplex.vertices
@@ -680,8 +775,6 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         xi = rng.integers(xs.start, xs.stop, size=cnt)
         yi = rng.integers(ys.start, ys.stop, size=cnt)
         X, Y = model.centers[xi], model.centers[yi]
-        good = np.linalg.norm(X - Y, axis=1) > 1e-12  # x = y only at a shared vertex
-        xi, yi, X, Y = xi[good], yi[good], X[good], Y[good]
         if phi1_side:
             P = _envelope(X, Y, w - model.radii[xi])   # hyperbolic radius at x
             active = yi

@@ -37,19 +37,19 @@ import numpy as np
 
 from .body import (
     BoundaryPopulation,
+    EmptySlice,
     InteriorPointNotInterior,
-    _ray_hits,
     binormal_partner,
     boundary_residual,
     build_ball_model,
     chord_lengths,
-    complement_basis,
     diameter_check,
     phi1,
     phi2,
     ray_cast_boundary,
     sample_exact_boundary,
     sample_theta,
+    slice_surface,
     unit_directions,
     width_in_direction,
 )
@@ -78,10 +78,6 @@ from .skeleton import (
 )
 
 
-class EmptySlice(Exception):
-    """The requested hyperplane does not meet the body."""
-
-
 class _UsageError(Exception):
     """Malformed flag or config values (exit status 2)."""
 
@@ -107,10 +103,6 @@ DEFAULT_SAMPLES = 10000
 MAX_SAMPLES = 10 ** 6
 MAX_GRID = (256, 384)
 MAX_RESOLUTION = 256
-# steps of the slice's start walk before the hyperplane counts as missing;
-# planes 1e-2 to 3e-7 inside the support needed at most 19 steps at grid
-# 16x24 (300 random normals) and 3 at 64x96 (100 normals)
-_START_STEPS = 200
 # rows of the sample CSV formatted and written at a time
 _CSV_ROWS = 8192
 
@@ -215,6 +207,24 @@ def _parse_a2(value):
     if not (a2 > 1.0 and math.isfinite(a2)):
         raise ValueError(f"a^2 must be a finite number above 1, got {a2}")
     return a2
+
+
+def _parse_hyperplane(text):
+    """Converter to the (normal, offset) of the hyperplane normal . p = offset."""
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 5:
+        raise ValueError(f"expected nx,ny,nz,nw,offset, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("normal and offset must be finite")
+    normal = np.array(values[:4])
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(normal)
+    if not 1e-12 <= norm < math.inf:
+        raise ValueError("normal must be nonzero, with a finite norm")
+    return normal, values[4]
 
 
 def _write(text, path):
@@ -608,108 +618,6 @@ def cmd_sample(args):
 # slice
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SliceSpec:
-    normal: np.ndarray
-    offset: float
-    resolution: int
-    fmt: str
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.normal)) and math.isfinite(self.offset)):
-            raise _UsageError("hyperplane normal and offset must be finite")
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(self.normal)
-        if not 1e-12 <= norm < math.inf:
-            raise _UsageError("hyperplane normal must be nonzero, with a finite norm")
-
-
-def _parse_hyperplane(text):
-    parts = text.split(",")
-    if len(parts) != 5:
-        raise _UsageError("--hyperplane expects nx,ny,nz,nw,offset")
-    try:
-        values = [float(part) for part in parts]
-    except ValueError as exc:
-        raise _UsageError(f"--hyperplane: {exc}") from exc
-    return np.array(values[:4]), values[4]
-
-
-def _slice_start(C3, R3, q):
-    """A point of 3-D slack above 1e-9 in every ball (C3, R3), walked from q.
-
-    The slack q -> min_j (R_j - |q - C_j|) is concave.  Each step projects q
-    onto its most violated ball, shrunk by 1e-8; after _START_STEPS steps the
-    balls count as disjoint (EmptySlice).
-    """
-    for _ in range(_START_STEPS):
-        D = q - C3
-        dist = np.sqrt(np.einsum("ij,ij->i", D, D))
-        j = np.argmin(R3 - dist)
-        if R3[j] - dist[j] > 1e-9:
-            return q
-        q = C3[j] + ((R3[j] - 1e-8) / dist[j]) * D[j]
-    raise EmptySlice("hyperplane misses the body")
-
-
-def slice_surface(model, spec):
-    """Vertices (plane coords), faces, and the plane frame of the slice."""
-    scale = np.linalg.norm(spec.normal)
-    n_hat = spec.normal / scale
-    off = spec.offset / scale
-    d = model.centers @ n_hat - off
-    if np.any(np.abs(d) >= model.radii):
-        raise EmptySlice("a bounding ball misses the hyperplane entirely")
-
-    B = complement_basis(n_hat).T
-    origin = off * n_hat
-    C3 = (model.centers - origin - np.outer(d, n_hat)) @ B.T
-    R3 = np.sqrt(model.radii ** 2 - d ** 2)
-    # the projected centroid, or where the walk from it first gets inside
-    g3 = (model.interior_point - origin) @ B.T
-    p0 = _slice_start(C3, R3, g3)
-
-    dirs, faces = _uv_sphere(spec.resolution)
-    t, _ = _ray_hits(C3, R3, p0, dirs)
-    verts = p0 + t[:, None] * dirs
-    if p0 is not g3:
-        # a walked start sits 1e-8 inside a sphere, where half the rays end
-        # at once: cast again from the mean of the hits, inside by convexity
-        p0 = _slice_start(C3, R3, verts.mean(axis=0))
-        t, _ = _ray_hits(C3, R3, p0, dirs)
-        verts = p0 + t[:, None] * dirs
-    return verts, faces, (origin, B)
-
-
-def _uv_sphere(res):
-    """Closed latitude-longitude triangulation of the unit 2-sphere."""
-    m = 2 * res
-    phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    dirs = [np.array([0.0, 0.0, 1.0])]
-    index = {}
-    for i in range(1, res - 1):
-        theta = math.pi * i / (res - 1)
-        st, ct = math.sin(theta), math.cos(theta)
-        for j, phi in enumerate(phis):
-            index[i, j] = len(dirs)
-            dirs.append(np.array([st * math.cos(phi), st * math.sin(phi), ct]))
-    south = len(dirs)
-    dirs.append(np.array([0.0, 0.0, -1.0]))
-
-    faces = []
-    for j in range(m):
-        faces.append((0, index[1, j], index[1, (j + 1) % m]))
-    for i in range(1, res - 2):
-        for j in range(m):
-            a, b = index[i, j], index[i, (j + 1) % m]
-            c, e = index[i + 1, j], index[i + 1, (j + 1) % m]
-            faces.append((a, c, e))
-            faces.append((a, e, b))
-    for j in range(m):
-        faces.append((south, index[res - 2, (j + 1) % m], index[res - 2, j]))
-    return np.array(dirs), faces
-
-
 def _mesh_text(verts, faces, fmt):
     # one format per vertex row: the bytes of _fmt on each coordinate
     row = "%.17g,%.17g,%.17g" if fmt == "csv" else "%.17g %.17g %.17g"
@@ -734,22 +642,17 @@ def _mesh_text(verts, faces, fmt):
 
 def cmd_slice(args):
     cfg = _load_config(args.config) if args.config else {}
-    plane = _resolve(args.hyperplane, cfg, "hyperplane", str, None)
+    plane = _resolve(args.hyperplane, cfg, "hyperplane", _parse_hyperplane, None)
     if plane is None:
         raise _UsageError("--hyperplane is required")
-    normal, offset = _parse_hyperplane(plane)
-    spec = SliceSpec(
-        normal=normal, offset=offset,
-        resolution=_resolve(args.resolution, cfg, "resolution",
-                            _int_in(8, MAX_RESOLUTION), 24),
-        fmt=_resolve(args.format, cfg, "format", _one_of("off", "ply", "csv"),
-                     "off"))
+    resolution = _resolve(args.resolution, cfg, "resolution",
+                          _int_in(8, MAX_RESOLUTION), 24)
+    fmt = _resolve(args.format, cfg, "format", _one_of("off", "ply", "csv"), "off")
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
 
     model = _build_model(_build_skeleton(compute_model_constants()), grid)
-    verts, faces, _frame = slice_surface(model, spec)
-    text = _mesh_text(verts, faces, spec.fmt)
-    _write(text, args.out)
+    verts, faces = slice_surface(model, *plane, resolution)
+    _write(_mesh_text(verts, faces, fmt), args.out)
     return 0
 
 

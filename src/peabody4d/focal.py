@@ -238,26 +238,26 @@ def _on_axis(x):
     return np.array([x, 0.0, 0.0, 0.0])
 
 
-def steiner_radius_elliptic(c, y, tol=1e-9):
+def steiner_radius_elliptic(c, y):
     """Radii R_y of the elliptic-chain circles centered at y on E12.
 
     R_y = r_S+ - |y - f_e|; nonnegative on the arc, zero at p1 and p2.
     """
     v = as_points(y)
-    off = ~base_arc_contains(v, c, tol)
+    off = ~base_arc_contains(v, c)
     if np.any(off):
         raise OffArc(f"{v[off][0]} is not on the edge arc")
     return chain_radius(c.r_splus_e, _on_axis(c.focus_e), v)
 
 
-def steiner_radius_hyperbolic(c, x, tol=1e-9):
+def steiner_radius_hyperbolic(c, x):
     """Radii Rx of the hyperbolic-chain balls centered at x on H345.
 
     Rx = r_HS+ - |x - f_h|; nonnegative on the patch, zero exactly on the
     vertex circle C (in particular at p3, p4, p5).
     """
     v = as_points(x)
-    off = ~base_patch_contains(v, c, tol)
+    off = ~base_patch_contains(v, c)
     if np.any(off):
         raise OffPatch(f"{v[off][0]} is not on the triangle patch")
     return chain_radius(c.r_splus_h, _on_axis(c.focus_h), v)

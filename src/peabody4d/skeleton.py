@@ -132,7 +132,7 @@ def base_arc_points(c, n):
     return ellipse_point(base_ellipse(c.a_sq), np.linspace(-t1, t1, n))
 
 
-def base_patch_grid_params(c, nx, ntheta, tol=1e-9):
+def base_patch_grid_params(c, nx, ntheta):
     """Clipped (x, theta) grid of the base patch: (params (N, 2), points (N, 4)).
 
     The product grid over [1, x0] x [0, 2pi) is clipped to the patch by
@@ -144,13 +144,13 @@ def base_patch_grid_params(c, nx, ntheta, tol=1e-9):
     X = np.repeat(np.linspace(1.0, c.x0, nx), ntheta)
     T = np.tile(2.0 * math.pi * np.arange(ntheta) / ntheta, nx)
     pts = hyperboloid_point(base_hyperboloid(c.a_sq), X, T)
-    keep = base_patch_contains(pts, c, tol)
+    keep = base_patch_contains(pts, c)
     return np.column_stack([X, T])[keep], pts[keep]
 
 
-def base_patch_grid(c, nx, ntheta, tol=1e-9):
+def base_patch_grid(c, nx, ntheta):
     """Grid samples of the base patch H345, shape (N, 4)."""
-    return base_patch_grid_params(c, nx, ntheta, tol)[1]
+    return base_patch_grid_params(c, nx, ntheta)[1]
 
 
 def base_patch_rim(c, theta):
@@ -370,7 +370,7 @@ def tangent_slopes(c, s):
     return float(slope_base), slope_transported, slope_gradient
 
 
-def radius_consistency_residual(skeleton, x, tol=1e-9):
+def radius_consistency_residual(skeleton, x):
     """Difference of the two radius laws at points of E_45, (4,) or (..., 4).
 
     E_45 bounds the patch H_345 but also carries its own elliptic chain (as
@@ -380,7 +380,7 @@ def radius_consistency_residual(skeleton, x, tol=1e-9):
     """
     face45 = skeleton.face((4, 5))
     v = as_points(x)
-    off = ~face45.contains(v, tol)
+    off = ~face45.contains(v)
     if np.any(off):
         raise OffArc(f"{v[off][0]} is not on the arc between p4 and p5")
     c = skeleton.constants

@@ -10,6 +10,7 @@ behaviour on large sampled populations.
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from peabody4d.body import (
     ray_displacements,
     sample_exact_boundary,
     sample_theta,
+    slice_surface,
     unit_directions,
     width_in_direction,
 )
@@ -379,12 +381,39 @@ def ragged_count(n_balls):
     return 3 * _block_rows(n_balls) + 7
 
 
-def kernel_inputs(model):
-    """Balls of the model in 4-D and projected to 3-D, with the centroid."""
-    g = model.interior_point
-    # projecting drops no distance, so g stays inside every 3-D ball
-    return [(model.centers, model.radii, g),
-            (model.centers[:, :3], model.radii, g[:3])]
+def kernel_inputs(model, skeleton):
+    """Balls in 4-D and in 3-D, each with a start inside all of them and unit
+    vectors v at which the last ball alone is tight, at C[-1] + R[-1] v.
+
+    The 4-D balls are the model's (last_ball_normals).  The 3-D balls are
+    those of the w = 0 slice, as slice_surface casts them (slice_balls).
+    """
+    return [(model.centers, model.radii, model.interior_point,
+             last_ball_normals(model, skeleton)),
+            slice_balls(model)]
+
+
+def slice_balls(model):
+    """The 3-D balls and start of the w = 0 slice, with its busiest ball last.
+
+    slice_surface's own cast is replayed: the ball on which most of its
+    vertices end is moved to the last row, and the unit vectors from its
+    center to those vertices are returned.  In the model's order no ray of
+    the slice ends on the last ball.
+    """
+    casts = []
+
+    def spy(C, R, origin, U):
+        t, arg = _ray_hits(C, R, origin, U)
+        casts.append((C, R, origin, origin + t[:, None] * U, arg))
+        return t, arg
+    with mock.patch.object(body, "_ray_hits", spy):
+        slice_surface(model, np.array([0.0, 0.0, 0.0, 1.0]), 0.0, 24)
+    (C, R, origin, verts, arg), = casts
+    b = np.argmax(np.bincount(arg))
+    order = np.append(np.delete(np.arange(len(C)), b), b)
+    v = verts[arg == b] - C[b]
+    return C[order], R[order], origin, v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def last_ball_normals(model, skeleton, n=1025):
@@ -417,26 +446,28 @@ def blockwise(block, n_rows, n_cols):
 
 
 def test_slack_kernel_equals_the_one_shot_formula(model, skeleton):
-    C, R = model.centers, model.radii
     rng = np.random.default_rng(31)
-    # random rows, then rows 1e-4 outside the last ball where it alone is
-    # tight, so that the last column holds row minima
-    P = np.concatenate([
-        model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4)),
-        C[-1] + (R[-1] + 1e-4) * last_ball_normals(model, skeleton)])
-    s, arg = _min_slack(C, R, P)
-    assert np.all(arg[ragged_count(len(C)):] == len(C) - 1)
+    for C, R, origin, normals in kernel_inputs(model, skeleton):
+        # random rows, then rows 1e-4 outside the last ball where it alone is
+        # tight, so that the last column holds row minima
+        n = ragged_count(len(C))
+        P = np.concatenate([
+            origin + 0.2 * rng.standard_normal((n, C.shape[1])),
+            C[-1] + (R[-1] + 1e-4) * normals])
+        s, arg = _min_slack(C, R, P)
+        assert np.all(arg[n:] == len(C) - 1)
 
-    # |p - c|^2 as one K = 6 product [p, |p|^2, 1] . [-2 c, 1, |c|^2], both
-    # about the first center
-    p, c = P - C[0], C - C[0]
-    A = np.hstack([p, np.einsum("ij,ij->i", p, p)[:, None], np.ones((len(p), 1))])
-    Ca = np.hstack([-2.0 * c, np.ones((len(c), 1)), np.einsum("ij,ij->i", c, c)[:, None]])
-    d2 = blockwise(lambda rows: A[rows] @ Ca.T, len(P), len(C))
-    slack = R[None, :] - np.sqrt(np.maximum(d2, 0.0))
-    j = np.argmin(slack, axis=1)
-    assert np.array_equal(arg, j)
-    assert np.array_equal(s, slack[np.arange(len(P)), j])
+        # |p - c|^2 as one K = d + 2 product [p, |p|^2, 1] . [-2 c, 1, |c|^2],
+        # both about the first center
+        p, c = P - C[0], C - C[0]
+        A = np.hstack([p, np.einsum("ij,ij->i", p, p)[:, None], np.ones((len(p), 1))])
+        Ca = np.hstack([-2.0 * c, np.ones((len(c), 1)),
+                        np.einsum("ij,ij->i", c, c)[:, None]])
+        d2 = blockwise(lambda rows: A[rows] @ Ca.T, len(P), len(C))
+        slack = R[None, :] - np.sqrt(np.maximum(d2, 0.0))
+        j = np.argmin(slack, axis=1)
+        assert np.array_equal(arg, j)
+        assert np.array_equal(s, slack[np.arange(len(P)), j])
 
 
 def test_slack_kernel_agrees_with_brute_force_distances(model):
@@ -454,18 +485,15 @@ def test_slack_kernel_agrees_with_brute_force_distances(model):
 
 
 def test_ray_kernel_equals_the_one_shot_formula(model, skeleton):
-    # in 4-D, rows toward the points where the last ball alone is tight end
-    # on it, so that the last column holds row minima; the 3-D projection of
-    # the last ball lies off the boundary of the projected balls
-    aim = model.centers[-1] + model.radii[-1] * last_ball_normals(model, skeleton)
-    for C, R, origin in kernel_inputs(model):
-        U = sobol_directions(ragged_count(len(C)), seed=33)[:, :C.shape[1]]
-        if C.shape[1] == 4:
-            U = np.concatenate([U, aim - origin])
+    for C, R, origin, normals in kernel_inputs(model, skeleton):
+        # rows toward the points where the last ball alone is tight end on
+        # it, so that the last column holds row minima
+        n = ragged_count(len(C))
+        U = sobol_directions(n, seed=33)[:, :C.shape[1]]
+        U = np.concatenate([U, C[-1] + R[-1] * normals - origin])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t, arg = _ray_hits(C, R, origin, U)
-        if C.shape[1] == 4:
-            assert np.all(arg[ragged_count(len(C)):] == len(C) - 1)
+        assert np.all(arg[n:] == len(C) - 1)
 
         D = C - origin
         r2md2 = R ** 2 - np.einsum("ij,ij->i", D, D)
@@ -479,8 +507,8 @@ def test_ray_kernel_equals_the_one_shot_formula(model, skeleton):
         assert np.array_equal(t, roots[np.arange(len(U)), j])
 
 
-def test_ray_kernel_agrees_with_brute_force_distances(model):
-    for C, R, origin in kernel_inputs(model):
+def test_ray_kernel_agrees_with_brute_force_distances(model, skeleton):
+    for C, R, origin, _ in kernel_inputs(model, skeleton):
         U = sobol_directions(ragged_count(len(C)), seed=34)[:, :C.shape[1]]
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t, arg = _ray_hits(C, R, origin, U)
@@ -513,7 +541,7 @@ def kernel_outputs(model, skeleton, monkeypatch):
     rng = np.random.default_rng(35)
     P = model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4))
     outputs = [*_min_slack(C, R, P)]
-    for C, R, origin in kernel_inputs(model):
+    for C, R, origin, _ in kernel_inputs(model, skeleton):
         U = sobol_directions(ragged_count(len(C)), seed=36)[:, :C.shape[1]]
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         outputs += _ray_hits(C, R, origin, U)
@@ -947,7 +975,7 @@ def test_cap_samples_pair_with_the_opposite_vertex(model, simplex, exact_pop):
 
 def classify_on_model(model, q):
     """One-sample population for a point known to lie on the model boundary."""
-    tight = model.tight_centers(q, 1e-9)
+    tight = model.tight_centers(q)
     assert len(tight) == 1
     j = int(tight[0])
     return BoundaryPopulation(

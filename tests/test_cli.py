@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from frozen_values import FROZEN
-from peabody4d import cli
+from peabody4d import body, cli
 from peabody4d.body import build_ball_model, complement_basis
 from peabody4d.cli import CHECK_NAMES, main
 from peabody4d.focal import (
@@ -476,14 +476,12 @@ def test_slice_walk_starts_inside_every_ball(model, monkeypatch):
     starts = []
 
     def spy(C3, R3, q):
-        p = cli_start(C3, R3, q)
+        p = body_start(C3, R3, q)
         starts.append(float(np.min(R3 - np.linalg.norm(C3 - p, axis=1))))
         return p
-    cli_start = cli._slice_start
-    monkeypatch.setattr(cli, "_slice_start", spy)
-    spec = cli.SliceSpec(normal=np.array([0.0, 0.0, 0.0, 1.0]), offset=0.13,
-                         resolution=24, fmt="off")
-    cli.slice_surface(model, spec)
+    body_start = body._slice_start
+    monkeypatch.setattr(body, "_slice_start", spy)
+    body.slice_surface(model, np.array([0.0, 0.0, 0.0, 1.0]), 0.13, 24)
     # the walk's start, then the mean of its ray hits
     assert len(starts) == 2
     assert min(starts) >= 1e-9
@@ -657,6 +655,24 @@ def test_slice_rejects_a_non_finite_hyperplane(capsys):
         assert code == 2, plane
         assert out == "" and err.startswith("error:")
         assert err.count("\n") == 1
+
+
+def test_a_bad_hyperplane_names_its_flag_or_config_key(tmp_path, capsys):
+    # the hyperplane converter checks the field count, the numbers, their
+    # finiteness and the normal's norm, whichever source the value came from
+    cfg = tmp_path / "plane.cfg"
+    for plane in ("1,2", "0,0,0,0,0", "0,0,0,1,nan", "0,0,0,x,0",
+                  "1e308,1e308,0,0,0"):
+        code, out, err = run(capsys, "slice", "--hyperplane", plane, *GRID)
+        _assert_one_error_line(code, out, err)
+        assert err.startswith("error: --hyperplane: "), err
+        cfg.write_text(f"hyperplane = {plane}\n")
+        code, out, err = run(capsys, "slice", "--config", str(cfg), *GRID)
+        _assert_one_error_line(code, out, err)
+        assert err.startswith("error: config key 'hyperplane': "), err
+    code, out, err = run(capsys, "slice", *GRID)
+    _assert_one_error_line(code, out, err)
+    assert err == "error: --hyperplane is required\n"
 
 
 def test_usage_errors_exit_with_two(capsys):

@@ -9,18 +9,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_every_traced_name_exists(tmp_path):
-    # perfbench/traced.py wraps package functions by name and only reports
-    # the ones it cannot find; a rename would silently drop their spans
+def traced(tmp_path, *cli_args):
+    """The spans document of perfbench/traced.py run on the CLI arguments."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     spans = tmp_path / "spans.json"
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans),
-         "--", "constants"],
+         "--", *cli_args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     doc = json.loads(spans.read_text())
     assert doc["status"] == 0
+    return doc
+
+
+def test_every_traced_name_exists(tmp_path):
+    # perfbench/traced.py wraps package functions by name and only reports
+    # the ones it cannot find; a rename would silently drop their spans
+    assert traced(tmp_path, "constants")["missing"] == []
+
+
+def test_the_slice_span_wraps_the_slice_the_cli_calls(tmp_path):
+    # the tracer wraps the slice through the name the CLI binds, and counts
+    # its pairs from the argument model and the vertices it returns
+    doc = traced(tmp_path, "slice", "--hyperplane", "0,0,0,1,0", "--grid",
+                 "16x24", "--out", str(tmp_path / "s.off"))
     assert doc["missing"] == []
+    nodes = [node for node in doc["nodes"] if node["name"] == "cli.slice_surface"]
+    assert len(nodes) == 1
+    assert nodes[0]["calls"] == 1
+    assert nodes[0]["counts"]["pairs"] > 0
