@@ -22,14 +22,20 @@ A population of samples is one BoundaryPopulation of parallel arrays.  Ball
 slack, ray hits and the envelope step each have one array kernel
 (_min_slack, _ray_hits, _envelope), in any dimension; a hyperplane slice
 (slice_surface) runs the first two on the 3-balls in which the plane cuts
-the model's balls.  Slack takes |p - c|^2 from one K = d + 2 product about
-the first center; a chord through the interior point (chord_lengths) takes
-both of its ray hits from one product and one square root.  These kernels
-and the depth test of the cap certificate (the planes of a convex triangle
-mesh of each cap's rim, _cap_cone, built once per skeleton; a fixed 32 of
-its planes screen the proposals first) share one block engine (_row_blocks,
-_row_min): blocks of rows, each holding at most two float64 buffers near
-8 MB, spread over the CPUs this process may use, with results
+the model's balls, and a chord through the interior point (chord_lengths)
+is two ray casts.  Slack and ray hits keep one value per row, so they
+screen every (row, ball) pair with one float32 product per block of rows,
+against a per-row threshold widened by a bound on the float32 error and
+rounded outward, which keeps every ball that can attain the row's minimum.
+An exact step then computes the survivors (np.flatnonzero) in float64 by
+the direct formula and keeps each row's least value and first argmin
+(_screened_min), so both return the all-ball direct formula bit for bit,
+whatever the block partition.  These kernels and the depth test of the cap
+certificate (the planes of a convex triangle mesh of each cap's rim,
+_cap_cone, built once per skeleton; a fixed 32 of its planes screen the
+proposals first), a plain row minimum of one product (_row_min), share
+one block engine (_row_blocks): blocks of rows sized for a float64 buffer
+near 8 MB, spread over the CPUs this process may use, with results
 bit-identical for any worker count.  The package needs numpy alone.
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
@@ -155,50 +161,154 @@ def _row_min(block, n_rows, n_cols):
     return out, arg
 
 
+# unit roundoff of float32, the precision of the screening products
+_U32 = 2.0 ** -24
+
+
+def _screen_margin(k, size):
+    """Bound on |computed - exact| for a float32 product of k terms whose
+    |a_i| |b_i| sum to at most size: gamma_(k+3) size.  k roundings come
+    from the product and two from rounding its operands to float32; the
+    third covers the float64 steps and float32 underflow, each far below
+    _U32 times size."""
+    g = (k + 3) * _U32
+    return g / (1.0 - g) * size
+
+
+def _f32_down(x):
+    """x as float32, rounded toward -inf."""
+    y = x.astype(np.float32)
+    return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
+
+
+def _dot(X, Y):
+    """Row-wise X . Y of two (n, d) arrays, summed in column order."""
+    s = X[:, 0] * Y[:, 0]
+    for i in range(1, X.shape[1]):
+        s += X[:, i] * Y[:, i]
+    return s
+
+
+def _screened_min(screen, exact, n_rows, n_cols):
+    """Row-wise min and first argmin of exact values, over screen survivors.
+
+    screen(rows) returns a boolean (len(rows), n_cols) mask that holds every
+    column able to attain its row's minimum, and one column per row that is
+    kept whatever the mask says, so that no row comes out empty (a row of
+    non-finite input keeps that column alone).
+    exact(rows, r, c) returns the float64 values at local rows r and
+    columns c.  The survivors come in row-major order, so a row's columns
+    ascend and the first that attains its minimum is the first argmin.
+    """
+    out = np.empty(n_rows)
+    arg = np.empty(n_rows, dtype=np.intp)
+
+    def run(rows):
+        keep, ref = screen(rows)
+        n = len(keep)
+        keep[np.arange(n), ref] = True
+        r, c = np.divmod(np.flatnonzero(keep), n_cols)
+        v = exact(rows, r, c)
+        low = np.minimum.reduceat(v, np.searchsorted(r, np.arange(n)))
+        # ~(v > low) also holds at every survivor of a NaN row
+        at = np.flatnonzero(~(v > low[r]))
+        first = at[np.r_[True, r[at[1:]] != r[at[:-1]]]]
+        out[rows], arg[rows] = low, c[first]
+
+    _row_blocks(run, n_rows, n_cols)
+    return out, arg
+
+
 def _min_slack(C, R, P):
-    """Smallest ball slack R - |p - C| per row p of P, and the ball attaining it.
+    """Smallest ball slack R - |p - c| per row p of P, and the first ball
+    attaining it.
 
     Works in any dimension d.  Negative slack means outside some ball; zero
-    means on a sphere.  |p - c|^2 comes from one K = d + 2 product,
-    [p, |p|^2, 1] . [-2 c, 1, |c|^2], with p and c taken about the first
-    center: any origin gives the same distances, and one near the points
-    keeps the squared norms, and their rounding errors, small.
+    means on a sphere.  Each value is the direct R - sqrt(sum (p - c)^2) in
+    float64, computed only for the balls that a float32 screen keeps.  The
+    screen reads e = (|p - c|^2 - R^2)/(2R) from one K = d + 2 product
+    [q, |q|^2, 1] . [-c/R, 1/(2R), (|c|^2 - R^2)/(2R)], with q and c taken
+    about the centers' mean.  The slack s of a ball has e = -s + s^2/(2R),
+    which is at least -t + t^2/(2 R_max) whenever s <= t <= R_max.  So with
+    t the exact slack at the row's largest e, every ball of slack at most t
+    has e >= -t + t^2/(2 R_max), and the screen keeps e at or above that
+    less m, _screen_margin's bound on the float32 error, rounded outward.
     """
-    o = C[0]
-    C = C - o
+    # the centers' mean as one BLAS pass: C.mean(axis=0) is several times
+    # slower, and a one-row call pays it in full
+    o = np.full(len(C), 1.0 / len(C)) @ C
+    Co = C - o
     d = C.shape[1]
-    Ca = np.empty((len(C), d + 2))
-    np.multiply(C, -2.0, out=Ca[:, :d])
-    Ca[:, d] = 1.0
-    Ca[:, d + 1] = np.einsum("ij,ij->i", C, C)
+    c2 = np.einsum("ij,ij->i", Co, Co)
+    E = np.empty((d + 2, len(C)), dtype=np.float32)
+    np.divide(Co.T, -R, out=E[:d])
+    E[d] = 0.5 / R
+    E[d + 1] = (c2 - R * R) / (2.0 * R)
+    # per row, sum |a_i| |b_i| <= |q| lead + |q|^2 quad + const
+    lead, quad = np.max(np.sqrt(c2) / R), np.max(0.5 / R)
+    const = np.max((c2 + R * R) / (2.0 * R))
+    curve = 0.5 / np.max(R)
 
-    def slack(rows):
-        # |p - c|^2 clamped at 0, then R - sqrt, in one buffer
+    def slack(rows, r, c):
+        X = P[rows][r] - C[c]
+        return R[c] - np.sqrt(_dot(X, X))
+
+    def screen(rows):
         Q = P[rows] - o
-        V = np.column_stack([Q, np.einsum("ij,ij->i", Q, Q), np.ones(len(Q))]) @ Ca.T
-        np.maximum(V, 0.0, out=V)
-        np.sqrt(V, out=V)
-        return np.subtract(R, V, out=V)
-    return _row_min(slack, len(P), len(C))
+        q2 = np.einsum("ij,ij->i", Q, Q)
+        V = np.column_stack([Q, q2, np.ones(len(Q))]).astype(np.float32) @ E
+        ref = np.argmax(V, axis=1)
+        t = slack(rows, np.arange(len(Q)), ref)
+        m = _screen_margin(d + 2, np.sqrt(q2) * lead + q2 * quad + const)
+        return V >= _f32_down(t * (curve * t - 1.0) - m)[:, None], ref
+    return _screened_min(screen, slack, len(P), len(C))
+
+
+# the balls whose least hit bounds every ray's screen: the first rows, a
+# model's vertex balls.  They meet in the Reuleaux simplex, whose caps are
+# the body's, so most rays end on one of them.
+_BOUND_BALLS = 5
 
 
 def _ray_hits(C, R, origin, U):
-    """First sphere hit t along origin + t u per row u of U, and its ball.
+    """First sphere hit t along origin + t u per row u of U, and the first
+    ball attaining it.
 
     Works in any dimension.  origin must lie strictly inside every ball, so
-    each sphere has exactly one positive root and the smallest is the exit.
+    each sphere has exactly one positive root t = b + sqrt(b^2 + c), with
+    b = u.D, D = C - origin and c = R^2 - |D|^2, and the smallest is the
+    exit.  Each value is that root in float64, computed only for the balls
+    that a float32 screen keeps.  tau, the least exact hit over the first
+    _BOUND_BALLS balls, bounds the row's minimum, and t <= tau exactly when
+    2 tau u.D + c <= tau^2: one K = d + 1 product [tau u, 1] . [2 D, c],
+    kept at or below tau^2 + m (_screen_margin), rounded outward.
     """
     D = C - origin
-    r2md2 = R ** 2 - np.einsum("ij,ij->i", D, D)
+    d = C.shape[1]
+    D2 = _dot(D, D)
+    r2md2 = R * R - D2
+    G = np.empty((d + 1, len(C)), dtype=np.float32)
+    G[:d] = 2.0 * D.T
+    G[d] = r2md2
+    # per row, sum |a_i| |b_i| <= tau |u| reach + const
+    reach, const = 2.0 * np.sqrt(np.max(D2)), np.max(R * R + D2)
+    bound = np.arange(min(_BOUND_BALLS, len(C)))
 
-    def roots(rows):
-        # B + sqrt(B^2 + (R^2 - |D|^2)) with B = u.D
-        B = U[rows] @ D.T
-        V = np.multiply(B, B)
-        V += r2md2
-        np.sqrt(V, out=V)
-        return np.add(B, V, out=V)
-    return _row_min(roots, len(U), len(C))
+    def hits(rows, r, c):
+        b = _dot(U[rows][r], D[c])
+        return b + np.sqrt(b * b + r2md2[c])
+
+    def screen(rows):
+        Ur = U[rows]
+        n = len(Ur)
+        t = hits(rows, np.repeat(np.arange(n), len(bound)),
+                 np.tile(bound, n)).reshape(n, len(bound))
+        ref = np.argmin(t, axis=1)
+        tau = t[np.arange(n), ref]
+        V = np.column_stack([tau[:, None] * Ur, np.ones(n)]).astype(np.float32) @ G
+        m = _screen_margin(d + 1, tau * np.linalg.norm(Ur, axis=1) * reach + const)
+        return V <= -_f32_down(-(tau * tau + m))[:, None], ref
+    return _screened_min(screen, hits, len(U), len(C))
 
 
 # ============================================================================
@@ -415,35 +525,9 @@ def _ray_cast_many(model, U):
 
 def chord_lengths(model, U):
     """Length t(u) + t(-u) of the model chord through the interior point
-    along each row u of U.
-
-    Bit for bit the sum of _ray_cast_many(model, U) and
-    _ray_cast_many(model, -U): (-u).D = -(u.D) exactly, so with B = u.D and
-    S = sqrt(B^2 + R^2 - |D|^2) the two roots are B + S and S - B, from one
-    product and one square root.  The products run on _ray_hits' blocks, so
-    they carry its bits; the roots of each half of a block's rows follow in
-    turn, in a second buffer of the block's size, so that a block holds two
-    buffers, as in _ray_hits.
-    """
-    D = model.centers - model.interior_point
-    r2md2 = model.radii ** 2 - np.einsum("ij,ij->i", D, D)
-    out = np.empty(len(U))
-
-    def chords(rows):
-        B = U[rows] @ D.T
-        half = (len(B) + 1) // 2
-        S, T = np.empty((2, half, len(D)))
-        for part in (slice(0, half), slice(half, None)):
-            b = B[part]
-            s, t = S[:len(b)], T[:len(b)]
-            np.multiply(b, b, out=s)
-            s += r2md2
-            np.sqrt(s, out=s)
-            t_plus = np.add(b, s, out=t).min(axis=1)
-            out[rows][part] = t_plus + np.subtract(s, b, out=s).min(axis=1)
-
-    _row_blocks(chords, len(U), len(D))
-    return out
+    along each row u of U: the sum of the two casts _ray_hits makes."""
+    C, R, g = model.centers, model.radii, model.interior_point
+    return _ray_hits(C, R, g, U)[0] + _ray_hits(C, R, g, -U)[0]
 
 
 def ray_cast_boundary(model, U):
@@ -515,9 +599,15 @@ def slice_surface(model, normal, offset, resolution):
     A vertex v stands for the 4-D point (offset/|normal|) n + v B, with n the
     unit normal and B = complement_basis(n).T.  Each ball meets the plane in
     a 3-ball (C3, R3), and the rays of a _uv_sphere of the given resolution
-    are cast in-plane (_ray_hits) from a start inside all of them.
+    are cast in-plane (_ray_hits) from a start inside all of them.  A zero
+    or non-finite normal or offset is a ValueError.
     """
-    scale = np.linalg.norm(normal)
+    with np.errstate(over="ignore"):     # an overflowing norm is refused below
+        scale = np.linalg.norm(normal)
+    if not (np.all(np.isfinite(normal)) and math.isfinite(offset)
+            and 0.0 < scale < math.inf):
+        raise ValueError("the hyperplane needs a finite, nonzero normal and "
+                         "a finite offset")
     n_hat = normal / scale
     off = offset / scale
     d = model.centers @ n_hat - off

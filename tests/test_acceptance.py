@@ -230,9 +230,7 @@ def test_c11_symmetry_invariance(skeleton, group, model, exact_pop):
     for perm, motion in zip(_ALL_PERMS, group):
         for label, pts in probes.items():
             image = tuple(sorted(perm[i - 1] for i in label))
-            target = skeleton.face(image)
-            for q in motion.apply(pts):
-                assert target.contains(q, 1e-9)
+            assert np.all(skeleton.face(image).contains(motion.apply(pts), 1e-9))
 
 
 def test_c12_cap_separation(skeleton, simplex):

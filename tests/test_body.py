@@ -8,6 +8,7 @@ behaviour on large sampled populations.
 """
 
 import dataclasses
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from unittest import mock
@@ -44,6 +45,7 @@ from peabody4d.body import (
     boundary_residual,
     build_ball_model,
     chord_lengths,
+    complement_basis,
     diameter_check,
     phi1,
     phi2,
@@ -382,14 +384,16 @@ def ragged_count(n_balls):
 
 
 def kernel_inputs(model, skeleton):
-    """Balls in 4-D and in 3-D, each with a start inside all of them and unit
-    vectors v at which the last ball alone is tight, at C[-1] + R[-1] v.
+    """Balls in 4-D and in 3-D, each with a start inside all of them, unit
+    vectors v at which the last ball alone is tight, at C[-1] + R[-1] v, and
+    the simplex vertices in the balls' space, where many spheres meet.
 
-    The 4-D balls are the model's (last_ball_normals).  The 3-D balls are
-    those of the w = 0 slice, as slice_surface casts them (slice_balls).
+    The 4-D balls are the model's (last_ball_normals), with all five
+    vertices.  The 3-D balls are those of the w = 0 slice, as slice_surface
+    casts them (slice_balls), with the three vertices of that plane.
     """
     return [(model.centers, model.radii, model.interior_point,
-             last_ball_normals(model, skeleton)),
+             last_ball_normals(model, skeleton), model.centers[:5]),
             slice_balls(model)]
 
 
@@ -398,7 +402,8 @@ def slice_balls(model):
 
     slice_surface's own cast is replayed: the ball on which most of its
     vertices end is moved to the last row, and the unit vectors from its
-    center to those vertices are returned.  In the model's order no ray of
+    center to those vertices are returned, with the simplex vertices of the
+    plane (p1, p2, p3) in its coordinates.  In the model's order no ray of
     the slice ends on the last ball.
     """
     casts = []
@@ -413,7 +418,11 @@ def slice_balls(model):
     b = np.argmax(np.bincount(arg))
     order = np.append(np.delete(np.arange(len(C)), b), b)
     v = verts[arg == b] - C[b]
-    return C[order], R[order], origin, v / np.linalg.norm(v, axis=1)[:, None]
+    V = model.centers[:5]
+    in_plane = V[V[:, 3] == 0.0] @ complement_basis(np.array([0.0, 0.0, 0.0, 1.0]))
+    assert len(in_plane) == 3
+    return (C[order], R[order], origin, v / np.linalg.norm(v, axis=1)[:, None],
+            in_plane)
 
 
 def last_ball_normals(model, skeleton, n=1025):
@@ -433,41 +442,63 @@ def last_ball_normals(model, skeleton, n=1025):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def blockwise(block, n_rows, n_cols):
-    """block(rows) over the kernels' row partition (_block_rows), stacked.
+def direct_slack(C, R, P):
+    """R - |p - c| for every row p of P and every ball, in float64, with the
+    squares summed in column order; 256 rows at a time."""
+    return np.concatenate([
+        R - np.sqrt(sum(X[..., k] * X[..., k] for k in range(C.shape[1])))
+        for X in (P[lo:lo + 256, None, :] - C[None, :, :]
+                  for lo in range(0, len(P), 256))])
 
-    BLAS may give the last column of an odd-width product other last bits at
-    another row count, so a reference that should match a kernel bit for bit
-    takes its products on the kernel's own blocks.
-    """
-    step = _block_rows(n_cols)
-    return np.concatenate([block(slice(lo, lo + step))
-                           for lo in range(0, n_rows, step)])
+
+def direct_hits(C, R, origin, U):
+    """b + sqrt(b^2 + R^2 - |D|^2) with b = u.D, D = C - origin, for every
+    row u of U and every ball, in float64, summed in column order."""
+    D = C - origin
+    c = R * R - sum(D[:, k] * D[:, k] for k in range(C.shape[1]))
+    out = []
+    for lo in range(0, len(U), 256):
+        b = sum(U[lo:lo + 256, None, k] * D[None, :, k] for k in range(C.shape[1]))
+        out.append(b + np.sqrt(b * b + c))
+    return np.concatenate(out)
+
+
+def assert_first_minima(value, arg, matrix):
+    """value and arg are each row's minimum of matrix and its first argmin."""
+    j = np.argmin(matrix, axis=1)
+    assert np.array_equal(arg, j)
+    assert np.array_equal(value, matrix[np.arange(len(matrix)), j])
+
+
+def slack_rows(C, R, origin, normals, vertices, rng):
+    """ragged_count(len(C)) random points about the start, then points 1e-4
+    outside the last ball where it alone is tight, so that the last column
+    holds row minima, then the vertices, where the screen keeps many balls
+    (1,112 of the 2,465 in 4-D)."""
+    return np.concatenate([
+        origin + 0.2 * rng.standard_normal((ragged_count(len(C)), C.shape[1])),
+        C[-1] + (R[-1] + 1e-4) * normals,
+        vertices])
+
+
+def ray_rows(C, R, origin, normals, vertices, seed):
+    """ragged_count(len(C)) Sobol directions, then the directions that end on
+    the last ball where it alone is tight, then those toward the vertices."""
+    U = np.concatenate([
+        sobol_directions(ragged_count(len(C)), seed=seed)[:, :C.shape[1]],
+        C[-1] + R[-1] * normals - origin,
+        vertices - origin])
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
 def test_slack_kernel_equals_the_one_shot_formula(model, skeleton):
     rng = np.random.default_rng(31)
-    for C, R, origin, normals in kernel_inputs(model, skeleton):
-        # random rows, then rows 1e-4 outside the last ball where it alone is
-        # tight, so that the last column holds row minima
-        n = ragged_count(len(C))
-        P = np.concatenate([
-            origin + 0.2 * rng.standard_normal((n, C.shape[1])),
-            C[-1] + (R[-1] + 1e-4) * normals])
+    for C, R, origin, normals, vertices in kernel_inputs(model, skeleton):
+        P = slack_rows(C, R, origin, normals, vertices, rng)
         s, arg = _min_slack(C, R, P)
-        assert np.all(arg[n:] == len(C) - 1)
-
-        # |p - c|^2 as one K = d + 2 product [p, |p|^2, 1] . [-2 c, 1, |c|^2],
-        # both about the first center
-        p, c = P - C[0], C - C[0]
-        A = np.hstack([p, np.einsum("ij,ij->i", p, p)[:, None], np.ones((len(p), 1))])
-        Ca = np.hstack([-2.0 * c, np.ones((len(c), 1)),
-                        np.einsum("ij,ij->i", c, c)[:, None]])
-        d2 = blockwise(lambda rows: A[rows] @ Ca.T, len(P), len(C))
-        slack = R[None, :] - np.sqrt(np.maximum(d2, 0.0))
-        j = np.argmin(slack, axis=1)
-        assert np.array_equal(arg, j)
-        assert np.array_equal(s, slack[np.arange(len(P)), j])
+        aimed = ragged_count(len(C)) + np.arange(len(normals))
+        assert np.all(arg[aimed] == len(C) - 1)
+        assert_first_minima(s, arg, direct_slack(C, R, P))
 
 
 def test_slack_kernel_agrees_with_brute_force_distances(model):
@@ -478,37 +509,20 @@ def test_slack_kernel_agrees_with_brute_force_distances(model):
     for lo in range(0, len(P), 256):
         Q = P[lo:lo + 256]
         brute = R[None, :] - np.linalg.norm(Q[:, None, :] - C[None, :, :], axis=2)
-        best = brute.min(axis=1)
-        assert np.max(np.abs(s[lo:lo + 256] - best)) <= 1e-12
-        at_arg = brute[np.arange(len(Q)), arg[lo:lo + 256]]
-        assert np.max(at_arg - best) <= 1e-12
+        assert_first_minima(s[lo:lo + 256], arg[lo:lo + 256], brute)
 
 
 def test_ray_kernel_equals_the_one_shot_formula(model, skeleton):
-    for C, R, origin, normals in kernel_inputs(model, skeleton):
-        # rows toward the points where the last ball alone is tight end on
-        # it, so that the last column holds row minima
-        n = ragged_count(len(C))
-        U = sobol_directions(n, seed=33)[:, :C.shape[1]]
-        U = np.concatenate([U, C[-1] + R[-1] * normals - origin])
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
+    for C, R, origin, normals, vertices in kernel_inputs(model, skeleton):
+        U = ray_rows(C, R, origin, normals, vertices, seed=33)
         t, arg = _ray_hits(C, R, origin, U)
-        assert np.all(arg[n:] == len(C) - 1)
-
-        D = C - origin
-        r2md2 = R ** 2 - np.einsum("ij,ij->i", D, D)
-
-        def block(rows):
-            B = U[rows] @ D.T
-            return B + np.sqrt(B * B + r2md2[None, :])
-        roots = blockwise(block, len(U), len(C))
-        j = np.argmin(roots, axis=1)
-        assert np.array_equal(arg, j)
-        assert np.array_equal(t, roots[np.arange(len(U)), j])
+        aimed = ragged_count(len(C)) + np.arange(len(normals))
+        assert np.all(arg[aimed] == len(C) - 1)
+        assert_first_minima(t, arg, direct_hits(C, R, origin, U))
 
 
 def test_ray_kernel_agrees_with_brute_force_distances(model, skeleton):
-    for C, R, origin, _ in kernel_inputs(model, skeleton):
+    for C, R, origin, *_ in kernel_inputs(model, skeleton):
         U = sobol_directions(ragged_count(len(C)), seed=34)[:, :C.shape[1]]
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t, arg = _ray_hits(C, R, origin, U)
@@ -536,15 +550,14 @@ def use_pool(monkeypatch):
 
 
 def kernel_outputs(model, skeleton, monkeypatch):
-    """Every block kernel's arrays at ragged_count rows of its column count."""
-    C, R = model.centers, model.radii
+    """Every block kernel's arrays at ragged_count rows of its column count,
+    the slack and ray kernels' with the aimed and vertex rows."""
     rng = np.random.default_rng(35)
-    P = model.interior_point + 0.2 * rng.standard_normal((ragged_count(len(C)), 4))
-    outputs = [*_min_slack(C, R, P)]
-    for C, R, origin, _ in kernel_inputs(model, skeleton):
-        U = sobol_directions(ragged_count(len(C)), seed=36)[:, :C.shape[1]]
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        outputs += _ray_hits(C, R, origin, U)
+    outputs = []
+    for inputs in kernel_inputs(model, skeleton):
+        C, R, origin = inputs[:3]
+        outputs += _min_slack(C, R, slack_rows(*inputs, rng))
+        outputs += _ray_hits(C, R, origin, ray_rows(*inputs, seed=36))
     # the rim mesh's plane count is the depth kernel's column count
     facets = []
 
@@ -558,7 +571,7 @@ def kernel_outputs(model, skeleton, monkeypatch):
     U = a + 0.3 * rng.standard_normal((ragged_count(facets[0]), 4))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     outputs += [depth(U), _in_cap(depth, U)]
-    U = sobol_directions(ragged_count(len(C)), seed=38)
+    U = sobol_directions(ragged_count(len(model.centers)), seed=38)
     outputs.append(chord_lengths(model, U))
     return outputs
 
@@ -569,9 +582,16 @@ def test_kernels_are_bit_identical_for_any_worker_count(model, skeleton,
     for workers in (1, 3):
         use_pool(workers)
         results.append(kernel_outputs(model, skeleton, monkeypatch))
-    assert len(results[1]) == 9
+    assert len(results[1]) == 11
     for one, three in zip(*results):
         assert np.array_equal(one, three)
+    # and for another row partition: blocks of 7 rows give the slack, ray and
+    # chord arrays the same bits; the cap depth and its screen (arrays 8 and
+    # 9) take BLAS products, whose last bits may follow the partition
+    monkeypatch.setattr(body, "_block_rows", lambda n_cols: 7)
+    sevens = kernel_outputs(model, skeleton, monkeypatch)
+    for k in (0, 1, 2, 3, 4, 5, 6, 7, 10):
+        assert np.array_equal(results[0][k], sevens[k])
 
 
 def test_chords_equal_two_ray_casts_bit_for_bit(model, use_pool):
@@ -580,9 +600,21 @@ def test_chords_equal_two_ray_casts_bit_for_bit(model, use_pool):
         use_pool(workers)
         both = _ray_cast_many(model, U)[0] + _ray_cast_many(model, -U)[0]
         assert np.array_equal(chord_lengths(model, U), both)
-    # a one-row block, whose rows split into halves of 1 and 0
-    one = _ray_cast_many(model, U[:1])[0] + _ray_cast_many(model, -U[:1])[0]
-    assert np.array_equal(chord_lengths(model, U[:1]), one)
+
+
+@pytest.mark.parametrize("normal, offset", [
+    ([0.0, 0.0, 0.0, 0.0], 0.0),
+    ([np.nan, 0.0, 0.0, 1.0], 0.0),
+    ([0.0, 0.0, 0.0, -np.inf], 0.0),
+    ([0.0, 0.0, 0.0, 1.0], np.nan),
+    ([0.0, 0.0, 0.0, 1.0], np.inf),
+    ([1e308, 1e308, 0.0, 0.0], 0.0),     # finite, but its norm overflows
+])
+def test_slice_rejects_a_zero_or_non_finite_hyperplane(model, normal, offset):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hyperplane"):
+            slice_surface(model, np.array(normal), offset, 8)
 
 
 def test_an_exception_in_one_block_propagates(use_pool):
