@@ -20,7 +20,7 @@ print("balls:", len(model.centers), " width:", model.width)
 
 # the population is one set of parallel arrays: points, piece labels,
 # active balls and generating parameters
-pop = sample_theta(model, skeleton, 50000, seed=1)
+pop = sample_theta(model, 50000, seed=1)
 faces = sorted(set(pop.labels))
 print("samples:", len(pop), " boundary pieces reached:", len(faces))
 

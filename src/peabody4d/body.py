@@ -32,11 +32,14 @@ the direct formula and keeps each row's least value and first argmin
 (_screened_min), so both return the all-ball direct formula bit for bit,
 whatever the block partition.  These kernels and the depth test of the cap
 certificate (the planes of a convex triangle mesh of each cap's rim,
-_cap_cone, built once per skeleton; a fixed 32 of its planes screen the
-proposals first), a plain row minimum of one product (_row_min), share
-one block engine (_row_blocks): blocks of rows sized for a float64 buffer
-near 8 MB, spread over the CPUs this process may use, with results
+_cap_cone, built once per model as BallModel.caps; a fixed 32 of its
+planes screen the proposals first), a plain row minimum of one product,
+share one block engine (_row_blocks): blocks of rows sized for a float64
+buffer near 8 MB, spread over the CPUs this process may use, with results
 bit-identical for any worker count.  The package needs numpy alone.
+
+A BallModel carries the skeleton it was built on, so every query of the
+body (sampling, residuals, the cap cones) takes the model alone.
 
 Labels for the 25 boundary pieces are digit strings: "2345"-style caps
 (the spherical piece around the region antipodal to a vertex), "345"-style
@@ -48,11 +51,12 @@ its own (BallModel.sample_face) and every sample takes its piece from its
 active ball.
 """
 
+import functools
 import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,6 +70,7 @@ from .geometry import (
     hyperboloid_point,
 )
 from .skeleton import (
+    FocalSkeleton,
     base_arc_axes,
     base_arc_points,
     base_patch_grid_params,
@@ -141,24 +146,6 @@ def _row_blocks(run, n_rows, n_cols):
     step = _block_rows(n_cols)
     list(_POOL.map(lambda start: run(slice(start, start + step)),
                    range(0, n_rows, step)))
-
-
-def _row_min(block, n_rows, n_cols):
-    """Row-wise min and argmin of an (n_rows, n_cols) matrix, block by block.
-
-    block(rows) returns the matrix rows of the slice rows (_row_blocks).
-    """
-    out = np.empty(n_rows)
-    arg = np.empty(n_rows, dtype=np.intp)
-
-    def run(rows):
-        V = block(rows)
-        j = np.argmin(V, axis=1)
-        out[rows] = V[np.arange(len(V)), j]
-        arg[rows] = j
-
-    _row_blocks(run, n_rows, n_cols)
-    return out, arg
 
 
 # unit roundoff of float32, the precision of the screening products
@@ -357,37 +344,52 @@ def phi2(patch, arc, x, y):
 
 @dataclass(frozen=True)
 class BallModel:
-    """Immutable intersection-of-balls representation, arrays only.
+    """The body as an immutable intersection of balls on its skeleton.
 
-    centers        (N, 4) ball centers: the 5 vertices first (rows 0-4,
-                   vertex i in row i - 1), then grid samples of the 10 arcs,
-                   then of the 10 patches
-    radii          (N,) ball radii: 2 z1 for vertices, 2 z1 - r(c) else
-    sample_face    (N,) int8 piece code (index into PIECE_LABELS) that a
-                   boundary sample gets when this ball is the active one:
-                   the face dual to the ball's own face, the cap opposite
-                   for a vertex ball
-    face_slices    skeleton face label (a tuple such as (1, 2)) -> slice
-                   of the rows of that face's balls
-    interior_point the simplex centroid g
-    width          2 z1
-    patch_grid     (nx, ntheta) used for patch centers
-    arc_n          sample count per arc
+    centers      (N, 4) ball centers: the 5 vertices first (rows 0-4,
+                 vertex i in row i - 1), then grid samples of the 10 arcs,
+                 then of the 10 patches
+    radii        (N,) ball radii: 2 z1 for vertices, 2 z1 - r(c) else
+    sample_face  (N,) int8 piece code (index into PIECE_LABELS) that a
+                 boundary sample gets when this ball is the active one:
+                 the face dual to the ball's own face, the cap opposite
+                 for a vertex ball
+    face_slices  skeleton face label (a tuple such as (1, 2)) -> slice of
+                 the rows of that face's balls
+    skeleton     the FocalSkeleton the balls were built on; the interior
+                 point, the width and the caps are read from it
+
+    A model made by dataclasses.replace (say, with scaled radii) keeps the
+    skeleton, so its caps are the true ones.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     sample_face: np.ndarray
     face_slices: dict
-    interior_point: np.ndarray
-    width: float
-    patch_grid: tuple
-    arc_n: int
+    # the skeleton's repr runs to some 80,000 characters
+    skeleton: FocalSkeleton = field(repr=False)
 
     def __post_init__(self):
         slack, _ = self.min_slack(self.interior_point)
         if not slack >= 1e-6:
             raise InteriorPointNotInterior(f"centroid slack {slack:.3e}")
+
+    @property
+    def interior_point(self):
+        """The simplex centroid g."""
+        return self.skeleton.simplex.centroid
+
+    @property
+    def width(self):
+        """2 z1."""
+        return self.skeleton.constants.width
+
+    @functools.cached_property
+    def caps(self):
+        """The five cap cones (_cap_cone), cap i at index i - 1, built on
+        first use."""
+        return tuple(_cap_cone(self.skeleton, i) for i in range(1, 6))
 
     def min_slack(self, pts):
         """Smallest ball slack rho(c) - |p - c| and its argmin, vectorized.
@@ -399,16 +401,6 @@ class BallModel:
         if np.ndim(pts) == 1:
             return float(out[0]), int(arg[0])
         return out, arg
-
-    def contains(self, p):
-        """Whether p lies in every ball, within 1e-9."""
-        s, _ = self.min_slack(as_vec4(p))
-        return s >= -1e-9
-
-    def tight_centers(self, p):
-        """Indices of all balls whose sphere passes through p (within 1e-9)."""
-        d = np.linalg.norm(self.centers - as_vec4(p), axis=1)
-        return np.flatnonzero(np.abs(self.radii - d) <= 1e-9)
 
 
 def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
@@ -453,10 +445,7 @@ def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
         radii=np.concatenate(radii),
         sample_face=np.concatenate(codes).astype(np.int8),
         face_slices=face_slices,
-        interior_point=skeleton.simplex.centroid.copy(),
-        width=w,
-        patch_grid=(nx, ntheta),
-        arc_n=arc_n,
+        skeleton=skeleton,
     )
 
 
@@ -768,14 +757,12 @@ def _cap_cone(skeleton, i):
     The planes of the rim mesh (_cap_mesh) bound the convex hull of its
     nodes, points on the rim, so they hold only cone directions: that is
     checked, every node within _RIM_TOL inside every plane (NonConvexCap).
-    Returns the unit axis a, the smallest rim cosine u.a, the rim node
-    directions, and depth(U, planes): per row, the least margin of u in
-    gnomonic coordinates over the mesh planes that the slice planes picks,
-    all by default, >= 0 inside (-inf where u.a <= 0).  Built from the
-    skeleton alone, once per skeleton and cap (skeleton._cap_cones).
+    Returns the unit axis a, its complement basis E, the smallest rim
+    cosine u.a, the rim node directions, and depth(U, planes): per row, the
+    least margin of u in gnomonic coordinates over the mesh planes that the
+    slice planes picks, all by default, >= 0 inside (-inf where u.a <= 0).
+    Built from the skeleton alone; a model keeps its five (BallModel.caps).
     """
-    if i in skeleton._cap_cones:
-        return skeleton._cap_cones[i]
     a, E, rim, Y, T = _cap_mesh(skeleton, i)
     N, off = _mesh_planes(Y, T)
     # margin (u.G)/(u.a) with G = off a - E N: the gnomonic margin off - Y.N
@@ -786,15 +773,18 @@ def _cap_cone(skeleton, i):
         # lie outside the cone
         ua = U @ a
         H = G[planes]
-        least = _row_min(lambda rows: U[rows] @ H.T, len(U), len(H))[0]
+        least = np.empty(len(U))
+
+        def run(rows):
+            least[rows] = np.min(U[rows] @ H.T, axis=1)
+        _row_blocks(run, len(U), len(H))
         front = ua > 0.0
         least[front] /= ua[front]
         least[~front] = -np.inf
         return least
     if depth(rim).min() < -_RIM_TOL:
         raise NonConvexCap(f"cap {i}: a rim node lies outside the rim mesh")
-    cone = skeleton._cap_cones[i] = a, float(np.min(rim @ a)), rim, depth
-    return cone
+    return a, E, float(np.min(rim @ a)), rim, depth
 
 
 def _in_cap(depth, U):
@@ -806,8 +796,8 @@ def _in_cap(depth, U):
     return keep
 
 
-def _cap_directions(skeleton, i, count, rng):
-    """count directions u, uniform over the cap opposite p_i (_cap_cone).
+def _cap_directions(cone, count, rng):
+    """count directions u, uniform over a cap's cone (_cap_cone).
 
     Proposals are uniform within the rim cosine: the angle phi to the axis
     by rejection from the sin^2 phi law, the direction across it from a
@@ -815,8 +805,7 @@ def _cap_directions(skeleton, i, count, rng):
     mesh, whose points are convex combinations of rim directions of a convex
     cone: every cap point is exact, whatever the model.
     """
-    a, floor, _, depth = _cap_cone(skeleton, i)
-    E = complement_basis(a)
+    a, E, floor, _, depth = cone
     top = math.acos(floor)
     out, need = [], count
     while need > 0:
@@ -833,7 +822,7 @@ def _cap_directions(skeleton, i, count, rng):
     return np.concatenate(out)
 
 
-def sample_exact_boundary(model, skeleton, n, seed=0):
+def sample_exact_boundary(model, n, seed=0):
     """n exact boundary samples: phi images, cap points, vertices.
 
     On the as-built model all points lie on the true body boundary to
@@ -842,10 +831,11 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
     and radii, so their active ball is tight exactly, and corrupted radii
     move them (at 16x24 by up to 2.7e-4 for radii scaled by 1 + 1e-3): that
     is how the diameter check sees a corrupted radius law.  Cap directions
-    come from the skeleton alone (_cap_directions), so such a model keeps
-    the true caps, and they show up in its slack checks.
+    come from the model's skeleton alone (BallModel.caps), so such a model
+    keeps the true caps, and they show up in its slack checks.
     """
     rng = np.random.default_rng(seed)
+    skeleton = model.skeleton
     V = skeleton.simplex.vertices
     w = model.width
     parts = []
@@ -877,7 +867,7 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
         cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
         if cnt == 0:
             continue
-        U = _cap_directions(skeleton, i, cnt, rng)
+        U = _cap_directions(model.caps[i - 1], cnt, rng)
         parts.append(_population(model, V[i - 1] + w * U, i - 1))
 
     # vertex p_i on the tight ball of p_j; any j != i works.  Below five
@@ -887,7 +877,7 @@ def sample_exact_boundary(model, skeleton, n, seed=0):
     return BoundaryPopulation.concat(parts)
 
 
-def sample_theta(model, skeleton, n, seed=0):
+def sample_theta(model, n, seed=0):
     """Mixed boundary population: exact phi/cap/vertex samples plus ray casts.
 
     Ray-cast samples (about 15%, the last rows) sit on the discretized
@@ -896,7 +886,7 @@ def sample_theta(model, skeleton, n, seed=0):
     directions from a stream of their own, default_rng([seed, 1]).
     """
     n_ray = int(round(0.15 * n))
-    exact = sample_exact_boundary(model, skeleton, n - n_ray, seed=seed)
+    exact = sample_exact_boundary(model, n - n_ray, seed=seed)
     U = unit_directions(np.random.default_rng([seed, 1]), n_ray)
     return BoundaryPopulation.concat([exact, ray_cast_boundary(model, U)])
 
@@ -958,7 +948,7 @@ def _random_patch_points(c, n, rng):
     return out
 
 
-def boundary_residual(model, skeleton, probes=256, seed=0):
+def boundary_residual(model, probes=256, seed=0):
     """Empirical bound on how far the model boundary sits outside the body.
 
     Exact phi points at generic (off-grid) parameters are probed against
@@ -966,6 +956,7 @@ def boundary_residual(model, skeleton, probes=256, seed=0):
     displacement the grid resolution can cause anywhere.
     """
     rng = np.random.default_rng(seed)
+    skeleton = model.skeleton
     c = skeleton.constants
     per = max(probes // 20, 4)
     probe = []

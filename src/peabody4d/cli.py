@@ -439,8 +439,8 @@ def _skeleton_checks(report, tols, samples, seed, skeleton):
                100, seed, radius_match)
 
 
-def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
-    w = model.width
+def _body_checks(report, tols, samples, seed, model, resid_budget):
+    skeleton, w = model.skeleton, model.width
     n = max(samples, 10 ** 4)
     # support extents converge like n^(-2/3), so the 1e-3 width tolerance
     # needs ~2e5 samples whatever --samples is, and draws exactly that many;
@@ -450,14 +450,14 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
     # verify's peak RSS by ~10 MB.
     start = time.perf_counter()
     pop_w = BoundaryPopulation.concat([
-        sample_exact_boundary(model, skeleton, 2 * 10 ** 5, seed=seed + 5),
+        sample_exact_boundary(model, 2 * 10 ** 5, seed=seed + 5),
         ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)]))])
     n_w = len(pop_w)
     width_err = max(abs(width_in_direction(pop_w, u) - w) for u in np.eye(4))
     del pop_w
     print(_layer_line("width-sample", f"{n_w} samples", start), file=sys.stderr)
     start = time.perf_counter()
-    pop = sample_theta(model, skeleton, n, seed=seed)
+    pop = sample_theta(model, n, seed=seed)
     print(_layer_line("sample-theta", f"{len(pop)} samples", start),
           file=sys.stderr)
     start = time.perf_counter()
@@ -486,8 +486,7 @@ def _body_checks(report, tols, samples, seed, skeleton, model, resid_budget):
         return float(np.max(np.abs(dist - w)))
 
     def diameter_pairs():
-        exact = sample_exact_boundary(model, skeleton, min(n, 20000),
-                                      seed=seed + 1)
+        exact = sample_exact_boundary(model, min(n, 20000), seed=seed + 1)
         return abs(diameter_check(model, exact, pairs=10 ** 6, seed=seed + 2) - w)
 
     def diameter_chords():
@@ -551,7 +550,7 @@ def cmd_verify(args):
         # the residual budget is calibrated on the as-built model so that a
         # corrupted radius law (--perturb) cannot loosen its own tolerances
         layer_start = time.perf_counter()
-        resid_budget = boundary_residual(model, skeleton, probes=128, seed=seed)
+        resid_budget = boundary_residual(model, probes=128, seed=seed)
         layer_lines.append(_layer_line(
             "residual-calibration", f"budget {resid_budget:.1e}", layer_start))
         if perturb:
@@ -573,7 +572,7 @@ def cmd_verify(args):
     if suite in ("all", "skeleton"):
         _skeleton_checks(report, tols, samples, seed, skeleton)
     if suite in ("all", "body"):
-        _body_checks(report, tols, samples, seed, skeleton, model, resid_budget)
+        _body_checks(report, tols, samples, seed, model, resid_budget)
 
     text = report.to_json()
     _write(text, args.out)
@@ -593,9 +592,8 @@ def cmd_sample(args):
     seed = _resolve(args.seed, cfg, "seed", _int_in(0), 0, env="PEABODY4D_SEED")
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
 
-    skeleton = _build_skeleton(compute_model_constants())
-    model = _build_model(skeleton, grid)
-    pop = sample_theta(model, skeleton, n, seed=seed)
+    model = _build_model(_build_skeleton(compute_model_constants()), grid)
+    pop = sample_theta(model, n, seed=seed)
     slack, _ = model.min_slack(pop.points)
     # one format per row: the bytes of _fmt on each coordinate and the slack.
     # The rows are formatted and written _CSV_ROWS at a time, so that the

@@ -147,15 +147,14 @@ def isometry_from_vertex_permutation(vertices, perm):
 # quadrics
 # ============================================================================
 
-_KINDS = ("ellipse", "hyperbola", "hyperboloid-of-revolution")
+_KINDS = ("ellipse", "hyperboloid-of-revolution")
 
 
 @dataclass(frozen=True)
 class Quadric:
     """A focal conic / quadric of the construction, carried by its own frame.
 
-    kind    'ellipse' (2-plane carrier, axes x and z of the frame),
-            'hyperbola' (2-plane carrier, axes x and y), or
+    kind    'ellipse' (2-plane carrier, axes x and z of the frame) or
             'hyperboloid-of-revolution' (3-space carrier, axes x, y, w).
     origin  center, world coordinates.
     axes    4x4 row-orthonormal matrix; row i is the frame's i-th axis.
@@ -181,7 +180,7 @@ class Quadric:
     # ---- derived scalars --------------------------------------------------
     @property
     def b_sq(self):
-        """Minor-axis squared (ellipse) / transverse b^2 (hyperbolic kinds)."""
+        """Minor-axis squared (ellipse) / transverse b^2 (hyperboloid)."""
         return self.a_sq - 1.0
 
     @property
@@ -221,11 +220,6 @@ def base_hyperboloid(a_sq=1.5):
     return Quadric("hyperboloid-of-revolution", np.zeros(4), np.eye(4), a_sq)
 
 
-def base_hyperbola(a_sq=1.5):
-    """The w = 0 section of H in the {x, y} plane (the classical focal pair)."""
-    return Quadric("hyperbola", np.zeros(4), np.eye(4), a_sq)
-
-
 def quadric_residual(q, p):
     """Signed residual of the quadric's implicit equation, one per point.
 
@@ -238,8 +232,6 @@ def quadric_residual(q, p):
     k = q.a_sq - 1.0
     if q.kind == "ellipse":
         return zeta * zeta - k * (1.0 - xi * xi / q.a_sq)
-    if q.kind == "hyperbola":
-        return eta * eta - k * (xi * xi - 1.0)
     return eta * eta + nu * nu - k * (xi * xi - 1.0)
 
 
@@ -248,8 +240,6 @@ def carrier_distance(q, p):
     xi, eta, zeta, nu = np.moveaxis(q.to_frame(as_points(p)), -1, 0)
     if q.kind == "ellipse":
         return np.hypot(eta, nu)
-    if q.kind == "hyperbola":
-        return np.hypot(zeta, nu)
     return np.abs(zeta)
 
 

@@ -262,8 +262,6 @@ class FocalSkeleton:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_label", {f.label: f for f in self.faces})
-        # body._cap_cone's memo: cap index -> its cone, built on first use
-        object.__setattr__(self, "_cap_cones", {})
 
     def edge_faces(self):
         return [f for f in self.faces if f.kind == "edge-arc"]

@@ -44,13 +44,13 @@ def model_fine(skeleton):
 
 
 @pytest.fixture(scope="session")
-def exact_pop(model, skeleton):
-    return sample_exact_boundary(model, skeleton, 20000, seed=3)
+def exact_pop(model):
+    return sample_exact_boundary(model, 20000, seed=3)
 
 
 @pytest.fixture(scope="session")
-def mixed_pop(model, skeleton):
-    return sample_theta(model, skeleton, 200000, seed=2)
+def mixed_pop(model):
+    return sample_theta(model, 200000, seed=2)
 
 
 # ---------------------------------------------------------------------------

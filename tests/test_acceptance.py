@@ -157,8 +157,8 @@ def test_c07_envelope_pair_separation_grid(constants, skeleton):
 def test_c08_ball_model_cross_check(skeleton, model, model_fine):
     from peabody4d.body import _random_arc_points, _random_patch_points
 
-    resid_coarse = boundary_residual(model, skeleton)
-    resid_fine = boundary_residual(model_fine, skeleton)
+    resid_coarse = boundary_residual(model)
+    resid_fine = boundary_residual(model_fine)
     rng = np.random.default_rng(13)
     c = skeleton.constants
     for patch in skeleton.triangle_faces():

@@ -40,7 +40,7 @@ from peabody4d.body import (
     _random_patch_points,
     _ray_cast_many,
     _ray_hits,
-    _row_min,
+    _row_blocks,
     binormal_partner,
     boundary_residual,
     build_ball_model,
@@ -192,8 +192,9 @@ def test_ball_radii_follow_the_chain_radius_law(model, skeleton, constants):
         assert np.max(np.abs(model.radii[sl] - (w - r))) <= 1e-12
         assert np.all(r > 0)  # vertex-coincident nodes were dropped
         (arc_sizes if len(lab) == 2 else patch_sizes).add(sl.stop - sl.start)
-    # symmetric grids: every arc, and every patch, holds the same count
-    assert arc_sizes == {model.arc_n - 2}
+    # symmetric grids: every arc, and every patch, holds the same count; the
+    # 64 arc nodes lose their two ends, which are vertex balls
+    assert arc_sizes == {64 - 2}
     assert len(patch_sizes) == 1
 
 
@@ -241,8 +242,16 @@ def test_interior_point_is_the_centroid_and_is_deep(model):
                        [FROZEN["g_x"], 0.0, 0.0, 0.0], atol=1e-12, rtol=0)
     slack, _ = model.min_slack(model.interior_point)
     assert slack >= 1e-6
-    assert model.contains(model.interior_point)
-    assert not model.contains(np.array([10.0, 0.0, 0.0, 0.0]))
+    slack, _ = model.min_slack(np.array([10.0, 0.0, 0.0, 0.0]))
+    assert slack < -1e-9
+
+
+def test_a_model_is_its_balls_and_its_skeleton(model, skeleton):
+    assert ([f.name for f in dataclasses.fields(BallModel)]
+            == ["centers", "radii", "sample_face", "face_slices", "skeleton"])
+    assert model.skeleton is skeleton
+    assert model.interior_point is skeleton.simplex.centroid
+    assert model.width == skeleton.constants.width
 
 
 def test_center_set_invariant_under_all_motions(model, group):
@@ -273,9 +282,7 @@ def test_vertex_balls_alone_give_the_reuleaux_simplex(model, skeleton,
     w = model.width
     vertex_only = BallModel(
         centers=V.copy(), radii=np.full(5, w),
-        sample_face=model.sample_face[:5], face_slices={},
-        interior_point=model.interior_point, width=w,
-        patch_grid=(0, 0), arc_n=0)
+        sample_face=model.sample_face[:5], face_slices={}, skeleton=skeleton)
     # each vertex touches the four other vertex spheres
     for v in V:
         slack, _ = vertex_only.min_slack(v)
@@ -383,7 +390,7 @@ def ragged_count(n_balls):
     return 3 * _block_rows(n_balls) + 7
 
 
-def kernel_inputs(model, skeleton):
+def kernel_inputs(model):
     """Balls in 4-D and in 3-D, each with a start inside all of them, unit
     vectors v at which the last ball alone is tight, at C[-1] + R[-1] v, and
     the simplex vertices in the balls' space, where many spheres meet.
@@ -393,7 +400,7 @@ def kernel_inputs(model, skeleton):
     casts them (slice_balls), with the three vertices of that plane.
     """
     return [(model.centers, model.radii, model.interior_point,
-             last_ball_normals(model, skeleton), model.centers[:5]),
+             last_ball_normals(model), model.centers[:5]),
             slice_balls(model)]
 
 
@@ -425,7 +432,7 @@ def slice_balls(model):
             in_plane)
 
 
-def last_ball_normals(model, skeleton, n=1025):
+def last_ball_normals(model, n=1025):
     """Unit vectors v at which the last ball alone is tight, at C[-1] + R[-1] v.
 
     The last ball is centered at a node x of the last patch.  Each point y of
@@ -434,7 +441,7 @@ def last_ball_normals(model, skeleton, n=1025):
     exact body, inside every other ball.  The arc is taken at the n - 2
     inner points of base_arc_points, off the model's arc grid.
     """
-    x = model.centers[-1]
+    skeleton, x = model.skeleton, model.centers[-1]
     patch = next(label for label, rows in model.face_slices.items()
                  if rows.stop == len(model.centers))
     arc = skeleton.face(dual_label(patch))
@@ -491,9 +498,9 @@ def ray_rows(C, R, origin, normals, vertices, seed):
     return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
-def test_slack_kernel_equals_the_one_shot_formula(model, skeleton):
+def test_slack_kernel_equals_the_one_shot_formula(model):
     rng = np.random.default_rng(31)
-    for C, R, origin, normals, vertices in kernel_inputs(model, skeleton):
+    for C, R, origin, normals, vertices in kernel_inputs(model):
         P = slack_rows(C, R, origin, normals, vertices, rng)
         s, arg = _min_slack(C, R, P)
         aimed = ragged_count(len(C)) + np.arange(len(normals))
@@ -512,8 +519,8 @@ def test_slack_kernel_agrees_with_brute_force_distances(model):
         assert_first_minima(s[lo:lo + 256], arg[lo:lo + 256], brute)
 
 
-def test_ray_kernel_equals_the_one_shot_formula(model, skeleton):
-    for C, R, origin, normals, vertices in kernel_inputs(model, skeleton):
+def test_ray_kernel_equals_the_one_shot_formula(model):
+    for C, R, origin, normals, vertices in kernel_inputs(model):
         U = ray_rows(C, R, origin, normals, vertices, seed=33)
         t, arg = _ray_hits(C, R, origin, U)
         aimed = ragged_count(len(C)) + np.arange(len(normals))
@@ -521,8 +528,8 @@ def test_ray_kernel_equals_the_one_shot_formula(model, skeleton):
         assert_first_minima(t, arg, direct_hits(C, R, origin, U))
 
 
-def test_ray_kernel_agrees_with_brute_force_distances(model, skeleton):
-    for C, R, origin, *_ in kernel_inputs(model, skeleton):
+def test_ray_kernel_agrees_with_brute_force_distances(model):
+    for C, R, origin, *_ in kernel_inputs(model):
         U = sobol_directions(ragged_count(len(C)), seed=34)[:, :C.shape[1]]
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         t, arg = _ray_hits(C, R, origin, U)
@@ -549,26 +556,19 @@ def use_pool(monkeypatch):
         pool.shutdown()
 
 
-def kernel_outputs(model, skeleton, monkeypatch):
+def kernel_outputs(model):
     """Every block kernel's arrays at ragged_count rows of its column count,
     the slack and ray kernels' with the aimed and vertex rows."""
     rng = np.random.default_rng(35)
     outputs = []
-    for inputs in kernel_inputs(model, skeleton):
+    for inputs in kernel_inputs(model):
         C, R, origin = inputs[:3]
         outputs += _min_slack(C, R, slack_rows(*inputs, rng))
         outputs += _ray_hits(C, R, origin, ray_rows(*inputs, seed=36))
-    # the rim mesh's plane count is the depth kernel's column count
-    facets = []
-
-    def spy(block, n_rows, n_cols):
-        facets.append(n_cols)
-        return _row_min(block, n_rows, n_cols)
-    with monkeypatch.context() as m:
-        m.setattr(body, "_row_min", spy)
-        a, _, _, depth = _cap_cone(skeleton, 2)
-        depth(a[None, :])
-    U = a + 0.3 * rng.standard_normal((ragged_count(facets[0]), 4))
+    # the depth kernel's column count is the rim mesh's plane count, 2 V - 4
+    # for a closed triangulated sphere of V rim nodes
+    a, _, _, rim, depth = model.caps[1]
+    U = a + 0.3 * rng.standard_normal((ragged_count(2 * len(rim) - 4), 4))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     outputs += [depth(U), _in_cap(depth, U)]
     U = sobol_directions(ragged_count(len(model.centers)), seed=38)
@@ -576,12 +576,12 @@ def kernel_outputs(model, skeleton, monkeypatch):
     return outputs
 
 
-def test_kernels_are_bit_identical_for_any_worker_count(model, skeleton,
-                                                       use_pool, monkeypatch):
+def test_kernels_are_bit_identical_for_any_worker_count(model, use_pool,
+                                                       monkeypatch):
     results = []
     for workers in (1, 3):
         use_pool(workers)
-        results.append(kernel_outputs(model, skeleton, monkeypatch))
+        results.append(kernel_outputs(model))
     assert len(results[1]) == 11
     for one, three in zip(*results):
         assert np.array_equal(one, three)
@@ -589,7 +589,7 @@ def test_kernels_are_bit_identical_for_any_worker_count(model, skeleton,
     # chord arrays the same bits; the cap depth and its screen (arrays 8 and
     # 9) take BLAS products, whose last bits may follow the partition
     monkeypatch.setattr(body, "_block_rows", lambda n_cols: 7)
-    sevens = kernel_outputs(model, skeleton, monkeypatch)
+    sevens = kernel_outputs(model)
     for k in (0, 1, 2, 3, 4, 5, 6, 7, 10):
         assert np.array_equal(results[0][k], sevens[k])
 
@@ -620,14 +620,13 @@ def test_slice_rejects_a_zero_or_non_finite_hyperplane(model, normal, offset):
 def test_an_exception_in_one_block_propagates(use_pool):
     n_cols = 10 ** 5     # a block of _block_rows(n_cols) = 16 rows
 
-    def block(rows):
+    def run(rows):
         if rows.start > 0:
             raise FloatingPointError("block failed")
-        return np.zeros((16, n_cols))
     for workers in (1, 3):
         use_pool(workers)
         with pytest.raises(FloatingPointError, match="block failed"):
-            _row_min(block, ragged_count(n_cols), n_cols)
+            _row_blocks(run, ragged_count(n_cols), n_cols)
 
 
 # ----------------------------------------------------------------------------
@@ -696,10 +695,10 @@ def test_population_parameters_regenerate_the_points(model, simplex,
     assert np.max(np.abs(d - w)) <= 1e-12
 
 
-def test_a_population_row_is_its_point_piece_and_active_ball(model, skeleton):
+def test_a_population_row_is_its_point_piece_and_active_ball(model):
     assert ([f.name for f in dataclasses.fields(BoundaryPopulation)]
             == ["points", "face", "active"])
-    pops = [sample_exact_boundary(model, skeleton, 1000, seed=0),
+    pops = [sample_exact_boundary(model, 1000, seed=0),
             ray_cast_boundary(model, unit_directions(np.random.default_rng(0), 100))]
     for pop in pops:
         nbytes = sum(getattr(pop, f.name).nbytes
@@ -712,9 +711,8 @@ def test_exact_population_lies_on_the_model_boundary(model, exact_pop):
     assert np.max(np.abs(ms)) <= 1e-9
 
 
-def test_mixed_population_stays_within_the_grid_residual(model, skeleton,
-                                                         mixed_pop):
-    residual = boundary_residual(model, skeleton)
+def test_mixed_population_stays_within_the_grid_residual(model, mixed_pop):
+    residual = boundary_residual(model)
     assert residual <= 2e-4
     ms, _ = model.min_slack(mixed_pop.points)
     assert ms.min() >= -1e-9
@@ -736,11 +734,10 @@ def test_unit_directions_are_normalized_standard_normal_rows():
     assert unit_directions(np.random.default_rng(8), 0).shape == (0, 4)
 
 
-def test_ray_rows_of_the_mixed_population_have_their_own_stream(model,
-                                                                skeleton):
+def test_ray_rows_of_the_mixed_population_have_their_own_stream(model):
     n, seed = 2000, 5
     n_ray = 300                                  # the last 15 % of the rows
-    pop = sample_theta(model, skeleton, n, seed=seed)
+    pop = sample_theta(model, n, seed=seed)
     rays = pop[n - n_ray:]
     # each ray row lies along its direction from the interior point (the
     # subtraction p - g costs a few ulps), and casting the replayed
@@ -753,13 +750,13 @@ def test_ray_rows_of_the_mixed_population_have_their_own_stream(model,
     for f in dataclasses.fields(BoundaryPopulation):
         assert np.array_equal(getattr(cast, f.name), getattr(rays, f.name))
 
-    again = sample_theta(model, skeleton, n, seed=seed)
+    again = sample_theta(model, n, seed=seed)
     for f in dataclasses.fields(BoundaryPopulation):
         assert np.array_equal(getattr(again, f.name), getattr(pop, f.name))
 
     # the exact rows are the exact sampler's own, and the rays do not replay
     # its stream
-    exact = sample_exact_boundary(model, skeleton, n - n_ray, seed=seed)
+    exact = sample_exact_boundary(model, n - n_ray, seed=seed)
     assert np.array_equal(pop[:n - n_ray].points, exact.points)
     replay = unit_directions(np.random.default_rng(seed), n_ray)
     gap = np.linalg.norm(U[:, None] - replay[None], axis=2)
@@ -777,45 +774,51 @@ def scaled_skeleton(request):
     return build_focal_skeleton(c, s, build_symmetry_group(s))
 
 
-def cone_proposals(skeleton, i, count, seed):
-    """Uniform unit directions within the rim cosine of cap i's axis."""
-    a, floor, _, _ = _cap_cone(skeleton, i)
+@pytest.fixture(scope="module")
+def scaled_caps(scaled_skeleton):
+    """The five cap cones of scaled_skeleton, cap i at index i - 1."""
+    return [_cap_cone(scaled_skeleton, i) for i in range(1, 6)]
+
+
+def cone_proposals(cone, count, seed):
+    """Uniform unit directions within the rim cosine of a cap cone's axis."""
+    a, _, floor, _, _ = cone
     U = np.random.default_rng(seed).standard_normal((count, 4))
     U /= np.linalg.norm(U, axis=1)[:, None]
     return U[U @ a >= floor]
 
 
-def in_cap_hull(skeleton, i, U):
-    return _cap_cone(skeleton, i)[3](U) >= 0.0
+def in_cap_hull(cone, U):
+    return cone[4](U) >= 0.0
 
 
-def test_every_rim_point_lies_on_its_hull(scaled_skeleton):
+def test_every_rim_point_lies_on_its_hull(scaled_caps):
     # the projected rim is in convex position: the normal cone is convex
-    for i in range(1, 6):
-        _, _, rim, depth = _cap_cone(scaled_skeleton, i)
+    for _, _, _, rim, depth in scaled_caps:
         assert np.max(np.abs(depth(rim))) <= 1e-12
 
 
-def test_hull_accepted_cap_points_lie_in_the_fine_model(scaled_skeleton):
+def test_hull_accepted_cap_points_lie_in_the_fine_model(scaled_skeleton,
+                                                        scaled_caps):
     fine = build_ball_model(scaled_skeleton, patch_grid=(64, 96), arc_n=256)
     V = scaled_skeleton.simplex.vertices
     rng = np.random.default_rng(11)
     for i in range(1, 6):
-        U = _cap_directions(scaled_skeleton, i, 400, rng)
+        U = _cap_directions(scaled_caps[i - 1], 400, rng)
         assert len(U) == 400
         slack, _ = fine.min_slack(V[i - 1] + fine.width * U)
         assert slack.min() >= -1e-9
 
 
 def test_the_hull_holds_every_direction_the_ball_margin_accepts(
-        scaled_skeleton):
+        scaled_skeleton, scaled_caps):
     # the reference is the margin rule the hull replaced: the cap point is
     # within the width of the other vertices and keeps slack >= 2e-4
     # against every face ball of a 16x24 model
     m = build_ball_model(scaled_skeleton, patch_grid=(16, 24), arc_n=64)
     V, w = scaled_skeleton.simplex.vertices, m.width
     for i in range(1, 6):
-        U = cone_proposals(scaled_skeleton, i, 200000, seed=i)
+        U = cone_proposals(scaled_caps[i - 1], 200000, seed=i)
         Q = V[i - 1] + w * U
         others = np.delete(V, i - 1, axis=0)
         reuleaux = np.all(np.linalg.norm(Q[:, None, :] - others[None], axis=2)
@@ -823,13 +826,13 @@ def test_the_hull_holds_every_direction_the_ball_margin_accepts(
         slack, _ = _min_slack(m.centers[5:], m.radii[5:], Q)
         reference = reuleaux & (slack >= 2e-4)
         assert reference.sum() >= 50
-        assert np.all(in_cap_hull(scaled_skeleton, i, U[reference]))
+        assert np.all(in_cap_hull(scaled_caps[i - 1], U[reference]))
 
 
-def test_the_hull_holds_a_quarter_of_the_cone(scaled_skeleton):
-    for i in range(1, 6):
-        U = cone_proposals(scaled_skeleton, i, 400000, seed=20 + i)
-        assert np.mean(in_cap_hull(scaled_skeleton, i, U)) >= 0.25
+def test_the_hull_holds_a_quarter_of_the_cone(scaled_caps):
+    for i, cone in enumerate(scaled_caps, start=1):
+        U = cone_proposals(cone, 400000, seed=20 + i)
+        assert np.mean(in_cap_hull(cone, U)) >= 0.25
 
 
 def test_each_cap_sample_lies_on_its_own_cap(model, skeleton, exact_pop):
@@ -841,7 +844,7 @@ def test_each_cap_sample_lies_on_its_own_cap(model, skeleton, exact_pop):
         cap = caps[caps.active == i - 1]
         assert len(cap) > 200
         assert np.all(cap.face == piece_code(dual_label((i,))))
-        assert np.all(in_cap_hull(skeleton, i, cap_directions(model, cap)))
+        assert np.all(in_cap_hull(model.caps[i - 1], cap_directions(model, cap)))
 
 
 def gnomonic_hull(skeleton, i, base):
@@ -874,19 +877,20 @@ def test_every_rim_mesh_edge_lies_in_two_triangles(scaled_skeleton):
         assert len(T) == 2 * len(rim) - 4
 
 
-def test_the_axis_lies_strictly_inside_every_rim_plane(scaled_skeleton):
+def test_the_axis_lies_strictly_inside_every_rim_plane(scaled_skeleton,
+                                                       scaled_caps):
     for i in range(1, 6):
         _, _, _, Y, T = _cap_mesh(scaled_skeleton, i)
         _, off = _mesh_planes(Y, T)
         assert off.min() > 0.1
-        a, _, _, depth = _cap_cone(scaled_skeleton, i)
+        a, _, _, _, depth = scaled_caps[i - 1]
         assert depth(a[None, :])[0] == pytest.approx(off.min(), rel=1e-12)
         # the antipode projects onto the axis too, but lies outside the cone
         assert depth(-a[None, :])[0] < 0.0
 
 
 def test_the_rim_mesh_has_no_more_planes_than_the_old_rim_hull(
-        scaled_skeleton):
+        scaled_skeleton, scaled_caps):
     # the hull of the projected 16x24 patch grid was the certificate before
     # the rim mesh; on the same directions the mesh accepts at least 99 % of
     # what that hull did
@@ -896,18 +900,19 @@ def test_the_rim_mesh_has_no_more_planes_than_the_old_rim_hull(
         old = gnomonic_hull(scaled_skeleton, i, old_grid)
         _, _, _, _, T = _cap_mesh(scaled_skeleton, i)
         assert len(T) <= len(old.simplices)
-        a, floor, _, depth = _cap_cone(scaled_skeleton, i)
+        a, _, floor, _, depth = scaled_caps[i - 1]
         V = U[U @ a >= floor]
         assert (depth(V) >= 0.0).sum() >= 0.99 * in_hull(old, scaled_skeleton, i, V).sum()
 
 
-def test_mesh_accepted_directions_lie_in_a_finer_rim_hull(scaled_skeleton):
+def test_mesh_accepted_directions_lie_in_a_finer_rim_hull(scaled_skeleton,
+                                                          scaled_caps):
     # the grid of 48 steps in s and 96 angles holds every node of the 7x24
     # mesh (6 steps, 24 angles), so its hull holds the mesh's
     fine = base_patch_mesh(scaled_skeleton.constants, 49, 96)[0]
     U = unit_directions(np.random.default_rng(41), 1 << 18)
     for i in range(1, 6):
-        a, floor, _, depth = _cap_cone(scaled_skeleton, i)
+        a, _, floor, _, depth = scaled_caps[i - 1]
         V = U[U @ a >= floor]
         V = V[depth(V) >= 0.0]
         assert len(V) > 2000
@@ -915,14 +920,13 @@ def test_mesh_accepted_directions_lie_in_a_finer_rim_hull(scaled_skeleton):
                               scaled_skeleton, i, V))
 
 
-def test_the_plane_screen_keeps_exactly_the_full_depth_set(scaled_skeleton):
+def test_the_plane_screen_keeps_exactly_the_full_depth_set(scaled_caps):
     # 2^18 proposals per cap, uniform in the angle to the axis up to the rim
     # cosine: the screened test accepts the same rows as every plane does
     rng = np.random.default_rng(44)
-    for i in range(1, 6):
-        a, floor, _, depth = _cap_cone(scaled_skeleton, i)
+    for a, E, floor, _, depth in scaled_caps:
         phi = np.arccos(floor) * rng.random(1 << 18)
-        V = rng.standard_normal((1 << 18, 3)) @ body.complement_basis(a).T
+        V = rng.standard_normal((1 << 18, 3)) @ E.T
         V /= np.linalg.norm(V, axis=1)[:, None]
         U = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * V
         full = depth(U) >= 0.0
@@ -932,32 +936,46 @@ def test_the_plane_screen_keeps_exactly_the_full_depth_set(scaled_skeleton):
         assert np.array_equal(_in_cap(depth, U), full)
 
 
-def test_the_plane_screen_leaves_the_cap_draws_unchanged(skeleton, monkeypatch):
-    screened = [_cap_directions(skeleton, i, 3000, np.random.default_rng(45))
-                for i in range(1, 6)]
+def test_the_plane_screen_leaves_the_cap_draws_unchanged(model, monkeypatch):
+    screened = [_cap_directions(cone, 3000, np.random.default_rng(45))
+                for cone in model.caps]
     # a screen of every plane is the full depth test, twice
     monkeypatch.setattr(body, "_CAP_SCREEN", slice(None))
-    for i, U in enumerate(screened, start=1):
+    for cone, U in zip(model.caps, screened):
         assert np.array_equal(
-            _cap_directions(skeleton, i, 3000, np.random.default_rng(45)), U)
+            _cap_directions(cone, 3000, np.random.default_rng(45)), U)
 
 
-def test_each_cap_mesh_is_built_once_per_skeleton(constants, simplex, group,
-                                                  monkeypatch):
-    fresh = build_focal_skeleton(constants, simplex, group)
-    model = build_ball_model(fresh, patch_grid=(16, 24), arc_n=64)
+def test_each_cap_mesh_is_built_once_per_model(skeleton, monkeypatch):
+    model = build_ball_model(skeleton, patch_grid=(16, 24), arc_n=64)
     built = []
 
     def counting_mesh(skeleton, i):
         built.append(i)
         return _cap_mesh(skeleton, i)
     monkeypatch.setattr(body, "_cap_mesh", counting_mesh)
-    first = sample_exact_boundary(model, fresh, 2000, seed=1)
-    again = sample_exact_boundary(model, fresh, 2000, seed=1)
-    sample_theta(model, fresh, 2000, seed=2)
+    first = sample_exact_boundary(model, 2000, seed=1)
+    again = sample_exact_boundary(model, 2000, seed=1)
+    sample_theta(model, 2000, seed=2)
     assert sorted(built) == [1, 2, 3, 4, 5]
     assert np.array_equal(first.points, again.points)
-    assert _cap_cone(fresh, 3) is _cap_cone(fresh, 3)
+    assert model.caps is model.caps
+
+
+def test_a_perturbed_model_keeps_the_skeleton_caps(model):
+    # verify --perturb scales the radii with dataclasses.replace; the copy
+    # builds its caps from the same skeleton, so its cap and vertex rows (the
+    # rows active on a vertex ball) are the true ones bit for bit, while
+    # every phi row moves with the radii
+    scaled = dataclasses.replace(model, radii=model.radii * (1 + 1e-3))
+    assert scaled.skeleton is model.skeleton
+    true, moved = (sample_exact_boundary(m, 5000, seed=9) for m in (model, scaled))
+    assert np.array_equal(true.active, moved.active)
+    on_vertex = true.active < 5
+    assert on_vertex.sum() > 800
+    assert np.array_equal(true.points[on_vertex], moved.points[on_vertex])
+    assert np.all(np.any(true.points[~on_vertex] != moved.points[~on_vertex],
+                         axis=1))
 
 
 def test_a_rim_mesh_short_of_flips_raises(skeleton, monkeypatch):
@@ -968,16 +986,17 @@ def test_a_rim_mesh_short_of_flips_raises(skeleton, monkeypatch):
         _cap_mesh(skeleton, 1)
 
 
-def test_cap_directions_follow_the_proposal_law_inside_the_mesh(skeleton):
+def test_cap_directions_follow_the_proposal_law_inside_the_mesh(model):
     # the angle law of the certified directions equals that of uniform
     # proposals within the rim cosine kept by the mesh
     n = 200000
-    a, _, _, _ = _cap_cone(skeleton, 1)
-    mine = _cap_directions(skeleton, 1, n, np.random.default_rng(42)) @ a
+    cone = model.caps[0]
+    a = cone[0]
+    mine = _cap_directions(cone, n, np.random.default_rng(42)) @ a
     ref = []
     for seed in range(43, 143):
-        U = cone_proposals(skeleton, 1, 1 << 20, seed)
-        ref.append(U[in_cap_hull(skeleton, 1, U)] @ a)
+        U = cone_proposals(cone, 1 << 20, seed)
+        ref.append(U[in_cap_hull(cone, U)] @ a)
         if sum(map(len, ref)) >= n:
             break
     ref = np.concatenate(ref)[:n]
@@ -1007,7 +1026,8 @@ def test_cap_samples_pair_with_the_opposite_vertex(model, simplex, exact_pop):
 
 def classify_on_model(model, q):
     """One-sample population for a point known to lie on the model boundary."""
-    tight = model.tight_centers(q)
+    d = np.linalg.norm(model.centers - q, axis=1)
+    tight = np.flatnonzero(np.abs(model.radii - d) <= 1e-9)
     assert len(tight) == 1
     j = int(tight[0])
     return BoundaryPopulation(
@@ -1107,8 +1127,8 @@ def test_boundary_displacement_shrinks_quadratically(skeleton):
 def test_representations_cross_validate_at_two_resolutions(model, model_fine,
                                                            skeleton,
                                                            constants):
-    resid_coarse = boundary_residual(model, skeleton, probes=256, seed=0)
-    resid_fine = boundary_residual(model_fine, skeleton, probes=256, seed=0)
+    resid_coarse = boundary_residual(model, probes=256, seed=0)
+    resid_fine = boundary_residual(model_fine, probes=256, seed=0)
     assert resid_fine <= resid_coarse + 1e-12
     rng = np.random.default_rng(13)
     for patch in skeleton.triangle_faces():

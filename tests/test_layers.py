@@ -1,0 +1,66 @@
+"""The package's layers keep the order its docstring gives them.
+
+numerics -> geometry -> focal -> skeleton -> body -> cli: each module imports
+only modules listed before it, so a lower layer never knows of a higher one,
+and a skeleton keeps no state for the body built on it.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+import peabody4d
+from peabody4d.body import build_ball_model, sample_theta
+from peabody4d.skeleton import FocalSkeleton, build_focal_skeleton
+
+PACKAGE = Path(peabody4d.__file__).parent
+LAYERS = ["numerics", "geometry", "focal", "skeleton", "body", "cli"]
+
+
+def test_the_package_docstring_lists_every_module_in_layer_order():
+    listed = [line.split()[0] for line in peabody4d.__doc__.splitlines()
+              if " -- " in line]
+    assert listed == LAYERS
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")
+                  if p.stem != "__init__") == sorted(LAYERS)
+
+
+def imported_modules(name):
+    """The package modules that module name imports, read with ast."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # "from .focal import x" and "from . import focal" alike
+            base = (["peabody4d"] if node.level else []) + (
+                node.module.split(".") if node.module else [])
+            paths = [base + ([alias.name] if not node.module else [])
+                     for alias in node.names]
+        else:
+            continue
+        found.update(path[1] for path in paths
+                     if path[0] == "peabody4d" and len(path) > 1)
+    return found
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_module_imports_a_later_layer(name):
+    assert imported_modules(name) <= set(LAYERS[:LAYERS.index(name)])
+
+
+def test_the_import_reader_finds_every_import_of_the_cli():
+    assert imported_modules("cli") == {"numerics", "geometry", "focal",
+                                       "skeleton", "body"}
+    assert imported_modules("numerics") == set()
+
+
+def test_a_skeleton_that_served_a_sampler_keeps_only_its_own_state(
+        constants, simplex, group):
+    skeleton = build_focal_skeleton(constants, simplex, group)
+    model = build_ball_model(skeleton, patch_grid=(16, 24), arc_n=64)
+    sample_theta(model, 2000, seed=0)
+    own = {f.name for f in dataclasses.fields(FocalSkeleton)}
+    assert set(vars(skeleton)) == own | {"_by_label"}
