@@ -30,13 +30,13 @@ rounded outward, which keeps every ball that can attain the row's minimum.
 An exact step then computes the survivors (np.flatnonzero) in float64 by
 the direct formula and keeps each row's least value and first argmin
 (_screened_min), so both return the all-ball direct formula bit for bit,
-whatever the block partition.  These kernels and the depth test of the cap
-certificate (the planes of a convex triangle mesh of each cap's rim,
-_cap_cone, built once per model as BallModel.caps; a fixed 32 of its
-planes screen the proposals first), a plain row minimum of one product,
-share one block engine (_row_blocks): blocks of rows sized for a float64
-buffer near 8 MB, spread over the CPUs this process may use, with results
-bit-identical for any worker count.  The package needs numpy alone.
+whatever the block partition.  _screened_min runs on a block engine
+(_row_blocks): blocks of rows sized for a float64 buffer near 8 MB, spread
+over the CPUs this process may use, with results bit-identical for any
+worker count.  Cap directions need no test at all: each is a positive
+combination of a cap cone's axis and rim directions, drawn from the fan of
+its rim mesh (_cap_cone, built once per model as BallModel.caps), so the
+convex cone holds it by construction.  The package needs numpy alone.
 
 A BallModel carries the skeleton it was built on, so every query of the
 body (sampling, residuals, the cap cones) takes the model alone.
@@ -96,7 +96,7 @@ class TooFewSamples(Exception):
 
 
 class NonConvexCap(Exception):
-    """A cap's rim mesh did not flip to a closed convex surface."""
+    """A cap's rim mesh is not a closed sphere fanned once around its axis."""
 
 
 class EmptySlice(Exception):
@@ -643,14 +643,6 @@ def binormal_partner(model, pop):
 # (rows in s, angles in theta) of the base patch mesh whose projection from
 # p_i outlines the cap opposite p_i
 _CAP_RIM_GRID = (7, 24)
-# how far (gnomonic units) a rim node may lie outside a plane of the rim mesh
-_RIM_TOL = 1e-12
-# rounds of edge flips a rim mesh may take, the last of which must find no
-# reflex edge
-_FLIP_ROUNDS = 32
-# the rim mesh planes that screen cap proposals before the full depth test:
-# every 33rd, 32 of the 1,056
-_CAP_SCREEN = slice(None, None, 33)
 
 
 def complement_basis(a):
@@ -659,59 +651,8 @@ def complement_basis(a):
     return np.linalg.svd(a[None, :])[2][1:].T
 
 
-def _mesh_planes(Y, T):
-    """Unit outer normals (F, 3) and offsets (F,) of the triangles T of Y."""
-    A = Y[T[:, 0]]
-    N = np.cross(Y[T[:, 1]] - A, Y[T[:, 2]] - A)
-    N /= np.linalg.norm(N, axis=1)[:, None]
-    return N, np.einsum("ij,ij->i", N, A)
-
-
-def _flip_round(Y, T):
-    """One round of edge flips on the closed triangle mesh T of the points Y.
-
-    Every triangle is oriented with the origin on its inner side.  An edge
-    is reflex when a node opposite it lies more than _RIM_TOL outside the
-    other triangle's plane; the most reflex edges that share no triangle
-    are flipped to the other diagonal of their quad at once, unless that
-    diagonal is already an edge.  Returns the new triangles and the flip
-    count.
-    """
-    n = len(Y)
-    tail, head = T.ravel(), np.roll(T, -1, axis=1).ravel()
-    across = np.roll(T, -2, axis=1).ravel()
-    # half-edge h = 3 f + k runs tail[h] -> head[h] in triangle f = h // 3
-    key = np.minimum(tail, head) * n + np.maximum(tail, head)
-    order = np.argsort(key, kind="stable")
-    keys = key[order]
-    h1, h2 = order[0::2], order[1::2]
-    if not (np.array_equal(keys[0::2], keys[1::2])
-            and np.all(keys[2::2] != keys[1:-1:2])
-            and np.array_equal(tail[h1], head[h2])):
-        raise NonConvexCap("the rim mesh is not a closed, oriented surface")
-    N, off = _mesh_planes(Y, T)
-    f1, f2, c, d = h1 // 3, h2 // 3, across[h1], across[h2]
-    reflex = np.maximum(np.einsum("ij,ij->i", Y[d], N[f1]) - off[f1],
-                        np.einsum("ij,ij->i", Y[c], N[f2]) - off[f2])
-    cand = np.flatnonzero(reflex > _RIM_TOL)
-    new = np.minimum(c[cand], d[cand]) * n + np.maximum(c[cand], d[cand])
-    at = np.minimum(np.searchsorted(keys, new), len(keys) - 1)
-    cand = cand[keys[at] != new]
-    cand = cand[np.argsort(-reflex[cand], kind="stable")]
-    # an edge flips when it is the most reflex candidate of both its triangles
-    rank = np.arange(len(cand))
-    first = np.full(len(T), len(cand))
-    np.minimum.at(first, f1[cand], rank)
-    np.minimum.at(first, f2[cand], rank)
-    e = cand[(first[f1[cand]] == rank) & (first[f2[cand]] == rank)]
-    T = T.copy()
-    T[f1[e]] = np.column_stack([c[e], tail[h1[e]], d[e]])
-    T[f2[e]] = np.column_stack([c[e], d[e], head[h1[e]]])
-    return T, len(e)
-
-
 def _cap_mesh(skeleton, i):
-    """The convex rim mesh of the cap opposite p_i, in gnomonic coordinates.
+    """The rim mesh of the cap opposite p_i, in gnomonic coordinates.
 
     -u is an outer normal at p_i for every cap direction u, so the u fill a
     convex cone whose rim is the projection (x - p_i)/|x - p_i| of the four
@@ -719,9 +660,8 @@ def _cap_mesh(skeleton, i):
     (base_patch_mesh) is carried there, its seam nodes merged, and the nodes
     projected into gnomonic coordinates Y = (u.E)/(u.a) about the unit axis
     a from p_i to the centroid, with E the complement of a.  Every triangle
-    is oriented with the axis on its inner side, and reflex edges are
-    flipped until none is left (NonConvexCap after _FLIP_ROUNDS rounds).
-    Returns a, E, the rim node directions, Y and the triangles.
+    is oriented so that its fan tetrahedron (0, Y_a, Y_b, Y_c) has positive
+    volume.  Returns a, E, Y and the triangles.
     """
     p = skeleton.simplex.vertices[i - 1]
     a = skeleton.simplex.centroid - p
@@ -730,7 +670,6 @@ def _cap_mesh(skeleton, i):
     base, tri, last = base_patch_mesh(skeleton.constants, *_CAP_RIM_GRID)
     faces = [f for f in skeleton.triangle_faces() if i not in f.label]
     rim = np.concatenate([f.generator.apply(base) - p for f in faces])
-    rim /= np.linalg.norm(rim, axis=1)[:, None]
     T = np.concatenate([tri + k * len(base) for k in range(len(faces))])
     # the patches meet along their last rows: each node there goes to the
     # first node at its place
@@ -741,84 +680,76 @@ def _cap_mesh(skeleton, i):
     node, index = np.unique(node, return_inverse=True)
     rim, T = rim[node], index[T]
     Y = (rim @ E) / (rim @ a)[:, None]
-    inward = np.einsum("ij,ij->i", Y[T[:, 0]], np.cross(Y[T[:, 1]], Y[T[:, 2]])) < 0.0
+    inward = _fan_volumes(Y, T) < 0.0
     T[inward] = T[inward][:, ::-1]
-    for _ in range(_FLIP_ROUNDS):
-        T, flips = _flip_round(Y, T)
-        if not flips:
-            return a, E, rim, Y, T
-    raise NonConvexCap(f"cap {i}: reflex edges left after {_FLIP_ROUNDS} "
-                       "rounds of flips")
+    return a, E, Y, T
+
+
+def _fan_volumes(Y, T):
+    """Signed volumes of the fan tetrahedra (0, Y_a, Y_b, Y_c), one per
+    triangle (a, b, c) of T."""
+    return np.einsum("ij,ij->i", Y[T[:, 0]], np.cross(Y[T[:, 1]], Y[T[:, 2]])) / 6.0
+
+
+def _closed_fan(Y, T):
+    """Cumulative fan volumes of the rim mesh T of Y, once it is checked.
+
+    The mesh must be a closed, consistently oriented sphere: every directed
+    edge appears once and its reverse once, F = 2 V - 4, and every fan
+    tetrahedron has positive volume (NonConvexCap otherwise).  Radial
+    projection from 0 then maps the sphere onto the sphere of directions
+    with positive orientation, once, so the fan tiles its star polytope
+    once.
+    """
+    n = len(Y)
+    tail, head = T.ravel(), np.roll(T, -1, axis=1).ravel()
+    edges = np.sort(tail * n + head)
+    if not (len(T) == 2 * n - 4 and np.all(edges[1:] != edges[:-1])
+            and np.array_equal(edges, np.sort(head * n + tail))):
+        raise NonConvexCap("the rim mesh is not a closed, oriented sphere")
+    vol = _fan_volumes(Y, T)
+    if not np.all(vol > 0.0):
+        raise NonConvexCap("a fan tetrahedron of the rim mesh is not positive")
+    return np.cumsum(vol)
 
 
 def _cap_cone(skeleton, i):
     """The directions u of the cap points p_i + 2 z1 u opposite p_i.
 
-    The planes of the rim mesh (_cap_mesh) bound the convex hull of its
-    nodes, points on the rim, so they hold only cone directions: that is
-    checked, every node within _RIM_TOL inside every plane (NonConvexCap).
-    Returns the unit axis a, its complement basis E, the smallest rim
-    cosine u.a, the rim node directions, and depth(U, planes): per row, the
-    least margin of u in gnomonic coordinates over the mesh planes that the
-    slice planes picks, all by default, >= 0 inside (-inf where u.a <= 0).
-    Built from the skeleton alone; a model keeps its five (BallModel.caps).
+    Returns the unit axis a, its complement basis E, the gnomonic rim nodes
+    Y and the triangles of the rim mesh (_cap_mesh), and the cumulative
+    volumes of its checked fan (_closed_fan).  Every point Y of a fan
+    tetrahedron is a convex combination of 0 and three nodes, so a + E Y
+    is a positive combination of the axis and three rim directions: a
+    direction of the convex cone.  Built from the skeleton alone; a model
+    keeps its five (BallModel.caps).
     """
-    a, E, rim, Y, T = _cap_mesh(skeleton, i)
-    N, off = _mesh_planes(Y, T)
-    # margin (u.G)/(u.a) with G = off a - E N: the gnomonic margin off - Y.N
-    G = off[:, None] * a - N @ E.T
-
-    def depth(U, planes=slice(None)):
-        # the gnomonic map sends u and -u to one point: rows with u.a <= 0
-        # lie outside the cone
-        ua = U @ a
-        H = G[planes]
-        least = np.empty(len(U))
-
-        def run(rows):
-            least[rows] = np.min(U[rows] @ H.T, axis=1)
-        _row_blocks(run, len(U), len(H))
-        front = ua > 0.0
-        least[front] /= ua[front]
-        least[~front] = -np.inf
-        return least
-    if depth(rim).min() < -_RIM_TOL:
-        raise NonConvexCap(f"cap {i}: a rim node lies outside the rim mesh")
-    return a, E, float(np.min(rim @ a)), rim, depth
-
-
-def _in_cap(depth, U):
-    """depth(U) >= 0 for a cap's depth (_cap_cone), screened: a direction
-    outside one of the _CAP_SCREEN planes lies outside the rim mesh, so only
-    the screen's survivors meet every plane."""
-    keep = depth(U, _CAP_SCREEN) >= 0.0
-    keep[keep] = depth(U[keep]) >= 0.0
-    return keep
+    a, E, Y, T = _cap_mesh(skeleton, i)
+    return a, E, Y, T, _closed_fan(Y, T)
 
 
 def _cap_directions(cone, count, rng):
-    """count directions u, uniform over a cap's cone (_cap_cone).
+    """count directions u, uniform over the fan of a cap's cone (_cap_cone).
 
-    Proposals are uniform within the rim cosine: the angle phi to the axis
-    by rejection from the sin^2 phi law, the direction across it from a
-    3-D normal draw, every draw on rng.  They are kept inside the rim
-    mesh, whose points are convex combinations of rim directions of a convex
-    cone: every cap point is exact, whatever the model.
+    Each proposal, every draw on rng, picks a fan tetrahedron by volume and
+    a point Y of it by Dirichlet(1, 1, 1, 1) weights, and is kept with
+    probability (1 + |Y|^2)^-2, the Jacobian of the gnomonic chart on the
+    unit sphere; u is a + E Y normalized.  Every u lies in the convex cone,
+    so every cap point is exact, whatever the model.
     """
-    a, E, floor, _, depth = cone
-    top = math.acos(floor)
+    a, E, Y, T, cum = cone
     out, need = [], count
     while need > 0:
-        # about a third of the angles pass the sin^2 law and 27 % of those
-        # the mesh, so one round nearly always suffices
-        X = rng.random((12 * need + 256, 2))
-        phi = top * X[:, 0]
-        phi = phi[X[:, 1] * math.sin(top) ** 2 <= np.sin(phi) ** 2]
-        V = rng.standard_normal((len(phi), 3))
-        V /= np.linalg.norm(V, axis=1)[:, None]
-        U = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * (V @ E.T)
-        out.append(U[_in_cap(depth, U)][:need])
-        need -= len(out[-1])
+        # about 77 % of the proposals are kept, so one round nearly always
+        # suffices
+        m = 3 * need // 2 + 64
+        f = np.searchsorted(cum, cum[-1] * rng.random(m))
+        L = rng.exponential(size=(m, 4))
+        P = np.einsum("ik,ikj->ij", L[:, 1:], Y[T[f]]) / L.sum(axis=1)[:, None]
+        keep = rng.random(m) * (1.0 + _dot(P, P)) ** 2 <= 1.0
+        U = a + P[keep][:need] @ E.T
+        out.append(U / np.linalg.norm(U, axis=1)[:, None])
+        need -= len(U)
     return np.concatenate(out)
 
 

@@ -33,8 +33,7 @@ from peabody4d.body import (
     _cap_cone,
     _cap_directions,
     _cap_mesh,
-    _in_cap,
-    _mesh_planes,
+    _closed_fan,
     _min_slack,
     _random_arc_points,
     _random_patch_points,
@@ -565,12 +564,6 @@ def kernel_outputs(model):
         C, R, origin = inputs[:3]
         outputs += _min_slack(C, R, slack_rows(*inputs, rng))
         outputs += _ray_hits(C, R, origin, ray_rows(*inputs, seed=36))
-    # the depth kernel's column count is the rim mesh's plane count, 2 V - 4
-    # for a closed triangulated sphere of V rim nodes
-    a, _, _, rim, depth = model.caps[1]
-    U = a + 0.3 * rng.standard_normal((ragged_count(2 * len(rim) - 4), 4))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    outputs += [depth(U), _in_cap(depth, U)]
     U = sobol_directions(ragged_count(len(model.centers)), seed=38)
     outputs.append(chord_lengths(model, U))
     return outputs
@@ -582,16 +575,14 @@ def test_kernels_are_bit_identical_for_any_worker_count(model, use_pool,
     for workers in (1, 3):
         use_pool(workers)
         results.append(kernel_outputs(model))
-    assert len(results[1]) == 11
+    assert len(results[1]) == 9
     for one, three in zip(*results):
         assert np.array_equal(one, three)
-    # and for another row partition: blocks of 7 rows give the slack, ray and
-    # chord arrays the same bits; the cap depth and its screen (arrays 8 and
-    # 9) take BLAS products, whose last bits may follow the partition
+    # and for another row partition: blocks of 7 rows give every array the
+    # same bits
     monkeypatch.setattr(body, "_block_rows", lambda n_cols: 7)
-    sevens = kernel_outputs(model)
-    for k in (0, 1, 2, 3, 4, 5, 6, 7, 10):
-        assert np.array_equal(results[0][k], sevens[k])
+    for one, seven in zip(results[0], kernel_outputs(model)):
+        assert np.array_equal(one, seven)
 
 
 def test_chords_equal_two_ray_casts_bit_for_bit(model, use_pool):
@@ -764,12 +755,16 @@ def test_ray_rows_of_the_mixed_population_have_their_own_stream(model):
 
 
 # ----------------------------------------------------------------------------
-# the cap certificate: the convex rim mesh of each cap's normal cone
+# the cap certificate: the fan of each cap's rim mesh about its axis
 # ----------------------------------------------------------------------------
 
 @pytest.fixture(scope="module", params=[1.5, 2.0])
 def scaled_skeleton(request):
-    c = compute_model_constants(request.param)
+    return skeleton_at(request.param)
+
+
+def skeleton_at(a_sq):
+    c = compute_model_constants(a_sq)
     s = build_simplex(c)
     return build_focal_skeleton(c, s, build_symmetry_group(s))
 
@@ -780,22 +775,113 @@ def scaled_caps(scaled_skeleton):
     return [_cap_cone(scaled_skeleton, i) for i in range(1, 6)]
 
 
+def gnomonic(cone, U):
+    """Gnomonic coordinates (u.E)/(u.a) of the rows u of U about a cap axis."""
+    a, E = cone[:2]
+    return (U @ E) / (U @ a)[:, None]
+
+
+def cone_floor(cone):
+    """The least cosine to the axis over a cap's fan: its farthest node's."""
+    Y = cone[2]
+    return 1.0 / np.sqrt(1.0 + np.max(np.einsum("ij,ij->i", Y, Y)))
+
+
 def cone_proposals(cone, count, seed):
-    """Uniform unit directions within the rim cosine of a cap cone's axis."""
-    a, _, floor, _, _ = cone
-    U = np.random.default_rng(seed).standard_normal((count, 4))
-    U /= np.linalg.norm(U, axis=1)[:, None]
-    return U[U @ a >= floor]
+    """count unit directions, uniform within the fan's least cosine to the
+    axis: the angle phi to it by rejection from the sin^2 phi law, the
+    direction across it from a 3-D normal draw."""
+    a, E = cone[:2]
+    top = np.arccos(cone_floor(cone))
+    rng = np.random.default_rng(seed)
+    phi, law = top * rng.random(count), rng.random(count) * np.sin(top) ** 2
+    phi = phi[law <= np.sin(phi) ** 2]
+    V = rng.standard_normal((len(phi), 3))
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    return np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * (V @ E.T)
 
 
-def in_cap_hull(cone, U):
-    return cone[4](U) >= 0.0
+def in_fan(cone, U, tol=1e-12):
+    """Rows u of U in a cap's fan, found apart from the sampler: u.a > 0 and
+    the gnomonic point p has barycentric coordinates mu >= 0, sum mu <= 1 on
+    the nodes of some triangle, so that it lies in that triangle's
+    tetrahedron (0, Y_a, Y_b, Y_c)."""
+    _, _, Y, T, _ = cone
+    # p = mu Y[T[f]], so mu_k = p . B[f, :, k] with B[f] = inv(Y[T[f]])
+    B = np.linalg.inv(Y[T])
+    B = [B[:, :, 0].T, B[:, :, 1].T, B[:, :, 2].T, B.sum(axis=2).T]
+    P = gnomonic(cone, U)
+    inside = np.empty(len(U), dtype=bool)
+    for lo in range(0, len(U), 1024):
+        mu0, mu1, mu2, total = (P[lo:lo + 1024] @ Bk for Bk in B)
+        inside[lo:lo + 1024] = np.any((mu0 >= -tol) & (mu1 >= -tol) & (mu2 >= -tol)
+                                      & (total <= 1.0 + tol), axis=1)
+    return inside & (U @ cone[0] > 0.0)
+
+
+def cap_measure(theta):
+    """Measure of a cap of angular radius theta on the unit 3-sphere."""
+    return 2.0 * np.pi * (theta - np.sin(theta) * np.cos(theta))
+
+
+def fan_solid_angle(cone, seed):
+    """The fan's measure on the unit 3-sphere: its volume times the mean of
+    the chart's Jacobian (1 + |Y|^2)^-2 over 2^18 uniform fan points."""
+    _, _, Y, T, cum = cone
+    rng = np.random.default_rng(seed)
+    f = np.searchsorted(cum, cum[-1] * rng.random(1 << 18))
+    L = rng.dirichlet(np.ones(4), size=1 << 18)[:, 1:]
+    P = np.einsum("ik,ikj->ij", L, Y[T[f]])
+    return cum[-1] * np.mean((1.0 + np.einsum("ij,ij->i", P, P)) ** -2)
 
 
 def test_every_rim_point_lies_on_its_hull(scaled_caps):
-    # the projected rim is in convex position: the normal cone is convex
-    for _, _, _, rim, depth in scaled_caps:
-        assert np.max(np.abs(depth(rim))) <= 1e-12
+    # the projected rim is in convex position, as the normal cone is convex:
+    # every node lies on a facet plane of scipy's hull of the nodes
+    for _, _, Y, _, _ in scaled_caps:
+        hull = ConvexHull(Y)
+        A, b = hull.equations[:, :-1], hull.equations[:, -1]
+        assert np.max(np.abs(np.max(Y @ A.T + b, axis=1))) <= 1e-12
+
+
+def test_every_cap_fan_is_certified_across_a_sq():
+    # the mesh is a closed, consistently oriented sphere with positive fan
+    # tetrahedra about the axis at each a^2 (_cap_cone raises otherwise)
+    for a_sq in (1.4, 1.49, 1.5, 1.51, 2.0):
+        sk = skeleton_at(a_sq)
+        for i in range(1, 6):
+            _, _, Y, T, cum = _cap_cone(sk, i)
+            assert len(T) == 2 * len(Y) - 4
+            assert np.min(np.diff(cum, prepend=0.0)) > 1e-5
+
+
+def test_a_broken_rim_mesh_raises(skeleton):
+    a, E, Y, T = _cap_mesh(skeleton, 1)
+    assert np.all(np.diff(_closed_fan(Y, T), prepend=0.0) > 0.0)
+    # one triangle reversed: its edges run the same way as its neighbours'
+    # and its fan tetrahedron turns negative
+    flipped = T.copy()
+    flipped[100] = flipped[100][::-1]
+    with pytest.raises(NonConvexCap, match="closed, oriented sphere"):
+        _closed_fan(Y, flipped)
+    # one node pulled through the axis: the mesh stays closed and oriented,
+    # but the fan tetrahedra at that node turn negative
+    pulled = Y.copy()
+    pulled[T[100, 0]] *= -0.5
+    with pytest.raises(NonConvexCap, match="not positive"):
+        _closed_fan(pulled, T)
+    # a triangle dropped leaves edges without their reverse
+    with pytest.raises(NonConvexCap, match="closed, oriented sphere"):
+        _closed_fan(Y, T[1:])
+
+
+def test_the_fan_covers_the_cap_measure_once(model):
+    # ROADMAP F5's cap measure at a^2 = 3/2, as a fraction of 2 pi^2; the fan
+    # is inscribed in the cone, so it may fall short by a little and never
+    # exceed it.  A double cover or a lost patch fails the bounds.
+    exact = 0.0151831032 * 2.0 * np.pi ** 2
+    for i, cone in enumerate(model.caps, start=1):
+        assert 0.995 <= fan_solid_angle(cone, seed=60 + i) / exact <= 1.0
 
 
 def test_hull_accepted_cap_points_lie_in_the_fine_model(scaled_skeleton,
@@ -812,13 +898,13 @@ def test_hull_accepted_cap_points_lie_in_the_fine_model(scaled_skeleton,
 
 def test_the_hull_holds_every_direction_the_ball_margin_accepts(
         scaled_skeleton, scaled_caps):
-    # the reference is the margin rule the hull replaced: the cap point is
+    # the reference is the margin rule the fan replaced: the cap point is
     # within the width of the other vertices and keeps slack >= 2e-4
     # against every face ball of a 16x24 model
     m = build_ball_model(scaled_skeleton, patch_grid=(16, 24), arc_n=64)
     V, w = scaled_skeleton.simplex.vertices, m.width
     for i in range(1, 6):
-        U = cone_proposals(scaled_caps[i - 1], 200000, seed=i)
+        U = cone_proposals(scaled_caps[i - 1], 8000, seed=i)
         Q = V[i - 1] + w * U
         others = np.delete(V, i - 1, axis=0)
         reuleaux = np.all(np.linalg.norm(Q[:, None, :] - others[None], axis=2)
@@ -826,13 +912,14 @@ def test_the_hull_holds_every_direction_the_ball_margin_accepts(
         slack, _ = _min_slack(m.centers[5:], m.radii[5:], Q)
         reference = reuleaux & (slack >= 2e-4)
         assert reference.sum() >= 50
-        assert np.all(in_cap_hull(scaled_caps[i - 1], U[reference]))
+        assert np.all(in_fan(scaled_caps[i - 1], U[reference]))
 
 
 def test_the_hull_holds_a_quarter_of_the_cone(scaled_caps):
+    # the fan's measure against that of the cap within its least cosine
     for i, cone in enumerate(scaled_caps, start=1):
-        U = cone_proposals(cone, 400000, seed=20 + i)
-        assert np.mean(in_cap_hull(cone, U)) >= 0.25
+        whole = cap_measure(np.arccos(cone_floor(cone)))
+        assert fan_solid_angle(cone, seed=20 + i) >= 0.25 * whole
 
 
 def test_each_cap_sample_lies_on_its_own_cap(model, skeleton, exact_pop):
@@ -844,106 +931,76 @@ def test_each_cap_sample_lies_on_its_own_cap(model, skeleton, exact_pop):
         cap = caps[caps.active == i - 1]
         assert len(cap) > 200
         assert np.all(cap.face == piece_code(dual_label((i,))))
-        assert np.all(in_cap_hull(model.caps[i - 1], cap_directions(model, cap)))
+        assert np.all(in_fan(model.caps[i - 1], cap_directions(model, cap)))
 
 
-def gnomonic_hull(skeleton, i, base):
+def gnomonic_hull(skeleton, cone, i, base):
     """scipy's hull of the base patch points carried to the four patches
-    without i and projected from p_i, in the gnomonic coordinates of
-    _cap_mesh."""
-    a, E, _, _, _ = _cap_mesh(skeleton, i)
+    without i and projected from p_i, in the gnomonic coordinates of the
+    cap cone."""
     p = skeleton.simplex.vertices[i - 1]
     rim = np.concatenate([f.generator.apply(base) - p
                           for f in skeleton.triangle_faces() if i not in f.label])
-    return ConvexHull((rim @ E) / (rim @ a)[:, None])
+    return ConvexHull(gnomonic(cone, rim))
 
 
-def in_hull(hull, skeleton, i, U, tol=1e-12):
-    a, E, _, _, _ = _cap_mesh(skeleton, i)
-    Y = (U @ E) / (U @ a)[:, None]
+def in_hull(hull, cone, U, tol=1e-12):
+    """Rows of U whose gnomonic points lie within tol of every hull plane:
+    one product per chunk of rows, 2^18 (row, plane) pairs at a time, so
+    that each product stays in cache whatever the hull's plane count."""
+    Y = gnomonic(cone, U)
     A, b = hull.equations[:, :-1], hull.equations[:, -1]
-    return np.concatenate([np.all(y @ A.T + b <= tol, axis=1)
-                           for y in np.array_split(Y, len(Y) // 256 + 1)])
+    step = max(1, 2 ** 18 // len(b))
+    return np.concatenate([np.all(Y[lo:lo + step] @ A.T <= tol - b, axis=1)
+                           for lo in range(0, len(Y), step)])
 
 
 def test_every_rim_mesh_edge_lies_in_two_triangles(scaled_skeleton):
     for i in range(1, 6):
-        _, _, rim, _, T = _cap_mesh(scaled_skeleton, i)
+        _, _, Y, T = _cap_mesh(scaled_skeleton, i)
         edges = np.sort(np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]]),
                         axis=1)
         _, counts = np.unique(edges, axis=0, return_counts=True)
         assert np.all(counts == 2)
         # a closed triangulated sphere: F = 2 V - 4
-        assert len(T) == 2 * len(rim) - 4
+        assert len(T) == 2 * len(Y) - 4
 
 
-def test_the_axis_lies_strictly_inside_every_rim_plane(scaled_skeleton,
-                                                       scaled_caps):
-    for i in range(1, 6):
-        _, _, _, Y, T = _cap_mesh(scaled_skeleton, i)
-        _, off = _mesh_planes(Y, T)
+def test_the_axis_lies_strictly_inside_every_rim_plane(scaled_caps):
+    for cone in scaled_caps:
+        a, _, Y, T, cum = cone
+        # the axis is the fan's apex 0: its distance inside the plane of a
+        # triangle is 6 vol / |(Y_b - Y_a) x (Y_c - Y_a)|
+        N = np.cross(Y[T[:, 1]] - Y[T[:, 0]], Y[T[:, 2]] - Y[T[:, 0]])
+        off = 6.0 * np.diff(cum, prepend=0.0) / np.linalg.norm(N, axis=1)
         assert off.min() > 0.1
-        a, _, _, _, depth = scaled_caps[i - 1]
-        assert depth(a[None, :])[0] == pytest.approx(off.min(), rel=1e-12)
         # the antipode projects onto the axis too, but lies outside the cone
-        assert depth(-a[None, :])[0] < 0.0
+        assert list(in_fan(cone, np.array([a, -a]))) == [True, False]
 
 
 def test_the_rim_mesh_has_no_more_planes_than_the_old_rim_hull(
         scaled_skeleton, scaled_caps):
     # the hull of the projected 16x24 patch grid was the certificate before
-    # the rim mesh; on the same directions the mesh accepts at least 99 % of
+    # the rim mesh; on the same directions the fan holds at least 99 % of
     # what that hull did
     old_grid = base_patch_grid(scaled_skeleton.constants, 16, 24)
-    U = unit_directions(np.random.default_rng(40), 1 << 18)
-    for i in range(1, 6):
-        old = gnomonic_hull(scaled_skeleton, i, old_grid)
-        _, _, _, _, T = _cap_mesh(scaled_skeleton, i)
-        assert len(T) <= len(old.simplices)
-        a, _, floor, _, depth = scaled_caps[i - 1]
-        V = U[U @ a >= floor]
-        assert (depth(V) >= 0.0).sum() >= 0.99 * in_hull(old, scaled_skeleton, i, V).sum()
+    for i, cone in enumerate(scaled_caps, start=1):
+        old = gnomonic_hull(scaled_skeleton, cone, i, old_grid)
+        assert len(cone[3]) <= len(old.simplices)
+        V = cone_proposals(cone, 1 << 14, seed=40)
+        assert in_fan(cone, V).sum() >= 0.99 * in_hull(old, cone, V).sum()
 
 
 def test_mesh_accepted_directions_lie_in_a_finer_rim_hull(scaled_skeleton,
                                                           scaled_caps):
     # the grid of 48 steps in s and 96 angles holds every node of the 7x24
-    # mesh (6 steps, 24 angles), so its hull holds the mesh's
+    # mesh (6 steps, 24 angles), so its hull holds the fan's draws
     fine = base_patch_mesh(scaled_skeleton.constants, 49, 96)[0]
-    U = unit_directions(np.random.default_rng(41), 1 << 18)
-    for i in range(1, 6):
-        a, _, floor, _, depth = scaled_caps[i - 1]
-        V = U[U @ a >= floor]
-        V = V[depth(V) >= 0.0]
-        assert len(V) > 2000
-        assert np.all(in_hull(gnomonic_hull(scaled_skeleton, i, fine),
-                              scaled_skeleton, i, V))
-
-
-def test_the_plane_screen_keeps_exactly_the_full_depth_set(scaled_caps):
-    # 2^18 proposals per cap, uniform in the angle to the axis up to the rim
-    # cosine: the screened test accepts the same rows as every plane does
-    rng = np.random.default_rng(44)
-    for a, E, floor, _, depth in scaled_caps:
-        phi = np.arccos(floor) * rng.random(1 << 18)
-        V = rng.standard_normal((1 << 18, 3)) @ E.T
-        V /= np.linalg.norm(V, axis=1)[:, None]
-        U = np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * V
-        full = depth(U) >= 0.0
-        assert 0.1 < full.mean() < 0.9
-        # the screen alone rejects most of what the mesh rejects
-        assert (depth(U, body._CAP_SCREEN) < 0.0).sum() > 0.5 * (~full).sum()
-        assert np.array_equal(_in_cap(depth, U), full)
-
-
-def test_the_plane_screen_leaves_the_cap_draws_unchanged(model, monkeypatch):
-    screened = [_cap_directions(cone, 3000, np.random.default_rng(45))
-                for cone in model.caps]
-    # a screen of every plane is the full depth test, twice
-    monkeypatch.setattr(body, "_CAP_SCREEN", slice(None))
-    for cone, U in zip(model.caps, screened):
-        assert np.array_equal(
-            _cap_directions(cone, 3000, np.random.default_rng(45)), U)
+    rng = np.random.default_rng(41)
+    for i, cone in enumerate(scaled_caps, start=1):
+        U = _cap_directions(cone, 2000, rng)
+        assert np.all(in_hull(gnomonic_hull(scaled_skeleton, cone, i, fine),
+                              cone, U))
 
 
 def test_each_cap_mesh_is_built_once_per_model(skeleton, monkeypatch):
@@ -978,25 +1035,18 @@ def test_a_perturbed_model_keeps_the_skeleton_caps(model):
                          axis=1))
 
 
-def test_a_rim_mesh_short_of_flips_raises(skeleton, monkeypatch):
-    # the 7x24 mesh turns convex in three rounds of flips, and a fourth
-    # round must find no reflex edge left
-    monkeypatch.setattr(body, "_FLIP_ROUNDS", 3)
-    with pytest.raises(NonConvexCap, match="reflex edges"):
-        _cap_mesh(skeleton, 1)
-
-
 def test_cap_directions_follow_the_proposal_law_inside_the_mesh(model):
-    # the angle law of the certified directions equals that of uniform
-    # proposals within the rim cosine kept by the mesh
+    # the angle law of the fan draws equals that of uniform proposals within
+    # the fan's least cosine that land in scipy's hull of the rim nodes: the
+    # fan fills 99.9 % of that hull, less than the test resolves
     n = 200000
     cone = model.caps[0]
-    a = cone[0]
-    mine = _cap_directions(cone, n, np.random.default_rng(42)) @ a
+    hull = ConvexHull(cone[2])
+    mine = _cap_directions(cone, n, np.random.default_rng(42)) @ cone[0]
     ref = []
     for seed in range(43, 143):
-        U = cone_proposals(cone, 1 << 20, seed)
-        ref.append(U[in_cap_hull(cone, U)] @ a)
+        U = cone_proposals(cone, 1 << 19, seed)
+        ref.append(U[in_hull(hull, cone, U)] @ cone[0])
         if sum(map(len, ref)) >= n:
             break
     ref = np.concatenate(ref)[:n]
