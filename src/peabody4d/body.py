@@ -31,12 +31,13 @@ An exact step then computes the survivors (np.flatnonzero) in float64 by
 the direct formula and keeps each row's least value and first argmin
 (_screened_min), so both return the all-ball direct formula bit for bit,
 whatever the block partition.  _screened_min runs on a block engine
-(_row_blocks): blocks of rows sized for a float64 buffer near 8 MB, spread
-over the CPUs this process may use, with results bit-identical for any
-worker count.  Cap directions need no test at all: each is a positive
-combination of a cap cone's axis and rim directions, drawn from the fan of
-its rim mesh (_cap_cone, built once per model as BallModel.caps), so the
-convex cone holds it by construction.  The package needs numpy alone.
+(_row_blocks): blocks of rows of about 10^6 (row, ball) cells, a 4 MB
+float32 screen and a 1 MB mask, spread over the CPUs this process may use,
+with results bit-identical for any worker count.  Cap directions need no
+test at all: each is a positive combination of a cap cone's axis and rim
+directions, drawn from the fan of its rim mesh (_cap_cone, built once per
+model as BallModel.caps), so the convex cone holds it by construction.  The
+package needs numpy alone.
 
 A BallModel carries the skeleton it was built on, so every query of the
 body (sampling, residuals, the cap cones) takes the model alone.
@@ -764,21 +765,33 @@ def sample_exact_boundary(model, n, seed=0):
     is how the diameter check sees a corrupted radius law.  Cap directions
     come from the model's skeleton alone (BallModel.caps), so such a model
     keeps the true caps, and they show up in its slack checks.
+
+    The rows are the phi pieces in order, then the caps, then the vertices,
+    written in place into arrays of the final length, so that no part is
+    held twice.
     """
     rng = np.random.default_rng(seed)
     skeleton = model.skeleton
     V = skeleton.simplex.vertices
     w = model.width
-    parts = []
 
     n_caps = max(int(round(0.18 * n)) - 5, 0)
     n_phi = max(n - n_caps - 5, 0)
+    # vertex p_i on the tight ball of p_j; any j != i works.  Below five
+    # samples only the first n vertices fit.
+    j = np.array([2, 1, 1, 1, 1])[:n]
+    size = n_phi + n_caps + len(j)
+    points = np.empty((size, 4))
+    active = np.empty(size, dtype=np.intp)
+    start = 0
+
     # phi1 images over each patch, then phi2 images over each arc
     pieces = skeleton.triangle_faces() + skeleton.edge_faces()
     for k, face in enumerate(pieces):
         cnt = n_phi // len(pieces) + (1 if k < n_phi % len(pieces) else 0)
         if cnt == 0:
             continue
+        rows, start = slice(start, start + cnt), start + cnt
         lab, dual = face.label, dual_label(face.label)
         phi1_side = face.kind == "triangle-patch"
         xs = model.face_slices[lab if phi1_side else dual]
@@ -787,25 +800,25 @@ def sample_exact_boundary(model, n, seed=0):
         yi = rng.integers(ys.start, ys.stop, size=cnt)
         X, Y = model.centers[xi], model.centers[yi]
         if phi1_side:
-            P = _envelope(X, Y, w - model.radii[xi])   # hyperbolic radius at x
-            active = yi
+            # hyperbolic radius at x
+            points[rows] = _envelope(X, Y, w - model.radii[xi])
+            active[rows] = yi
         else:
-            P = _envelope(Y, X, w - model.radii[yi])   # elliptic radius at y
-            active = xi
-        parts.append(_population(model, P, active))
+            # elliptic radius at y
+            points[rows] = _envelope(Y, X, w - model.radii[yi])
+            active[rows] = xi
 
     for i in range(1, 6):
         cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
         if cnt == 0:
             continue
-        U = _cap_directions(model.caps[i - 1], cnt, rng)
-        parts.append(_population(model, V[i - 1] + w * U, i - 1))
+        rows, start = slice(start, start + cnt), start + cnt
+        points[rows] = V[i - 1] + w * _cap_directions(model.caps[i - 1], cnt, rng)
+        active[rows] = i - 1
 
-    # vertex p_i on the tight ball of p_j; any j != i works.  Below five
-    # samples only the first n vertices fit.
-    j = np.array([2, 1, 1, 1, 1])[:n]
-    parts.append(_population(model, V[:n].copy(), j - 1))
-    return BoundaryPopulation.concat(parts)
+    points[start:] = V[:n]
+    active[start:] = j - 1
+    return BoundaryPopulation(points, model.sample_face[active], active)
 
 
 def sample_theta(model, n, seed=0):
@@ -826,15 +839,32 @@ def sample_theta(model, n, seed=0):
 # width and diameter verifiers
 # ============================================================================
 
-def width_in_direction(samples, u):
-    """Support width of a boundary population along u."""
-    if len(samples) < 10 ** 4:
-        raise TooFewSamples(f"{len(samples)} samples; need at least 10^4")
+def width_in_direction(samples, u, hits=None):
+    """Support width along u of a boundary population, joined by a second
+    population hits if one is given.
+
+    Each population is projected where its points lie, with no joined copy.
+    The width is that of the joined population: bit for bit along a
+    coordinate axis, where a projection is one coordinate, and otherwise to
+    the last bit of a projection, whose BLAS rounding may depend on the
+    array it is part of.
+    """
+    pops = [samples] if hits is None else [samples, hits]
+    n = sum(map(len, pops))
+    if n < 10 ** 4:
+        raise TooFewSamples(f"{n} samples; need at least 10^4")
     u = as_vec4(u)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    proj = samples.points @ u
-    return float(proj.max() - proj.min())
+    proj = [p.points @ u for p in pops if len(p)]
+    return float(np.max([x.max() for x in proj]) - np.min([x.min() for x in proj]))
+
+
+# random pairs are drawn _PAIR_DRAWS at a time (ia, then ib) and measured
+# _PAIR_ROWS at a time, so the sweep holds two small gathered arrays, not
+# two of every draw
+_PAIR_DRAWS = 200000
+_PAIR_ROWS = 2 ** 14
 
 
 def diameter_check(model, samples, pairs=10 ** 6, seed=0):
@@ -845,17 +875,20 @@ def diameter_check(model, samples, pairs=10 ** 6, seed=0):
     sweep hunts for anything above it.
     """
     pts = samples.points
-    partners = binormal_partner(model, samples)
-    best = float(np.max(np.linalg.norm(pts - partners, axis=1)))
+    X = pts - binormal_partner(model, samples)
+    best = np.max(_dot(X, X))
 
     rng = np.random.default_rng(seed)
-    for done in range(0, pairs, 200000):
-        m = min(200000, pairs - done)
+    for done in range(0, pairs, _PAIR_DRAWS):
+        m = min(_PAIR_DRAWS, pairs - done)
         ia = rng.integers(0, len(pts), size=m)
         ib = rng.integers(0, len(pts), size=m)
-        d = np.linalg.norm(pts[ia] - pts[ib], axis=1)
-        best = max(best, float(d.max()))
-    return best
+        for k in range(0, m, _PAIR_ROWS):
+            X = pts[ia[k:k + _PAIR_ROWS]] - pts[ib[k:k + _PAIR_ROWS]]
+            best = max(best, np.max(_dot(X, X)))
+    # sqrt is monotone and correctly rounded, so the root of the largest
+    # square is the largest distance, bit for bit
+    return float(np.sqrt(best))
 
 
 # ============================================================================

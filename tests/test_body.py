@@ -8,6 +8,7 @@ behaviour on large sampled populations.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -1135,6 +1136,13 @@ def test_width_input_validation(exact_pop):
     assert width_in_direction(exact_pop[:10000], np.array([1.0, 0, 0, 0])) > 0
     with pytest.raises(ValueError):
         width_in_direction(exact_pop, np.array([1.0, 1.0, 0, 0]))
+    # a second population counts towards the 10^4 and joins the extremes
+    head, hits = exact_pop[:9992], exact_pop[-8:]
+    with pytest.raises(TooFewSamples):
+        width_in_direction(head[:-1], np.array([1.0, 0, 0, 0]), hits)
+    joined = BoundaryPopulation.concat([head, hits])
+    for u in np.eye(4):
+        assert width_in_direction(head, u, hits) == width_in_direction(joined, u)
 
 
 def test_diameter_of_the_exact_population(model, exact_pop, constants):
@@ -1143,6 +1151,121 @@ def test_diameter_of_the_exact_population(model, exact_pop, constants):
     # the simplex edge p1 p2 realizes it
     p1, p2 = model.centers[0], model.centers[1]
     assert abs(np.linalg.norm(p1 - p2) - constants.width) <= 1e-12
+
+
+def one_shot_diameter(model, samples, pairs, seed):
+    """diameter_check's draws, each 200,000-pair chunk measured at once by
+    np.linalg.norm."""
+    pts = samples.points
+    best = float(np.max(np.linalg.norm(pts - binormal_partner(model, samples),
+                                       axis=1)))
+    rng = np.random.default_rng(seed)
+    for done in range(0, pairs, 200000):
+        m = min(200000, pairs - done)
+        ia = rng.integers(0, len(pts), size=m)
+        ib = rng.integers(0, len(pts), size=m)
+        best = max(best, float(np.max(np.linalg.norm(pts[ia] - pts[ib], axis=1))))
+    return best
+
+
+@pytest.mark.parametrize("pairs", [5000, 437501, 10 ** 6])
+def test_the_chunked_diameter_sweep_equals_the_one_shot_reference(
+        model, exact_pop, pairs):
+    # 5,000 pairs fit in one sub-chunk; 437,501 is a multiple of neither the
+    # draw chunk nor the sub-chunk.  Pushed 2 % out from the centroid, the
+    # points make the random pairs, not the partners, hold the maximum.
+    g = model.interior_point
+    pushed = dataclasses.replace(exact_pop, points=g + 1.02 * (exact_pop.points - g))
+    for pop in (exact_pop, pushed):
+        for seed in (5, 6):
+            assert (diameter_check(model, pop, pairs=pairs, seed=seed)
+                    == one_shot_diameter(model, pop, pairs, seed))
+    assert (one_shot_diameter(model, pushed, pairs, 5)
+            > one_shot_diameter(model, pushed, 0, 5))
+
+
+def traced_peak(call):
+    """call's result and the bytes by which tracemalloc's peak during it
+    exceeds the memory traced when it began."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_exact_sampler_holds_one_copy_of_its_rows(model):
+    # the 2e5 rows that verify's width check draws: the arrays are filled in
+    # place, so the peak is the output plus one cap's draws (about 2.2 MB),
+    # where joining the 26 parts would hold every row twice
+    model.caps
+    pop, peak = traced_peak(lambda: sample_exact_boundary(model, 2 * 10 ** 5, seed=5))
+    nbytes = sum(getattr(pop, f.name).nbytes
+                 for f in dataclasses.fields(BoundaryPopulation))
+    assert len(pop) == 2 * 10 ** 5
+    assert peak <= 1.35 * nbytes
+
+
+def test_the_diameter_sweep_holds_a_few_megabytes(model, exact_pop):
+    # the draws of one chunk (2 x 1.6 MB of indices) and one sub-chunk's
+    # gathered rows, where whole chunks would gather 2 x 6.4 MB
+    _, peak = traced_peak(lambda: diameter_check(model, exact_pop, pairs=10 ** 6,
+                                                 seed=5))
+    assert peak <= 6e6
+
+
+def concatenated_exact_boundary(model, n, seed):
+    """sample_exact_boundary as one population per piece, cap and the
+    vertices, joined by BoundaryPopulation.concat: the same draws in the
+    same order."""
+    rng = np.random.default_rng(seed)
+    skeleton, w = model.skeleton, model.width
+    V = skeleton.simplex.vertices
+    n_caps = max(int(round(0.18 * n)) - 5, 0)
+    n_phi = max(n - n_caps - 5, 0)
+    parts = []
+    pieces = skeleton.triangle_faces() + skeleton.edge_faces()
+    for k, face in enumerate(pieces):
+        cnt = n_phi // len(pieces) + (1 if k < n_phi % len(pieces) else 0)
+        if cnt == 0:
+            continue
+        dual = dual_label(face.label)
+        on_patch = face.kind == "triangle-patch"
+        xs = model.face_slices[face.label if on_patch else dual]
+        ys = model.face_slices[dual if on_patch else face.label]
+        xi = rng.integers(xs.start, xs.stop, size=cnt)
+        yi = rng.integers(ys.start, ys.stop, size=cnt)
+        X, Y = model.centers[xi], model.centers[yi]
+        if on_patch:
+            P, active = body._envelope(X, Y, w - model.radii[xi]), yi
+        else:
+            P, active = body._envelope(Y, X, w - model.radii[yi]), xi
+        parts.append(BoundaryPopulation(P, model.sample_face[active], active))
+    for i in range(1, 6):
+        cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
+        if cnt:
+            U = _cap_directions(model.caps[i - 1], cnt, rng)
+            active = np.full(cnt, i - 1)
+            parts.append(BoundaryPopulation(V[i - 1] + w * U,
+                                            model.sample_face[active], active))
+    active = np.array([1, 0, 0, 0, 0])[:n]
+    parts.append(BoundaryPopulation(V[:n], model.sample_face[active], active))
+    return BoundaryPopulation.concat(parts)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 6, 27, 1003])
+def test_the_exact_sampler_equals_its_parts_joined(model, n):
+    # phi pieces, then caps, then vertices; below five samples, the first n
+    # vertices alone
+    pop = sample_exact_boundary(model, n, seed=4)
+    ref = concatenated_exact_boundary(model, n, seed=4)
+    assert len(pop) == n
+    for f in dataclasses.fields(BoundaryPopulation):
+        got, want = getattr(pop, f.name), getattr(ref, f.name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,15 @@ import pytest
 
 from frozen_values import FROZEN
 from peabody4d import body, cli
-from peabody4d.body import boundary_residual, build_ball_model, complement_basis
+from peabody4d.body import (
+    BoundaryPopulation,
+    boundary_residual,
+    build_ball_model,
+    complement_basis,
+    ray_cast_boundary,
+    sample_exact_boundary,
+    width_in_direction,
+)
 from peabody4d.cli import CHECK_NAMES, main
 from peabody4d.focal import (
     focal_const_residual,
@@ -225,6 +233,23 @@ def test_verify_width_population_is_fixed_above_its_size(capsys):
     width = json.loads(out)["checks"][-1]
     assert width["name"] == "width-coordinate-axes"
     assert width["samples"] == 200008
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_width_is_the_width_of_the_joined_population(capsys, model, seed):
+    # verify reads the exact rows and the eight axis hits where they lie;
+    # the value is that of the one population joining them
+    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
+                       "--seed", str(seed), *GRID)
+    assert code == 0
+    width = json.loads(out)["checks"][-1]
+    assert width["name"] == "width-coordinate-axes"
+    joined = BoundaryPopulation.concat([
+        sample_exact_boundary(model, 2 * 10 ** 5, seed=seed + 5),
+        ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)]))])
+    assert width["samples"] == len(joined)
+    assert width["max_residual"] == max(
+        abs(width_in_direction(joined, u) - model.width) for u in np.eye(4))
 
 
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
