@@ -131,7 +131,8 @@ _POOL = ThreadPoolExecutor(
 
 
 def _block_rows(n_cols):
-    """Rows per block, so that a (rows x n_cols) float64 buffer stays near 8 MB."""
+    """Rows per block, so that a block holds about 10^6 (row, ball) cells:
+    a 4 MB float32 screen and a 1 MB mask."""
     return max(16, 10 ** 6 // max(1, n_cols))
 
 
@@ -493,13 +494,6 @@ class BoundaryPopulation:
                      for f in fields(cls)))
 
 
-def _population(model, points, active):
-    # rows of a population, each on the piece of its active ball; a scalar
-    # active value applies to every row
-    active = np.full(len(points), active, dtype=np.intp)
-    return BoundaryPopulation(points, model.sample_face[active], active)
-
-
 def unit_directions(rng, n):
     """n random unit 4-vectors, uniform on the sphere: the rows of
     rng.standard_normal((n, 4)), each divided by its norm."""
@@ -515,9 +509,8 @@ def _ray_cast_many(model, U):
 
 def chord_lengths(model, U):
     """Length t(u) + t(-u) of the model chord through the interior point
-    along each row u of U: the sum of the two casts _ray_hits makes."""
-    C, R, g = model.centers, model.radii, model.interior_point
-    return _ray_hits(C, R, g, U)[0] + _ray_hits(C, R, g, -U)[0]
+    along each row u of U: the sum of two ray casts."""
+    return _ray_cast_many(model, U)[0] + _ray_cast_many(model, -U)[0]
 
 
 def ray_cast_boundary(model, U):
@@ -529,7 +522,8 @@ def ray_cast_boundary(model, U):
     if U.shape[1:] != (4,) or np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-8):
         raise ValueError("directions must be unit 4-vectors")
     ts, args = _ray_cast_many(model, U)
-    return _population(model, model.interior_point + ts[:, None] * U, args)
+    return BoundaryPopulation(model.interior_point + ts[:, None] * U,
+                              model.sample_face[args], args)
 
 
 # steps of the slice's start walk before the hyperplane counts as missing;

@@ -252,14 +252,39 @@ def test_verify_width_is_the_width_of_the_joined_population(capsys, model, seed)
         abs(width_in_direction(joined, u) - model.width) for u in np.eye(4))
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_casts_the_ten_dual_pair_axes_as_chords(capsys, model, seed):
+    # the diameters through the centroid lie along the dual-pair axes, so
+    # the check casts those ten chords and draws nothing
+    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
+                       "--seed", str(seed), *GRID)
+    assert code == 0
+    chords = {c["name"]: c for c in json.loads(out)["checks"]}["diameter-chords"]
+    axes = np.array([line.direction
+                     for line in model.skeleton.simplex.axes.values()])
+    assert chords["samples"] == 10
+    assert chords["seed"] == seed
+    assert chords["max_residual"] == max(
+        0.0, float(np.max(body.chord_lengths(model, axes))) - model.width)
+
+
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples",
-                       "500", "--seed", "5", *GRID, "--perturb", "1e-3")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["passed"] is False
-    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
-    assert any("diameter" in name for name in failed)
+    # each control fails exactly these checks at 16x24, seeds 0-2
+    expected = {
+        "1e-3": {"boundary-slack-outer", "diameter-chords"},
+        "-0.01": {"boundary-slack-inner", "diameter-pairs",
+                  "width-coordinate-axes"},
+    }
+    for perturb, names in expected.items():
+        for seed in (0, 1, 2):
+            code, out, _ = run(capsys, "verify", "--suite", "body",
+                               "--samples", "500", "--seed", str(seed), *GRID,
+                               "--perturb", perturb)
+            assert code == 1
+            doc = json.loads(out)
+            assert doc["passed"] is False
+            failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+            assert failed == names, (perturb, seed)
 
 
 def test_verify_rejects_a_non_finite_perturbation(capsys):

@@ -41,3 +41,19 @@ def test_the_slice_span_wraps_the_slice_the_cli_calls(tmp_path):
     assert len(nodes) == 1
     assert nodes[0]["calls"] == 1
     assert nodes[0]["counts"]["pairs"] > 0
+
+
+def test_the_chord_casts_are_traced_ray_casts(tmp_path):
+    # a chord is two casts through body._ray_cast_many, so the traced ray
+    # span counts diameter-chords' ten axes both ways
+    doc = traced(tmp_path, "verify", "--suite", "body", "--samples", "10",
+                 "--grid", "16x24")
+    nodes = doc["nodes"]
+    check = [i for i, node in enumerate(nodes)
+             if node["name"] == "cli.check.diameter-chords"]
+    assert len(check) == 1
+    casts = [node for node in nodes if node["parent"] == check[0]
+             and node["name"] == "body._ray_cast_many"]
+    assert len(casts) == 1
+    assert casts[0]["calls"] == 2
+    assert casts[0]["counts"]["pairs"] == 2 * 10 * 2465
