@@ -405,11 +405,14 @@ class BallModel:
         return out, arg
 
 
-def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=256):
+def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=257):
     """Assemble the ball model from a skeleton at the given grid resolution.
 
     ntheta must be divisible by 3 and the arc grids are symmetric, so the
-    center set is (up to roundoff) invariant under all 120 motions.
+    center set is (up to roundoff) invariant under all 120 motions.  An odd
+    arc_n makes each arc apex a grid node; the binormal from it to the
+    sheet vertex of the dual patch is a diameter along a dual-pair axis, so
+    the model's chords along those axes are the width to roundoff.
     """
     nx, ntheta = patch_grid
     if ntheta % 3 != 0:

@@ -219,7 +219,8 @@ def test_every_ball_carries_the_piece_dual_to_its_face(model):
         assert np.all(model.sample_face[sl] == piece_code(dual_label(lab)))
 
 
-@pytest.mark.parametrize("grid, arc_n", [((16, 24), 64), ((64, 96), 256)])
+@pytest.mark.parametrize("grid, arc_n", [((16, 24), 64), ((64, 96), 256),
+                                         ((16, 24), 65), ((64, 96), 257)])
 def test_no_face_center_sits_near_a_vertex(skeleton, grid, arc_n):
     # the build drops the face centers that duplicate a vertex; every other
     # one keeps clear of the vertices, so no roundoff copy of a vertex ball

@@ -16,7 +16,6 @@ from frozen_values import FROZEN
 from peabody4d import body, cli
 from peabody4d.body import (
     BoundaryPopulation,
-    boundary_residual,
     build_ball_model,
     complement_basis,
     ray_cast_boundary,
@@ -31,6 +30,7 @@ from peabody4d.focal import (
 )
 from peabody4d.geometry import ellipse_point, hyperboloid_point
 from peabody4d.numerics import compute_model_constants, tolerance_policy
+from peabody4d.skeleton import base_arc_points, base_patch_grid
 
 ALL_PIECE_LABELS = {
     "".join(map(str, comb))
@@ -39,6 +39,12 @@ ALL_PIECE_LABELS = {
 }
 
 GRID = ["--grid", "16x24"]  # keeps the heavier subcommands quick
+
+
+@pytest.fixture(scope="module")
+def model(skeleton):
+    # the model the CLI builds at GRID, so that its output compares with it
+    return cli._build_model(skeleton, (16, 24))
 
 
 def run(capsys, *argv):
@@ -130,12 +136,12 @@ def test_verify_report_has_model_metadata(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["model"]["patch_grid"] == [16, 24]
-    assert doc["model"]["arc_n"] == 64
+    assert doc["model"]["arc_n"] == 65
     assert abs(doc["model"]["width"] - FROZEN["width"]) < 1e-15
     assert doc["model"]["a_sq"] == 1.5
 
 
-def test_verify_reports_are_byte_identical(tmp_path, capsys, model):
+def test_verify_reports_are_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for p in paths:
         code, _, _ = run(capsys, "verify", "--suite", "all", "--samples",
@@ -144,9 +150,7 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys, model):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     checks = json.loads(paths[0].read_text())["checks"]
     assert tuple(c["name"] for c in checks) == tuple(CHECK_NAMES)
-    # every default tolerance is the policy value of the check's class,
-    # except diameter-chords, which carries the calibrated grid-residual
-    # budget of the as-built model
+    # every default tolerance is the policy value of the check's class
     pinned = {
         "focal-distance-sum": 1e-10, "focal-difference-constant": 1e-10,
         "radius-sum-constant": 1e-10, "rotation-closure": 1e-10,
@@ -154,26 +158,19 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys, model):
         "radius-consistency": 1e-10, "boundary-slack-inner": 1e-9,
         "boundary-slack-outer": 1e-10, "binormal-separation": 1e-12,
         "partner-distance": 1e-9, "diameter-pairs": 1e-9,
-        "width-coordinate-axes": 1e-3}
-    assert set(pinned) | {"diameter-chords"} == set(CHECK_NAMES)
+        "diameter-chords": 1e-9, "width-coordinate-axes": 1e-3}
+    assert set(pinned) == set(CHECK_NAMES)
     for check in checks:
-        if check["name"] in pinned:
-            assert check["tolerance"] == pinned[check["name"]]
-            assert check["tolerance"] == tolerance_policy(
-                CHECK_NAMES[check["name"]])
-    budget = boundary_residual(model, probes=128, seed=9)
-    assert checks[-2]["name"] == "diameter-chords"
-    assert checks[-2]["tolerance"] == 2.0 * budget + 1e-9
+        assert check["tolerance"] == pinned[check["name"]]
+        assert check["tolerance"] == tolerance_policy(CHECK_NAMES[check["name"]])
 
 
 def body_check_failures(model):
-    """The body checks of verify that model fails at 10^4 samples, seed 0,
-    against the residual budget of the model itself."""
+    """The body checks of verify that model fails at 10^4 samples, seed 0."""
     report = cli.VerificationReport(
         suite="body", seed=0, samples=10 ** 4, a_sq=model.skeleton.constants.a_sq,
-        width=model.width, patch_grid=(16, 24), arc_n=64, checks=[])
-    cli._body_checks(report, {}, 10 ** 4, 0, model,
-                     boundary_residual(model, probes=128, seed=0))
+        width=model.width, patch_grid=(16, 24), arc_n=65, checks=[])
+    cli._body_checks(report, {}, 10 ** 4, 0, model)
     return {check.name for check in report.checks if not check.passed}
 
 
@@ -206,6 +203,49 @@ def test_a_broken_closure_fails_a_body_check(a_sq):
     assert body_check_failures(cli._build_model(skeleton, (16, 24)))
 
 
+def test_every_arc_count_is_odd():
+    # an odd count puts each arc apex on the grid, for every accepted ntheta
+    for ntheta in range(3, cli.MAX_GRID[1] + 1, 3):
+        assert cli._parse_grid(f"2x{ntheta}") == (2, ntheta)
+        assert cli._arc_count(ntheta) % 2 == 1, ntheta
+
+
+@pytest.mark.parametrize("grid", [(16, 24), (24, 72), (32, 48), (64, 96)])
+def test_the_axis_chords_of_the_cli_model_are_the_width(skeleton, grid):
+    # each axis chord joins a sheet-vertex ball to an arc-apex ball, both on
+    # the grid, so it is the width to roundoff (1.26e-6 over at 16x24 with
+    # an even arc count)
+    m = cli._build_model(skeleton, grid)
+    axes = np.array([line.direction
+                     for line in skeleton.simplex.axes.values()])
+    assert np.max(np.abs(body.chord_lengths(m, axes) - m.width)) <= 1e-15
+
+
+def _ball_at(model, label, base_point):
+    """Index of the model ball of face label centered at the image of
+    base_point under the face's generator."""
+    center = model.skeleton.face(label).generator.apply(base_point)
+    rows = model.face_slices[label]
+    dist = np.linalg.norm(model.centers[rows] - center, axis=1)
+    assert dist.min() <= 1e-12
+    return rows.start + int(np.argmin(dist))
+
+
+@pytest.mark.parametrize("factor, failed", [
+    (1.0 + 1e-8, {"boundary-slack-outer", "diameter-chords"}),
+    (1.0 - 1e-8, {"boundary-slack-inner"})])
+@pytest.mark.parametrize("ball", ["sheet-vertex", "arc-apex"])
+def test_one_ball_on_an_axis_chord_reaches_the_chord_check(
+        model, ball, factor, failed):
+    # the sheet vertex of patch (3,4,5) and the apex of arc (1,2) end the
+    # chords along their dual-pair axis: grown, either ball lengthens them
+    # past the width; shrunk, either leaves samples outside it
+    c = model.skeleton.constants
+    k = {"sheet-vertex": _ball_at(model, (3, 4, 5), base_patch_grid(c, 2, 3)[0]),
+         "arc-apex": _ball_at(model, (1, 2), base_arc_points(c, 3)[1])}[ball]
+    assert body_check_failures(scaled_rows(model, [k], factor)) == failed
+
+
 def test_verify_times_each_body_layer_on_stderr(capsys):
     code, out, err = run(capsys, "verify", "--suite", "body", "--samples",
                          "10", "--seed", "2", *GRID)
@@ -214,15 +254,14 @@ def test_verify_times_each_body_layer_on_stderr(capsys):
     lines = err.splitlines()
     assert lines[0].startswith("suite body: grid 16x24")
     # the model is built before the header, yet its line follows it
-    layers = [line.split(":")[0].strip() for line in lines[1:6]]
-    assert layers == ["model-build", "residual-calibration", "width-sample",
-                      "sample-theta", "min-slack"]
-    assert lines[1].startswith("  model-build: 2465 balls (")
+    layers = [line.split(":")[0].strip() for line in lines[1:5]]
+    assert layers == ["model-build", "width-sample", "sample-theta", "min-slack"]
+    assert lines[1].startswith("  model-build: 2475 balls (")
     width = json.loads(out)["checks"][-1]
     assert width["name"] == "width-coordinate-axes"
-    assert lines[3].startswith(f"  width-sample: {width['samples']} samples (")
-    assert lines[5].startswith("  min-slack: 10000 samples x 2465 balls (")
-    assert all(line.endswith("s)") for line in lines[1:6])
+    assert lines[2].startswith(f"  width-sample: {width['samples']} samples (")
+    assert lines[4].startswith("  min-slack: 10000 samples x 2475 balls (")
+    assert all(line.endswith("s)") for line in lines[1:5])
 
 
 def test_verify_width_population_is_fixed_above_its_size(capsys):
@@ -315,7 +354,7 @@ def test_verify_shrunken_radii_fail_the_inner_slack_check(capsys):
 
 
 def test_verify_width_check_reads_the_perturbed_model(capsys, monkeypatch):
-    # a 9,045-ball model: whatever the grid, the width population comes from
+    # a 9,055-ball model: whatever the grid, the width population comes from
     # the one verify model, and so carries its perturbed radii
     built = []
 

@@ -56,4 +56,4 @@ def test_the_chord_casts_are_traced_ray_casts(tmp_path):
              and node["name"] == "body._ray_cast_many"]
     assert len(casts) == 1
     assert casts[0]["calls"] == 2
-    assert casts[0]["counts"]["pairs"] == 2 * 10 * 2465
+    assert casts[0]["counts"]["pairs"] == 2 * 10 * 2475
