@@ -743,16 +743,22 @@ def _cap_directions(cone, count, rng):
         m = 3 * need // 2 + 64
         f = np.searchsorted(cum, cum[-1] * rng.random(m))
         L = rng.exponential(size=(m, 4))
-        P = np.einsum("ik,ikj->ij", L[:, 1:], Y[T[f]]) / L.sum(axis=1)[:, None]
+        # one (m, 3) gather per corner, not the (m, 3, 3) one of every corner
+        P = L[:, 1, None] * Y[T[f, 0]]
+        P += L[:, 2, None] * Y[T[f, 1]]
+        P += L[:, 3, None] * Y[T[f, 2]]
+        P /= L.sum(axis=1)[:, None]
         keep = rng.random(m) * (1.0 + _dot(P, P)) ** 2 <= 1.0
         U = a + P[keep][:need] @ E.T
-        out.append(U / np.linalg.norm(U, axis=1)[:, None])
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        out.append(U)
         need -= len(U)
     return np.concatenate(out)
 
 
-def sample_exact_boundary(model, n, seed=0):
-    """n exact boundary samples: phi images, cap points, vertices.
+def exact_boundary_blocks(model, n, seed=0):
+    """n exact boundary samples as blocks of (points, active) rows: phi
+    images, cap points, vertices.
 
     On the as-built model all points lie on the true body boundary to
     roundoff (none come from ray casts against the discretized model), as
@@ -763,9 +769,8 @@ def sample_exact_boundary(model, n, seed=0):
     come from the model's skeleton alone (BallModel.caps), so such a model
     keeps the true caps, and they show up in its slack checks.
 
-    The rows are the phi pieces in order, then the caps, then the vertices,
-    written in place into arrays of the final length, so that no part is
-    held twice.
+    One block per phi piece with rows, in order, then one per cap with rows,
+    then the vertices; all draw on default_rng(seed), in that order.
     """
     rng = np.random.default_rng(seed)
     skeleton = model.skeleton
@@ -774,13 +779,6 @@ def sample_exact_boundary(model, n, seed=0):
 
     n_caps = max(int(round(0.18 * n)) - 5, 0)
     n_phi = max(n - n_caps - 5, 0)
-    # vertex p_i on the tight ball of p_j; any j != i works.  Below five
-    # samples only the first n vertices fit.
-    j = np.array([2, 1, 1, 1, 1])[:n]
-    size = n_phi + n_caps + len(j)
-    points = np.empty((size, 4))
-    active = np.empty(size, dtype=np.intp)
-    start = 0
 
     # phi1 images over each patch, then phi2 images over each arc
     pieces = skeleton.triangle_faces() + skeleton.edge_faces()
@@ -788,7 +786,6 @@ def sample_exact_boundary(model, n, seed=0):
         cnt = n_phi // len(pieces) + (1 if k < n_phi % len(pieces) else 0)
         if cnt == 0:
             continue
-        rows, start = slice(start, start + cnt), start + cnt
         lab, dual = face.label, dual_label(face.label)
         phi1_side = face.kind == "triangle-patch"
         xs = model.face_slices[lab if phi1_side else dual]
@@ -798,24 +795,51 @@ def sample_exact_boundary(model, n, seed=0):
         X, Y = model.centers[xi], model.centers[yi]
         if phi1_side:
             # hyperbolic radius at x
-            points[rows] = _envelope(X, Y, w - model.radii[xi])
-            active[rows] = yi
+            yield _envelope(X, Y, w - model.radii[xi]), yi
         else:
             # elliptic radius at y
-            points[rows] = _envelope(Y, X, w - model.radii[yi])
-            active[rows] = xi
+            yield _envelope(Y, X, w - model.radii[yi]), xi
 
     for i in range(1, 6):
         cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
-        if cnt == 0:
-            continue
-        rows, start = slice(start, start + cnt), start + cnt
-        points[rows] = V[i - 1] + w * _cap_directions(model.caps[i - 1], cnt, rng)
-        active[rows] = i - 1
+        if cnt:
+            U = _cap_directions(model.caps[i - 1], cnt, rng)
+            yield V[i - 1] + w * U, np.full(cnt, i - 1)
 
-    points[start:] = V[:n]
-    active[start:] = j - 1
+    # vertex p_i on the tight ball of p_j; any j != i works.  Below five
+    # samples only the first n vertices fit.
+    yield V[:n].copy(), np.array([1, 0, 0, 0, 0])[:n]
+
+
+# ray rows drawn and cast at a time; chunked draws equal one draw bit for bit
+_RAY_ROWS = 2 ** 13
+
+
+def boundary_blocks(model, n, seed=0):
+    """The n rows of sample_theta as blocks of (points, active): the exact
+    blocks (exact_boundary_blocks), then ray casts in blocks of _RAY_ROWS."""
+    n_ray = int(round(0.15 * n))
+    yield from exact_boundary_blocks(model, n - n_ray, seed=seed)
+    rng = np.random.default_rng([seed, 1])
+    for k in range(0, n_ray, _RAY_ROWS):
+        hits = ray_cast_boundary(model, unit_directions(rng, min(_RAY_ROWS, n_ray - k)))
+        yield hits.points, hits.active
+
+
+def _population(model, blocks, n):
+    """The n rows of blocks as one population, each block written in place."""
+    points = np.empty((n, 4))
+    active = np.empty(n, dtype=np.intp)
+    start = 0
+    for P, act in blocks:
+        rows, start = slice(start, start + len(P)), start + len(P)
+        points[rows], active[rows] = P, act
     return BoundaryPopulation(points, model.sample_face[active], active)
+
+
+def sample_exact_boundary(model, n, seed=0):
+    """The n rows of exact_boundary_blocks as one population."""
+    return _population(model, exact_boundary_blocks(model, n, seed=seed), n)
 
 
 def sample_theta(model, n, seed=0):
@@ -826,10 +850,7 @@ def sample_theta(model, n, seed=0):
     else is exact.  The exact samples draw from default_rng(seed), the ray
     directions from a stream of their own, default_rng([seed, 1]).
     """
-    n_ray = int(round(0.15 * n))
-    exact = sample_exact_boundary(model, n - n_ray, seed=seed)
-    U = unit_directions(np.random.default_rng([seed, 1]), n_ray)
-    return BoundaryPopulation.concat([exact, ray_cast_boundary(model, U)])
+    return _population(model, boundary_blocks(model, n, seed=seed), n)
 
 
 # ============================================================================
@@ -928,20 +949,3 @@ def boundary_residual(model, probes=256, seed=0):
         probe += [phi1(patch, arc, X, Y), phi2(patch, arc, X, Y)]
     s, _ = model.min_slack(np.concatenate(probe))
     return 2.0 * float(np.max(np.abs(s))) + 1e-10
-
-
-def ray_displacements(skeleton, grids, probes=200, seed=0):
-    """Max boundary movement between successive grid refinements.
-
-    grids is a list of (patch_grid, arc_n) levels, typically each twice as
-    fine as the last; the returned displacement maxima shrink ~4x per level
-    for a second-order-accurate envelope.
-    """
-    U = unit_directions(np.random.default_rng(seed), probes)
-    hits = []
-    for patch_grid, arc_n in grids:
-        model = build_ball_model(skeleton, patch_grid=patch_grid, arc_n=arc_n)
-        ts, _ = _ray_cast_many(model, U)
-        hits.append(ts)
-    return [float(np.max(np.abs(hits[k + 1] - hits[k])))
-            for k in range(len(hits) - 1)]

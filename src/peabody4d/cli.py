@@ -38,17 +38,19 @@ import numpy as np
 from .body import (
     EmptySlice,
     InteriorPointNotInterior,
+    PIECE_LABELS,
     binormal_partner,
+    boundary_blocks,
     build_ball_model,
     chord_lengths,
     diameter_check,
+    exact_boundary_blocks,
     phi1,
     phi2,
     ray_cast_boundary,
     sample_exact_boundary,
     sample_theta,
     slice_surface,
-    width_in_direction,
 )
 from .focal import (
     interlock_residual,
@@ -95,13 +97,15 @@ EXACT_FORMS = {
 DEFAULT_GRID = (64, 96)
 DEFAULT_SAMPLES = 10000
 # upper bounds, so that a typo cannot ask for tens of GB: sampling 10^6
-# points peaks near 0.9 GB, the grid bound is four times the default in each
-# direction and the mesh bound about ten times the default resolution
+# points peaks near 73 MB at 64x96 (its rows stream), the grid bound is four
+# times the default in each direction and the mesh bound about ten times the
+# default resolution
 MAX_SAMPLES = 10 ** 6
 MAX_GRID = (256, 384)
 MAX_RESOLUTION = 256
-# rows of the sample CSV formatted and written at a time
-_CSV_ROWS = 8192
+# sample rows: at least _SLACK_ROWS per slack call, _CSV_ROWS per write
+_SLACK_ROWS = 2 ** 13
+_CSV_ROWS = 2 ** 10
 
 # every check verify runs, in report order, with the tolerance_policy class
 # its default tolerance comes from; --tol accepts exactly these names
@@ -442,16 +446,17 @@ def _body_checks(report, tols, samples, seed, model):
     # needs ~2e5 samples whatever --samples is, and draws exactly that many;
     # the model's hits along +-e_k join them, since the support pair along x
     # (arc apex, sheet vertex) is one pair of grid nodes, which random node
-    # pairs rarely draw.  Measured and dropped first: drawn after
-    # sample-theta and min-slack, the two raised verify's peak RSS at 64x96
-    # by ~4 MB (63.3 -> 67.4 MB).
+    # pairs rarely draw.  Along a coordinate axis a projection is one
+    # coordinate, so the extents are reduced block by block as rows are
+    # drawn, over a copy with one row per axis (some 18x faster to reduce).
     start = time.perf_counter()
-    pop_w = sample_exact_boundary(model, 2 * 10 ** 5, seed=seed + 5)
-    hits_w = ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)]))
-    n_w = len(pop_w) + len(hits_w)
-    width_err = max(abs(width_in_direction(pop_w, u, hits_w) - w)
-                    for u in np.eye(4))
-    del pop_w, hits_w
+    hits_w = ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)])).points
+    lo, hi, n_w = hits_w.min(axis=0), hits_w.max(axis=0), len(hits_w)
+    for points, _ in exact_boundary_blocks(model, 2 * 10 ** 5, seed=seed + 5):
+        axes = points.T.copy()
+        lo, hi = np.minimum(lo, axes.min(axis=1)), np.maximum(hi, axes.max(axis=1))
+        n_w += len(points)
+    width_err = float(np.max(np.abs(hi - lo - w)))
     print(_layer_line("width-sample", f"{n_w} samples", start), file=sys.stderr)
     start = time.perf_counter()
     pop = sample_theta(model, n, seed=seed)
@@ -583,21 +588,32 @@ def cmd_sample(args):
     grid = _resolve(args.grid, cfg, "grid", _parse_grid, DEFAULT_GRID)
 
     model = _build_model(_build_skeleton(compute_model_constants()), grid)
-    pop = sample_theta(model, n, seed=seed)
-    slack, _ = model.min_slack(pop.points)
     # one format per row: the bytes of _fmt on each coordinate and the slack.
-    # The rows are formatted and written _CSV_ROWS at a time, so that the
-    # text never exists whole.
+    # The rows stream from the sampler (sample_theta's blocks), so that
+    # neither the population nor the text ever exists whole.
     row = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
-    labels = pop.labels
+    labels = np.array(PIECE_LABELS)[model.sample_face]
+
+    def batches():
+        held = []
+        for block in boundary_blocks(model, n, seed=seed):
+            held.append(block)
+            if sum(len(act) for _, act in held) >= _SLACK_ROWS:
+                yield held
+                held = []
+        if held:
+            yield held
 
     def chunks():
         yield "x,y,z,w,face,slack\n"
-        for k in range(0, len(pop), _CSV_ROWS):
-            rows = slice(k, k + _CSV_ROWS)
-            yield "".join(row % (*point, face, sl) for point, face, sl in zip(
-                pop.points[rows].tolist(), labels[rows].tolist(),
-                slack[rows].tolist()))
+        for held in batches():
+            points, active = (np.concatenate(part) for part in zip(*held))
+            slack, _ = model.min_slack(points)
+            for k in range(0, len(points), _CSV_ROWS):
+                rows = slice(k, k + _CSV_ROWS)
+                yield "".join(row % (*point, face, sl) for point, face, sl in zip(
+                    points[rows].tolist(), labels[active[rows]].tolist(),
+                    slack[rows].tolist()))
     _write(chunks(), args.out)
     return 0
 

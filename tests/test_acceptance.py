@@ -11,6 +11,7 @@ import numpy as np
 from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
+from diagnostics import ray_displacements
 from frozen_values import FROZEN
 from peabody4d.body import (
     binormal_partner,
@@ -19,7 +20,6 @@ from peabody4d.body import (
     diameter_check,
     phi1,
     phi2,
-    ray_displacements,
 )
 from peabody4d.focal import (
     interlock_residual,

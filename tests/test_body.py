@@ -8,7 +8,6 @@ behaviour on large sampled populations.
 """
 
 import dataclasses
-import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -19,6 +18,7 @@ import pytest
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.stats import ks_2samp, norm, qmc
 
+from diagnostics import ray_displacements, traced_peak
 from frozen_values import FROZEN
 from peabody4d import body
 from peabody4d.body import (
@@ -47,11 +47,11 @@ from peabody4d.body import (
     chord_lengths,
     complement_basis,
     diameter_check,
+    exact_boundary_blocks,
     phi1,
     phi2,
     piece_code,
     ray_cast_boundary,
-    ray_displacements,
     sample_exact_boundary,
     sample_theta,
     slice_surface,
@@ -1199,22 +1199,10 @@ def test_the_chunked_diameter_sweep_equals_the_one_shot_reference(
             > one_shot_diameter(model, pushed, 0, 5))
 
 
-def traced_peak(call):
-    """call's result and the bytes by which tracemalloc's peak during it
-    exceeds the memory traced when it began."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_the_exact_sampler_holds_one_copy_of_its_rows(model):
-    # the 2e5 rows that verify's width check draws: the arrays are filled in
-    # place, so the peak is the output plus one cap's draws (about 2.2 MB),
-    # where joining the 26 parts would hold every row twice
+    # 2e5 exact rows: the arrays are filled in place, so the peak is the
+    # output plus one cap's draws (about 1.3 MB), where joining the 26 parts
+    # would hold every row twice
     model.caps
     pop, peak = traced_peak(lambda: sample_exact_boundary(model, 2 * 10 ** 5, seed=5))
     nbytes = sum(getattr(pop, f.name).nbytes
@@ -1231,10 +1219,47 @@ def test_the_diameter_sweep_holds_a_few_megabytes(model, exact_pop):
     assert peak <= 6e6
 
 
-def concatenated_exact_boundary(model, n, seed):
+def gathered_cap_directions(cone, count, rng):
+    """_cap_directions as it gathered each proposal's tetrahedron whole:
+    one (m, 3, 3) gather Y[T[f]] and one einsum."""
+    a, E, Y, T, cum = cone
+    out, need = [], count
+    while need > 0:
+        m = 3 * need // 2 + 64
+        f = np.searchsorted(cum, cum[-1] * rng.random(m))
+        L = rng.exponential(size=(m, 4))
+        P = np.einsum("ik,ikj->ij", L[:, 1:], Y[T[f]]) / L.sum(axis=1)[:, None]
+        keep = rng.random(m) * (1.0 + body._dot(P, P)) ** 2 <= 1.0
+        U = a + P[keep][:need] @ E.T
+        out.append(U / np.linalg.norm(U, axis=1)[:, None])
+        need -= len(U)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cap_draws_equal_the_whole_tetrahedron_gather(model, seed):
+    # one (m, 3) gather per corner, accumulated in corner order, rounds as
+    # the einsum over the (m, 3, 3) gather did
+    for cone in model.caps:
+        for count in (1, 7, 1000, 36000):
+            got = _cap_directions(cone, count, np.random.default_rng(seed))
+            want = gathered_cap_directions(cone, count, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+
+def test_one_cap_draw_holds_a_few_times_its_output(model):
+    # the 7,199 directions of one cap in a 2e5-row exact sample: 5.6 times
+    # their bytes here, 6.4 times with the (m, 3, 3) gather
+    cone = model.caps[0]
+    U, peak = traced_peak(lambda: _cap_directions(cone, 7199,
+                                                  np.random.default_rng(5)))
+    assert len(U) == 7199
+    assert peak <= 6.0 * U.nbytes
+
+
+def exact_boundary_parts(model, n, seed):
     """sample_exact_boundary as one population per piece, cap and the
-    vertices, joined by BoundaryPopulation.concat: the same draws in the
-    same order."""
+    vertices: the same draws in the same order."""
     rng = np.random.default_rng(seed)
     skeleton, w = model.skeleton, model.width
     V = skeleton.simplex.vertices
@@ -1267,16 +1292,44 @@ def concatenated_exact_boundary(model, n, seed):
                                             model.sample_face[active], active))
     active = np.array([1, 0, 0, 0, 0])[:n]
     parts.append(BoundaryPopulation(V[:n], model.sample_face[active], active))
-    return BoundaryPopulation.concat(parts)
+    return parts
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 5, 6, 27, 1003])
 def test_the_exact_sampler_equals_its_parts_joined(model, n):
     # phi pieces, then caps, then vertices; below five samples, the first n
-    # vertices alone
+    # vertices alone.  The sampler's blocks are the parts, one by one.
+    parts = exact_boundary_parts(model, n, seed=4)
+    blocks = list(exact_boundary_blocks(model, n, seed=4))
+    assert len(blocks) == len(parts)
+    for (points, active), part in zip(blocks, parts):
+        assert np.array_equal(points, part.points)
+        assert np.array_equal(active, part.active)
     pop = sample_exact_boundary(model, n, seed=4)
-    ref = concatenated_exact_boundary(model, n, seed=4)
+    ref = BoundaryPopulation.concat(parts)
     assert len(pop) == n
+    for f in dataclasses.fields(BoundaryPopulation):
+        got, want = getattr(pop, f.name), getattr(ref, f.name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ray_rows", [7, 2 ** 13])
+def test_the_mixed_population_is_its_exact_rows_and_one_ray_draw(
+        model, monkeypatch, ray_rows):
+    # the ray rows are drawn and cast in blocks of _RAY_ROWS; drawn in
+    # chunks, the ray stream gives the rows of its one draw bit for bit
+    n, seed, n_ray = 20000, 5, 3000
+    one = unit_directions(np.random.default_rng([seed, 1]), n_ray)
+    rng = np.random.default_rng([seed, 1])
+    chunked = [unit_directions(rng, min(ray_rows, n_ray - k))
+               for k in range(0, n_ray, ray_rows)]
+    assert np.array_equal(np.concatenate(chunked), one)
+    monkeypatch.setattr(body, "_RAY_ROWS", ray_rows)
+    pop = sample_theta(model, n, seed=seed)
+    ref = BoundaryPopulation.concat([
+        sample_exact_boundary(model, n - n_ray, seed=seed),
+        ray_cast_boundary(model, one)])
     for f in dataclasses.fields(BoundaryPopulation):
         got, want = getattr(pop, f.name), getattr(ref, f.name)
         assert got.dtype == want.dtype

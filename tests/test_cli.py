@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diagnostics import traced_peak
 from frozen_values import FROZEN
 from peabody4d import body, cli
 from peabody4d.body import (
@@ -20,6 +22,7 @@ from peabody4d.body import (
     complement_basis,
     ray_cast_boundary,
     sample_exact_boundary,
+    sample_theta,
     width_in_direction,
 )
 from peabody4d.cli import CHECK_NAMES, main
@@ -274,14 +277,10 @@ def test_verify_width_population_is_fixed_above_its_size(capsys):
     assert width["samples"] == 200008
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_verify_width_is_the_width_of_the_joined_population(capsys, model, seed):
-    # verify reads the exact rows and the eight axis hits where they lie;
-    # the value is that of the one population joining them
-    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
-                       "--seed", str(seed), *GRID)
-    assert code == 0
-    width = json.loads(out)["checks"][-1]
+def assert_width_of_the_joined_population(width, model, seed):
+    # verify reduces the extents of the exact rows block by block as they
+    # are drawn, and of the eight axis hits; the value is that of the one
+    # population joining them, bit for bit
     assert width["name"] == "width-coordinate-axes"
     joined = BoundaryPopulation.concat([
         sample_exact_boundary(model, 2 * 10 ** 5, seed=seed + 5),
@@ -289,6 +288,26 @@ def test_verify_width_is_the_width_of_the_joined_population(capsys, model, seed)
     assert width["samples"] == len(joined)
     assert width["max_residual"] == max(
         abs(width_in_direction(joined, u) - model.width) for u in np.eye(4))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_width_is_the_width_of_the_joined_population(capsys, model, seed):
+    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
+                       "--seed", str(seed), *GRID)
+    assert code == 0
+    assert_width_of_the_joined_population(json.loads(out)["checks"][-1], model,
+                                          seed)
+
+
+def test_a_perturbed_width_is_the_width_of_its_joined_population(capsys, model):
+    # shrunken radii move the phi rows, and the width check fails
+    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
+                       "--seed", "3", "--perturb", "-0.01", *GRID)
+    assert code == 1
+    width = json.loads(out)["checks"][-1]
+    assert width["passed"] is False
+    scaled = dataclasses.replace(model, radii=model.radii * (1.0 - 0.01))
+    assert_width_of_the_joined_population(width, scaled, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -450,7 +469,59 @@ def test_sample_rows_are_fmt_fields_in_any_chunking(capsys, monkeypatch):
         numbers = line.split(",")[:4] + line.split(",")[5:]
         assert [cli._fmt(float(v)) for v in numbers] == numbers
     monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    monkeypatch.setattr(cli, "_SLACK_ROWS", 5)
     assert run(capsys, "sample", "--samples", "1000", "--seed", "4", *GRID)[1] == out
+
+
+def whole_population_csv(model, n, seed):
+    """The sample CSV formatted from the whole population: sample_theta's
+    rows, their slack and labels, one format per row."""
+    pop = sample_theta(model, n, seed=seed)
+    slack, _ = model.min_slack(pop.points)
+    row = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
+    return "x,y,z,w,face,slack\n" + "".join(
+        row % (*point, face, sl) for point, face, sl in zip(
+            pop.points.tolist(), pop.labels.tolist(), slack.tolist()))
+
+
+@pytest.fixture(scope="module")
+def coarse_model(skeleton):
+    return cli._build_model(skeleton, (8, 12))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 999, 8191, 8192, 8193, 20000])
+def test_the_streamed_sample_is_the_whole_population_formatted(
+        capsys, model, coarse_model, n):
+    # the rows stream in sampler blocks, joined for the slack; the text is
+    # the whole population's, whatever the blocks
+    for grid, m in (("16x24", model), ("8x12", coarse_model)):
+        code, out, _ = run(capsys, "sample", "--samples", str(n), "--seed",
+                           "3", "--grid", grid)
+        assert code == 0
+        assert out == whole_population_csv(m, n, 3)
+
+
+def test_sample_streams_its_rows(tmp_path, model, monkeypatch):
+    # with the model built beforehand and one block worker, the peak at 2e5
+    # rows exceeds the peak at 1,000 by one cap's draws and one slack batch:
+    # about a quarter of the 8.2 MB that the 2e5 rows take as one
+    # population, where holding that population, its slack and its labels
+    # adds about 13 MB
+    model.caps
+    monkeypatch.setattr(cli, "_build_model", lambda skeleton, grid: model)
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(body, "_POOL", pool)
+    out = str(tmp_path / "s.csv")
+    try:
+        def peak(n):
+            return traced_peak(lambda: main(["sample", "--samples", str(n),
+                                             *GRID, "--out", out]))[1]
+        peak(1000)
+        small, large = peak(1000), peak(2 * 10 ** 5)
+    finally:
+        pool.shutdown()
+    # a population row is 41 bytes: four float64, an int8 and an intp
+    assert large - small <= 0.4 * 41 * 2 * 10 ** 5
 
 
 def test_sample_is_deterministic(tmp_path, capsys):
