@@ -31,13 +31,13 @@ An exact step then computes the survivors (np.flatnonzero) in float64 by
 the direct formula and keeps each row's least value and first argmin
 (_screened_min), so both return the all-ball direct formula bit for bit,
 whatever the block partition.  _screened_min runs on a block engine
-(_row_blocks): blocks of rows of about 10^6 (row, ball) cells, a 4 MB
-float32 screen and a 1 MB mask, spread over the CPUs this process may use,
-with results bit-identical for any worker count.  Cap directions need no
-test at all: each is a positive combination of a cap cone's axis and rim
-directions, drawn from the fan of its rim mesh (_cap_cone, built once per
-model as BallModel.caps), so the convex cone holds it by construction.  The
-package needs numpy alone.
+(_row_blocks): blocks of rows of about 2^19 (row, ball) cells, a 2 MB
+float32 screen and a 0.5 MB mask, run by the calling thread and one pool
+thread per other CPU this process may use, with results bit-identical for
+any thread count.  Cap directions need no test at all: each is a positive
+combination of a cap cone's axis and rim directions, drawn from the fan of
+its rim mesh (_cap_cone, built once per model as BallModel.caps), so the
+convex cone holds it by construction.  The package needs numpy alone.
 
 A BallModel carries the skeleton it was built on, so every query of the
 body (sampling, residuals, the cap cones) takes the model alone.
@@ -56,7 +56,8 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -123,31 +124,49 @@ def piece_code(label):
 # array kernels
 # ============================================================================
 
-# one block worker per CPU this process may use; the executor starts its
-# threads on first use, not at import
-_POOL = ThreadPoolExecutor(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1)
+# the calling thread and one pool thread per other CPU this process may use
+# run a call's blocks; the executor starts its threads on first use
+_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) - 1
+_POOL = ThreadPoolExecutor(max(1, _HELPERS))
+_GATHER_ROWS = 2 ** 13
 
 
 def _block_rows(n_cols):
-    """Rows per block, so that a block holds about 10^6 (row, ball) cells:
-    a 4 MB float32 screen and a 1 MB mask."""
-    return max(16, 10 ** 6 // max(1, n_cols))
+    """Rows per block, so that a block holds about 2^19 (row, ball) cells:
+    a 2 MB float32 screen and a 0.5 MB mask."""
+    return max(16, 2 ** 19 // max(1, n_cols))
 
 
 def _row_blocks(run, n_rows, n_cols):
     """run(rows) on each block of rows, at most _block_rows(n_cols) of them.
 
-    The blocks run on _POOL (numpy and BLAS release the GIL); a block that
-    writes only its own rows of a result makes it bit-identical for any
-    worker count.  An exception in a block propagates.  A block must never
-    call _row_blocks: a nested map on a full pool waits on workers that are
-    all waiting, and deadlocks.
+    The calling thread and up to _HELPERS pool threads (one submit each,
+    none for one block) take block starts from one lock-guarded hand-out
+    (numpy and BLAS release the GIL); a block that writes only its own rows
+    of a result makes it bit-identical for any thread count.  An exception
+    in a block propagates once no block runs.
     """
     step = _block_rows(n_cols)
-    list(_POOL.map(lambda start: run(slice(start, start + step)),
-                   range(0, n_rows, step)))
+    starts, lock = iter(range(0, n_rows, step)), threading.Lock()
+
+    def take():
+        with lock:
+            return next(starts, None)
+
+    def drain():
+        for start in iter(take, None):
+            run(slice(start, start + step))
+
+    helpers = [_POOL.submit(drain)
+               for _ in range(min(_HELPERS, (n_rows - 1) // step))]
+    try:
+        drain()
+    finally:
+        # stop the hand-out; cancel unstarted helpers, await and read the rest
+        starts = iter(())
+        for f in wait([f for f in helpers if not f.cancel()]).done:
+            f.result()
 
 
 # unit roundoff of float32, the precision of the screening products
@@ -186,8 +205,9 @@ def _screened_min(screen, exact, n_rows, n_cols):
     kept whatever the mask says, so that no row comes out empty (a row of
     non-finite input keeps that column alone).
     exact(rows, r, c) returns the float64 values at local rows r and
-    columns c.  The survivors come in row-major order, so a row's columns
-    ascend and the first that attains its minimum is the first argmin.
+    columns c, for at most _GATHER_ROWS survivors a call (a block's float64
+    gathers).  The survivors come in row-major order, so a row's columns
+    ascend and the least column attaining its minimum is the first argmin.
     """
     out = np.empty(n_rows)
     arg = np.empty(n_rows, dtype=np.intp)
@@ -197,12 +217,14 @@ def _screened_min(screen, exact, n_rows, n_cols):
         n = len(keep)
         keep[np.arange(n), ref] = True
         r, c = np.divmod(np.flatnonzero(keep), n_cols)
-        v = exact(rows, r, c)
-        low = np.minimum.reduceat(v, np.searchsorted(r, np.arange(n)))
-        # ~(v > low) also holds at every survivor of a NaN row
-        at = np.flatnonzero(~(v > low[r]))
-        first = at[np.r_[True, r[at[1:]] != r[at[:-1]]]]
-        out[rows], arg[rows] = low, c[first]
+        v = np.empty(len(r))
+        for i in range(0, len(r), _GATHER_ROWS):
+            g = slice(i, i + _GATHER_ROWS)
+            v[g] = exact(rows, r[g], c[g])
+        at = np.searchsorted(r, np.arange(n))
+        out[rows] = low = np.minimum.reduceat(v, at)
+        # v > low is false at every survivor of a NaN row
+        arg[rows] = np.minimum.reduceat(np.where(v > low[r], n_cols, c), at)
 
     _row_blocks(run, n_rows, n_cols)
     return out, arg
@@ -238,18 +260,20 @@ def _min_slack(C, R, P):
     const = np.max((c2 + R * R) / (2.0 * R))
     curve = 0.5 / np.max(R)
 
+    Q = P - o
+    q2 = np.einsum("ij,ij->i", Q, Q)
+    A = np.column_stack([Q, q2, np.ones(len(Q))]).astype(np.float32)
+    m = _screen_margin(d + 2, np.sqrt(q2) * lead + q2 * quad + const)
+
     def slack(rows, r, c):
         X = P[rows][r] - C[c]
         return R[c] - np.sqrt(_dot(X, X))
 
     def screen(rows):
-        Q = P[rows] - o
-        q2 = np.einsum("ij,ij->i", Q, Q)
-        V = np.column_stack([Q, q2, np.ones(len(Q))]).astype(np.float32) @ E
+        V = A[rows] @ E
         ref = np.argmax(V, axis=1)
-        t = slack(rows, np.arange(len(Q)), ref)
-        m = _screen_margin(d + 2, np.sqrt(q2) * lead + q2 * quad + const)
-        return V >= _f32_down(t * (curve * t - 1.0) - m)[:, None], ref
+        t = slack(rows, np.arange(len(V)), ref)
+        return V >= _f32_down(t * (curve * t - 1.0) - m[rows])[:, None], ref
     return _screened_min(screen, slack, len(P), len(C))
 
 
@@ -287,17 +311,18 @@ def _ray_hits(C, R, origin, U):
         b = _dot(U[rows][r], D[c])
         return b + np.sqrt(b * b + r2md2[c])
 
+    n = len(U)
+    t = hits(slice(None), np.repeat(np.arange(n), len(bound)),
+             np.tile(bound, n)).reshape(n, len(bound))
+    ref = np.argmin(t, axis=1)
+    tau = t[np.arange(n), ref]
+    A = np.column_stack([tau[:, None] * U, np.ones(n)]).astype(np.float32)
+    m = _screen_margin(d + 1, tau * np.linalg.norm(U, axis=1) * reach + const)
+    top = -_f32_down(-(tau * tau + m))[:, None]
+
     def screen(rows):
-        Ur = U[rows]
-        n = len(Ur)
-        t = hits(rows, np.repeat(np.arange(n), len(bound)),
-                 np.tile(bound, n)).reshape(n, len(bound))
-        ref = np.argmin(t, axis=1)
-        tau = t[np.arange(n), ref]
-        V = np.column_stack([tau[:, None] * Ur, np.ones(n)]).astype(np.float32) @ G
-        m = _screen_margin(d + 1, tau * np.linalg.norm(Ur, axis=1) * reach + const)
-        return V <= -_f32_down(-(tau * tau + m))[:, None], ref
-    return _screened_min(screen, hits, len(U), len(C))
+        return A[rows] @ G <= top[rows], ref[rows]
+    return _screened_min(screen, hits, n, len(C))
 
 
 # ============================================================================

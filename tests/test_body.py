@@ -8,6 +8,9 @@ behaviour on large sampled populations.
 """
 
 import dataclasses
+import sys
+import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -546,11 +549,14 @@ def test_ray_kernel_agrees_with_brute_force_distances(model):
 
 @pytest.fixture
 def use_pool(monkeypatch):
-    """Run the block engine on a pool of the given worker count."""
+    """Run the block engine on the calling thread and the given number of
+    pool threads: patches _HELPERS to that number and _POOL to a pool of
+    that many threads (of one, which takes no block, for none)."""
     pools = []
 
-    def use(workers):
-        pools.append(ThreadPoolExecutor(max_workers=workers))
+    def use(helpers):
+        pools.append(ThreadPoolExecutor(max_workers=max(1, helpers)))
+        monkeypatch.setattr(body, "_HELPERS", helpers)
         monkeypatch.setattr(body, "_POOL", pools[-1])
     yield use
     for pool in pools:
@@ -573,9 +579,10 @@ def kernel_outputs(model):
 
 def test_kernels_are_bit_identical_for_any_worker_count(model, use_pool,
                                                        monkeypatch):
+    # the calling thread alone, and with two pool threads
     results = []
-    for workers in (1, 3):
-        use_pool(workers)
+    for helpers in (0, 2):
+        use_pool(helpers)
         results.append(kernel_outputs(model))
     assert len(results[1]) == 9
     for one, three in zip(*results):
@@ -589,8 +596,8 @@ def test_kernels_are_bit_identical_for_any_worker_count(model, use_pool,
 
 def test_chords_equal_two_ray_casts_bit_for_bit(model, use_pool):
     U = unit_directions(np.random.default_rng(37), ragged_count(len(model.centers)))
-    for workers in (1, 3):
-        use_pool(workers)
+    for helpers in (0, 2):
+        use_pool(helpers)
         both = _ray_cast_many(model, U)[0] + _ray_cast_many(model, -U)[0]
         assert np.array_equal(chord_lengths(model, U), both)
 
@@ -624,16 +631,118 @@ def test_slice_rejects_a_zero_or_non_finite_hyperplane(model, normal, offset):
             slice_surface(model, np.array(normal), offset, 8)
 
 
-def test_an_exception_in_one_block_propagates(use_pool):
+def run_blocks_raising_in(raiser):
+    """_row_blocks over 4 blocks of 16 rows, on the caller and its pool
+    threads, with every block raising in the thread that raiser names
+    ("caller", "helper" or None).
+
+    Returns the exception the call raised (None if it returned), the number
+    of blocks still running when it ended, and the block starts taken by
+    then and 50 ms later.
+    """
     n_cols = 10 ** 5     # a block of _block_rows(n_cols) = 16 rows
+    caller = threading.current_thread()
+    ran = {True: threading.Event(), False: threading.Event()}
+    lock = threading.Lock()
+    running, started = [0], []
 
     def run(rows):
-        if rows.start > 0:
-            raise FloatingPointError("block failed")
-    for workers in (1, 3):
-        use_pool(workers)
-        with pytest.raises(FloatingPointError, match="block failed"):
-            _row_blocks(run, ragged_count(n_cols), n_cols)
+        mine = threading.current_thread() is caller
+        with lock:
+            running[0] += 1
+            started.append(rows.start)
+        try:
+            # each block waits until the caller and a pool thread have both
+            # started one, so that both run blocks
+            ran[mine].set()
+            ran[not mine].wait(10)
+            time.sleep(1e-3)
+            if raiser == ("caller" if mine else "helper"):
+                raise FloatingPointError(f"{raiser} block failed")
+        finally:
+            with lock:
+                running[0] -= 1
+
+    error = None
+    try:
+        _row_blocks(run, ragged_count(n_cols), n_cols)
+    except FloatingPointError as raised:
+        error = raised
+    with lock:
+        left, taken = running[0], sorted(started)
+    time.sleep(0.05)
+    assert ran[True].is_set() and ran[False].is_set()
+    return error, left, taken, sorted(started)
+
+
+def test_an_exception_in_one_block_propagates(use_pool):
+    # raised in the caller's block or in a pool thread's, it ends the call
+    # only once no block runs, and no block starts afterwards
+    use_pool(2)
+    for raiser in ("caller", "helper", None):
+        error, left, taken, later = run_blocks_raising_in(raiser)
+        assert str(error) == f"{raiser} block failed" if raiser else error is None
+        assert left == 0
+        assert later == taken
+    assert taken == [0, 16, 32, 48]
+
+
+def test_every_block_runs_once_on_more_threads_than_cores(use_pool):
+    # eight pool threads and the caller share one hand-out of 2,001 blocks,
+    # switching threads every microsecond
+    n_cols = 10 ** 6     # a block of 16 rows
+    n_rows = 16 * 2000 + 7
+    starts = []
+    use_pool(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(
+            target=_row_blocks, daemon=True,
+            args=(lambda rows: starts.append(rows.start), n_rows, n_cols))
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert sorted(starts) == list(range(0, n_rows, 16))
+
+
+def test_a_call_submits_one_task_per_helper_and_none_for_one_block(model,
+                                                                   monkeypatch):
+    pool = ThreadPoolExecutor(2)
+    submits = []
+
+    class Spy:
+        def submit(self, fn):
+            submits.append(fn)
+            return pool.submit(fn)
+
+    monkeypatch.setattr(body, "_HELPERS", 2)
+    monkeypatch.setattr(body, "_POOL", Spy())
+    C, R = model.centers, model.radii
+    step = _block_rows(len(C))
+    try:
+        counts = []
+        for rows in (1, step, step + 1, ragged_count(len(C))):
+            _min_slack(C, R, C[np.arange(rows) % len(C)])
+            counts.append(len(submits))
+        chord_lengths(model, np.eye(4))
+    finally:
+        pool.shutdown()
+    assert counts == [0, 0, 1, 3]
+    assert len(submits) == 3
+
+
+def test_the_vertex_rows_slack_holds_a_few_megabytes(skeleton):
+    # at 64x96 each simplex vertex is tight on about 14,300 balls, so the
+    # five rows keep 71,600 survivors in one block; gathered in float64 at
+    # once they trace 8.1 MB
+    model = build_ball_model(skeleton)
+    vertices = model.skeleton.simplex.vertices
+    (slack, _), peak = traced_peak(lambda: model.min_slack(vertices))
+    assert np.all(np.abs(slack) <= 1e-12)
+    assert peak < 5.5e6
 
 
 # ----------------------------------------------------------------------------

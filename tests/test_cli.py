@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -502,24 +501,21 @@ def test_the_streamed_sample_is_the_whole_population_formatted(
 
 
 def test_sample_streams_its_rows(tmp_path, model, monkeypatch):
-    # with the model built beforehand and one block worker, the peak at 2e5
-    # rows exceeds the peak at 1,000 by one cap's draws and one slack batch:
-    # about a quarter of the 8.2 MB that the 2e5 rows take as one
-    # population, where holding that population, its slack and its labels
-    # adds about 13 MB
+    # with the model built beforehand and the blocks run by the calling
+    # thread alone, the peak at 2e5 rows exceeds the peak at 1,000 by one
+    # cap's draws and one slack batch: about a quarter of the 8.2 MB that
+    # the 2e5 rows take as one population, where holding that population,
+    # its slack and its labels adds about 13 MB
     model.caps
     monkeypatch.setattr(cli, "_build_model", lambda skeleton, grid: model)
-    pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(body, "_POOL", pool)
+    monkeypatch.setattr(body, "_HELPERS", 0)
     out = str(tmp_path / "s.csv")
-    try:
-        def peak(n):
-            return traced_peak(lambda: main(["sample", "--samples", str(n),
-                                             *GRID, "--out", out]))[1]
-        peak(1000)
-        small, large = peak(1000), peak(2 * 10 ** 5)
-    finally:
-        pool.shutdown()
+
+    def peak(n):
+        return traced_peak(lambda: main(["sample", "--samples", str(n),
+                                         *GRID, "--out", out]))[1]
+    peak(1000)
+    small, large = peak(1000), peak(2 * 10 ** 5)
     # a population row is 41 bytes: four float64, an int8 and an intp
     assert large - small <= 0.4 * 41 * 2 * 10 ** 5
 
