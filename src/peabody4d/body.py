@@ -18,8 +18,9 @@ Two independent representations of the same body are kept in play:
 Everything downstream cross-validates one representation against the
 other: ray casts probe the ball model, phi samples must land on its
 boundary, and boundary samples are classified by which ball is tight.
-A population of samples is one BoundaryPopulation of parallel arrays.  Ball
-slack, ray hits and the envelope step each have one array kernel
+A population of samples is one BoundaryPopulation, its points and the
+active ball of each, and the samplers yield populations block by block.
+Ball slack, ray hits and the envelope step each have one array kernel
 (_min_slack, _ray_hits, _envelope), in any dimension; a hyperplane slice
 (slice_surface) runs the first two on the 3-balls in which the plane cuts
 the model's balls, and a chord through the interior point (chord_lengths)
@@ -48,8 +49,8 @@ triangle wedges (phi1 images over a patch), and "12"-style edge wedges
 (phi2 images over an arc).  A ball centered on a patch is tight exactly at
 phi2 points of the dual arc and vice versa, and a vertex ball is tight on
 the opposite cap, so each ball carries the piece code of the face dual to
-its own (BallModel.sample_face) and every sample takes its piece from its
-active ball.
+its own (BallModel.sample_face) and a sample's piece is its active ball's,
+model.sample_face[pop.active]; a population stores no piece of its own.
 """
 
 import functools
@@ -90,7 +91,7 @@ class InteriorPointNotInterior(Exception):
 
 
 class UnclassifiedSample(Exception):
-    """Boundary sample carries an unknown face label."""
+    """A piece label is unknown, or a sample sits at its active center."""
 
 
 class TooFewSamples(Exception):
@@ -488,21 +489,17 @@ class BoundaryPopulation:
     """Boundary samples as parallel arrays, one row per sample.
 
     points  (N, 4) boundary points
-    face    (N,) piece codes: index into PIECE_LABELS
     active  (N,) index of the model ball that is tight at each point
 
-    A cap sample's direction is (p - c)/w with c its active vertex center
-    and w the width; a ray sample's is (p - g)/|p - g| with g the interior
-    point.  Slices, boolean masks and index arrays select rows; concat joins.
+    A sample's piece is its active ball's, model.sample_face[active] (an
+    index into PIECE_LABELS).  A cap sample's direction is (p - c)/w with c
+    its active vertex center and w the width; a ray sample's is
+    (p - g)/|p - g| with g the interior point.  Slices, boolean masks and
+    index arrays select rows; concat joins.
     """
 
     points: np.ndarray
-    face: np.ndarray
     active: np.ndarray
-
-    def __post_init__(self):
-        if np.any((self.face < 0) | (self.face >= len(PIECE_LABELS))):
-            raise UnclassifiedSample("face code outside the 25 piece labels")
 
     def __len__(self):
         return len(self.points)
@@ -510,11 +507,6 @@ class BoundaryPopulation:
     def __getitem__(self, index):
         return BoundaryPopulation(*(getattr(self, f.name)[index]
                                     for f in fields(self)))
-
-    @property
-    def labels(self):
-        """Piece label string of each sample."""
-        return np.array(PIECE_LABELS)[self.face]
 
     @classmethod
     def concat(cls, pops):
@@ -550,8 +542,7 @@ def ray_cast_boundary(model, U):
     if U.shape[1:] != (4,) or np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-8):
         raise ValueError("directions must be unit 4-vectors")
     ts, args = _ray_cast_many(model, U)
-    return BoundaryPopulation(model.interior_point + ts[:, None] * U,
-                              model.sample_face[args], args)
+    return BoundaryPopulation(model.interior_point + ts[:, None] * U, args)
 
 
 # steps of the slice's start walk before the hyperplane counts as missing;
@@ -782,8 +773,8 @@ def _cap_directions(cone, count, rng):
 
 
 def exact_boundary_blocks(model, n, seed=0):
-    """n exact boundary samples as blocks of (points, active) rows: phi
-    images, cap points, vertices.
+    """n exact boundary samples as BoundaryPopulation blocks: phi images,
+    cap points, vertices.
 
     On the as-built model all points lie on the true body boundary to
     roundoff (none come from ray casts against the discretized model), as
@@ -817,23 +808,21 @@ def exact_boundary_blocks(model, n, seed=0):
         ys = model.face_slices[dual if phi1_side else lab]
         xi = rng.integers(xs.start, xs.stop, size=cnt)
         yi = rng.integers(ys.start, ys.stop, size=cnt)
-        X, Y = model.centers[xi], model.centers[yi]
-        if phi1_side:
-            # hyperbolic radius at x
-            yield _envelope(X, Y, w - model.radii[xi]), yi
-        else:
-            # elliptic radius at y
-            yield _envelope(Y, X, w - model.radii[yi]), xi
+        # phi1 pushes x by its hyperbolic radius, phi2 y by its elliptic one,
+        # away from the other point, whose ball is the tight one
+        p, q = (xi, yi) if phi1_side else (yi, xi)
+        yield BoundaryPopulation(
+            _envelope(model.centers[p], model.centers[q], w - model.radii[p]), q)
 
     for i in range(1, 6):
         cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
         if cnt:
             U = _cap_directions(model.caps[i - 1], cnt, rng)
-            yield V[i - 1] + w * U, np.full(cnt, i - 1)
+            yield BoundaryPopulation(V[i - 1] + w * U, np.full(cnt, i - 1))
 
     # vertex p_i on the tight ball of p_j; any j != i works.  Below five
     # samples only the first n vertices fit.
-    yield V[:n].copy(), np.array([1, 0, 0, 0, 0])[:n]
+    yield BoundaryPopulation(V[:n].copy(), np.array([1, 0, 0, 0, 0])[:n])
 
 
 # ray rows drawn and cast at a time; chunked draws equal one draw bit for bit
@@ -841,30 +830,29 @@ _RAY_ROWS = 2 ** 13
 
 
 def boundary_blocks(model, n, seed=0):
-    """The n rows of sample_theta as blocks of (points, active): the exact
+    """The n rows of sample_theta as BoundaryPopulation blocks: the exact
     blocks (exact_boundary_blocks), then ray casts in blocks of _RAY_ROWS."""
     n_ray = int(round(0.15 * n))
     yield from exact_boundary_blocks(model, n - n_ray, seed=seed)
     rng = np.random.default_rng([seed, 1])
     for k in range(0, n_ray, _RAY_ROWS):
-        hits = ray_cast_boundary(model, unit_directions(rng, min(_RAY_ROWS, n_ray - k)))
-        yield hits.points, hits.active
+        yield ray_cast_boundary(model, unit_directions(rng, min(_RAY_ROWS, n_ray - k)))
 
 
-def _population(model, blocks, n):
+def _population(blocks, n):
     """The n rows of blocks as one population, each block written in place."""
     points = np.empty((n, 4))
     active = np.empty(n, dtype=np.intp)
     start = 0
-    for P, act in blocks:
-        rows, start = slice(start, start + len(P)), start + len(P)
-        points[rows], active[rows] = P, act
-    return BoundaryPopulation(points, model.sample_face[active], active)
+    for block in blocks:
+        rows, start = slice(start, start + len(block)), start + len(block)
+        points[rows], active[rows] = block.points, block.active
+    return BoundaryPopulation(points, active)
 
 
 def sample_exact_boundary(model, n, seed=0):
     """The n rows of exact_boundary_blocks as one population."""
-    return _population(model, exact_boundary_blocks(model, n, seed=seed), n)
+    return _population(exact_boundary_blocks(model, n, seed=seed), n)
 
 
 def sample_theta(model, n, seed=0):
@@ -875,7 +863,7 @@ def sample_theta(model, n, seed=0):
     else is exact.  The exact samples draw from default_rng(seed), the ray
     directions from a stream of their own, default_rng([seed, 1]).
     """
-    return _population(model, boundary_blocks(model, n, seed=seed), n)
+    return _population(boundary_blocks(model, n, seed=seed), n)
 
 
 # ============================================================================

@@ -25,7 +25,9 @@ radii leave the centroid outside a ball), 3 I/O error.
 """
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import (
+    BoundaryPopulation,
     EmptySlice,
     InteriorPointNotInterior,
     PIECE_LABELS,
@@ -75,6 +78,9 @@ from .skeleton import (
     rotation_closure_check,
     tangent_slopes,
 )
+
+# a command's objects die with its process: frozen, they skip the exit collection
+atexit.register(gc.freeze)
 
 
 class _UsageError(Exception):
@@ -452,10 +458,10 @@ def _body_checks(report, tols, samples, seed, model):
     start = time.perf_counter()
     hits_w = ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)])).points
     lo, hi, n_w = hits_w.min(axis=0), hits_w.max(axis=0), len(hits_w)
-    for points, _ in exact_boundary_blocks(model, 2 * 10 ** 5, seed=seed + 5):
-        axes = points.T.copy()
+    for block in exact_boundary_blocks(model, 2 * 10 ** 5, seed=seed + 5):
+        axes = block.points.T.copy()
         lo, hi = np.minimum(lo, axes.min(axis=1)), np.maximum(hi, axes.max(axis=1))
-        n_w += len(points)
+        n_w += len(block)
     width_err = float(np.max(np.abs(hi - lo - w)))
     print(_layer_line("width-sample", f"{n_w} samples", start), file=sys.stderr)
     start = time.perf_counter()
@@ -598,7 +604,7 @@ def cmd_sample(args):
         held = []
         for block in boundary_blocks(model, n, seed=seed):
             held.append(block)
-            if sum(len(act) for _, act in held) >= _SLACK_ROWS:
+            if sum(map(len, held)) >= _SLACK_ROWS:
                 yield held
                 held = []
         if held:
@@ -607,12 +613,12 @@ def cmd_sample(args):
     def chunks():
         yield "x,y,z,w,face,slack\n"
         for held in batches():
-            points, active = (np.concatenate(part) for part in zip(*held))
-            slack, _ = model.min_slack(points)
-            for k in range(0, len(points), _CSV_ROWS):
+            pop = BoundaryPopulation.concat(held)
+            slack, _ = model.min_slack(pop.points)
+            for k in range(0, len(pop), _CSV_ROWS):
                 rows = slice(k, k + _CSV_ROWS)
                 yield "".join(row % (*point, face, sl) for point, face, sl in zip(
-                    points[rows].tolist(), labels[active[rows]].tolist(),
+                    pop.points[rows].tolist(), labels[pop.active[rows]].tolist(),
                     slack[rows].tolist()))
     _write(chunks(), args.out)
     return 0

@@ -46,6 +46,7 @@ from peabody4d.body import (
     _row_blocks,
     binormal_partner,
     boundary_residual,
+    boundary_blocks,
     build_ball_model,
     chord_lengths,
     complement_basis,
@@ -90,9 +91,14 @@ def sobol_directions(count, seed):
     return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
-def phi_samples(pop):
+def piece_labels(model, pop):
+    """Piece label string of each sample: its active ball's."""
+    return np.array(PIECE_LABELS)[model.sample_face[pop.active]]
+
+
+def phi_samples(model, pop):
     """Wedge samples only: the cap and vertex samples carry 4-digit labels."""
-    return pop[np.char.str_len(pop.labels) < 4]
+    return pop[np.char.str_len(piece_labels(model, pop)) < 4]
 
 
 def at_vertex(pop, simplex):
@@ -101,9 +107,10 @@ def at_vertex(pop, simplex):
     return np.linalg.norm(pop.points[:, None] - V[None], axis=2).min(axis=1) <= 1e-12
 
 
-def cap_samples(pop, simplex):
+def cap_samples(model, pop):
     """Cap samples only: the 4-digit rows that are not at a vertex."""
-    return pop[(np.char.str_len(pop.labels) == 4) & ~at_vertex(pop, simplex)]
+    return pop[(np.char.str_len(piece_labels(model, pop)) == 4)
+               & ~at_vertex(pop, model.skeleton.simplex)]
 
 
 def cap_directions(model, caps):
@@ -236,9 +243,12 @@ def test_no_face_center_sits_near_a_vertex(skeleton, grid, arc_n):
 
 def test_every_sample_takes_its_piece_from_its_active_ball(model, exact_pop,
                                                            mixed_pop):
+    # a population stores no piece: a row's is its active ball's, and that
+    # ball is tight at the row's point
     rays = ray_cast_boundary(model, sobol_directions(5000, seed=7))
     for pop in (exact_pop, mixed_pop, rays):
-        assert np.array_equal(pop.face, model.sample_face[pop.active])
+        d = np.linalg.norm(pop.points - model.centers[pop.active], axis=1)
+        assert np.max(np.abs(d - model.radii[pop.active])) <= 1e-9
 
 
 def test_interior_point_is_the_centroid_and_is_deep(model):
@@ -324,14 +334,14 @@ def test_ray_cast_along_the_symmetry_axis(model, model_fine, constants):
     assert len(plus) == 1
     assert not np.any(plus.points[0, 1:])
     assert abs(plus.points[0, 0] - x_plus) <= 1e-9
-    assert plus.labels[0] == "12"
+    assert piece_labels(model, plus)[0] == "12"
     patch_rows = model.face_slices[(3, 4, 5)]
     assert patch_rows.start <= plus.active[0] < patch_rows.stop
 
     minus = ray_cast_boundary(model, np.array([-1.0, 0.0, 0.0, 0.0]))
     assert not np.any(minus.points[0, 1:])
     assert abs(minus.points[0, 0] - x_minus) <= 1e-5
-    assert minus.labels[0] == "345"
+    assert piece_labels(model, minus)[0] == "345"
     arc_rows = model.face_slices[(1, 2)]
     assert arc_rows.start <= minus.active[0] < arc_rows.stop
 
@@ -378,9 +388,9 @@ def test_ray_sweep_invariants_and_full_piece_census(model):
     assert labels == ALL_PIECE_LABELS
 
     # the scalar interface agrees with the batch sweep
-    for u in U[:50]:
+    for u, j in zip(U[:50], act[:50]):
         s = ray_cast_boundary(model, u)
-        assert s.face[0] == model.sample_face[s.active[0]]
+        assert s.active[0] == j
         slack, _ = model.min_slack(s.points[0])
         assert abs(slack) <= 1e-9
 
@@ -749,7 +759,7 @@ def test_the_vertex_rows_slack_holds_a_few_megabytes(skeleton):
 # boundary populations
 # ----------------------------------------------------------------------------
 
-def test_population_slices_masks_and_concatenates(exact_pop):
+def test_population_slices_masks_and_concatenates(model, exact_pop):
     n = len(exact_pop)
     head, tail = exact_pop[:100], exact_pop[100:]
     assert (len(head), len(tail)) == (100, n - 100)
@@ -757,10 +767,10 @@ def test_population_slices_masks_and_concatenates(exact_pop):
     for f in dataclasses.fields(BoundaryPopulation):
         assert np.array_equal(getattr(joined, f.name), getattr(exact_pop, f.name),
                               equal_nan=True)
-    mask = exact_pop.labels == "12"
+    mask = piece_labels(model, exact_pop) == "12"
     sub = exact_pop[mask]
     assert len(sub) == int(mask.sum()) > 0
-    assert set(sub.labels) == {"12"}
+    assert set(piece_labels(model, sub)) == {"12"}
     assert np.array_equal(sub.points, exact_pop.points[mask])
     assert np.array_equal(sub.active, exact_pop.active[mask])
     picked = exact_pop[np.array([7, 3])]
@@ -768,20 +778,18 @@ def test_population_slices_masks_and_concatenates(exact_pop):
     assert np.array_equal(picked.points, exact_pop.points[[7, 3]])
 
 
-def test_population_labels_round_trip(mixed_pop):
+def test_population_labels_round_trip(model, mixed_pop):
     assert ([piece_code(lab) for lab in PIECE_LABELS]
             == list(range(len(PIECE_LABELS))))
     assert set(PIECE_LABELS) == ALL_PIECE_LABELS
-    labels, rows = np.unique(mixed_pop.labels, return_inverse=True)
+    labels, rows = np.unique(piece_labels(model, mixed_pop), return_inverse=True)
     codes = np.array([piece_code(lab) for lab in labels])
-    assert np.array_equal(codes[rows], mixed_pop.face)
+    assert np.array_equal(codes[rows], model.sample_face[mixed_pop.active])
 
 
-def test_population_rejects_invalid_face_codes(exact_pop):
-    for bad in (len(PIECE_LABELS), -1, 100):
-        with pytest.raises(UnclassifiedSample):
-            dataclasses.replace(exact_pop[:3], face=np.array([0, bad, 0],
-                                                             dtype=np.int8))
+def test_population_rejects_invalid_face_codes():
+    # a population holds no piece code; the codes come from piece_code,
+    # which has none for a label outside the 25
     for bad in ("6", (1,), (1, 6), (), (1, 2, 3, 4, 5)):
         with pytest.raises(UnclassifiedSample):
             piece_code(bad)
@@ -792,7 +800,7 @@ def test_population_parameters_regenerate_the_points(model, simplex,
     # a cap sample is its vertex, the center of its active ball, pushed out
     # by the width along a unit direction (p - p_active)/w
     w = model.width
-    caps = cap_samples(exact_pop, simplex)
+    caps = cap_samples(model, exact_pop)
     assert np.all(caps.active < 5)
     U = cap_directions(model, caps)
     assert np.max(np.abs(np.linalg.norm(U, axis=1) - 1.0)) <= 1e-15
@@ -812,14 +820,15 @@ def test_population_parameters_regenerate_the_points(model, simplex,
 
 
 def test_a_population_row_is_its_point_piece_and_active_ball(model):
+    # the piece is the active ball's, model.sample_face[active]
     assert ([f.name for f in dataclasses.fields(BoundaryPopulation)]
-            == ["points", "face", "active"])
+            == ["points", "active"])
     pops = [sample_exact_boundary(model, 1000, seed=0),
             ray_cast_boundary(model, unit_directions(np.random.default_rng(0), 100))]
     for pop in pops:
         nbytes = sum(getattr(pop, f.name).nbytes
                      for f in dataclasses.fields(BoundaryPopulation))
-        assert nbytes == 41 * len(pop)     # 4 float64, an int8, an intp
+        assert nbytes == 40 * len(pop)     # 4 float64 and an intp
 
 
 def test_exact_population_lies_on_the_model_boundary(model, exact_pop):
@@ -835,8 +844,9 @@ def test_mixed_population_stays_within_the_grid_residual(model, mixed_pop):
     assert ms.max() <= residual
 
 
-def test_population_reaches_all_pieces_and_all_vertices(mixed_pop, simplex):
-    assert set(mixed_pop.labels) == ALL_PIECE_LABELS
+def test_population_reaches_all_pieces_and_all_vertices(model, mixed_pop,
+                                                        simplex):
+    assert set(piece_labels(model, mixed_pop)) == ALL_PIECE_LABELS
     pts = mixed_pop.points
     for v in simplex.vertices:
         assert np.linalg.norm(pts - v, axis=1).min() <= 1e-12
@@ -1047,15 +1057,15 @@ def test_the_hull_holds_a_quarter_of_the_cone(scaled_caps):
         assert fan_solid_angle(cone, seed=20 + i) >= 0.25 * whole
 
 
-def test_each_cap_sample_lies_on_its_own_cap(model, skeleton, exact_pop):
+def test_each_cap_sample_lies_on_its_own_cap(model, exact_pop):
     # a cap sample is its vertex pushed out along a unit direction (checked
     # with the population parameters): the direction lies in that vertex's
     # cap, and the sample carries the cap's piece
-    caps = cap_samples(exact_pop, skeleton.simplex)
+    caps = cap_samples(model, exact_pop)
     for i in range(1, 6):
         cap = caps[caps.active == i - 1]
         assert len(cap) > 200
-        assert np.all(cap.face == piece_code(dual_label((i,))))
+        assert np.all(model.sample_face[cap.active] == piece_code(dual_label((i,))))
         assert np.all(in_fan(model.caps[i - 1], cap_directions(model, cap)))
 
 
@@ -1184,17 +1194,17 @@ def test_cap_directions_follow_the_proposal_law_inside_the_mesh(model):
 # ----------------------------------------------------------------------------
 
 def test_cap_samples_pair_with_the_opposite_vertex(model, simplex, exact_pop):
-    caps = cap_samples(exact_pop, simplex)
+    caps = cap_samples(model, exact_pop)
     assert len(caps) > 1000
     caps = caps[:300]
     partners = binormal_partner(model, caps)
-    for p, face, partner in zip(caps.points, caps.labels, partners):
+    for p, face, partner in zip(caps.points, piece_labels(model, caps), partners):
         (i,) = set(range(1, 6)) - {int(ch) for ch in face}
         assert np.allclose(partner, simplex.vertices[i - 1], atol=1e-12, rtol=0)
         assert abs(np.linalg.norm(p - partner) - model.width) <= 1e-12
     verts = exact_pop[at_vertex(exact_pop, simplex)]
     assert len(verts) == 5
-    assert np.all(np.char.str_len(verts.labels) == 4)
+    assert np.all(np.char.str_len(piece_labels(model, verts)) == 4)
     assert np.allclose(binormal_partner(model, verts),
                        model.centers[verts.active], atol=1e-12, rtol=0)
 
@@ -1205,27 +1215,28 @@ def classify_on_model(model, q):
     tight = np.flatnonzero(np.abs(model.radii - d) <= 1e-9)
     assert len(tight) == 1
     j = int(tight[0])
-    return BoundaryPopulation(
-        points=q[None, :], face=model.sample_face[[j]], active=np.array([j]))
+    return BoundaryPopulation(points=q[None, :], active=np.array([j]))
 
 
 def test_wedge_partners_are_dual_and_involutive(model, exact_pop):
-    wedges = phi_samples(exact_pop)[:500]
+    wedges = phi_samples(model, exact_pop)[:500]
     partners = binormal_partner(model, wedges)
-    for p, face, q in zip(wedges.points, wedges.labels, partners):
+    for p, face, q in zip(wedges.points, piece_labels(model, wedges), partners):
         assert abs(np.linalg.norm(p - q) - model.width) <= 1e-12
         back = classify_on_model(model, q)
-        assert set(back.labels[0]) == set("12345") - set(face)
+        assert set(piece_labels(model, back)[0]) == set("12345") - set(face)
         assert np.linalg.norm(binormal_partner(model, back)[0] - p) <= 1e-9
 
 
-def test_partner_rejects_unlabeled_samples(model, exact_pop):
-    # a population cannot carry an unknown label, so none reaches the partner
-    s = exact_pop[:1]
+def test_partner_rejects_unlabeled_samples(model):
+    # a sample's piece is its active ball's, and there is no code for an
+    # unknown label; a sample at its active center has no partner direction
     for bad_face in ("99", "1", ""):
         with pytest.raises(UnclassifiedSample):
-            binormal_partner(model, dataclasses.replace(
-                s, face=np.array([piece_code(bad_face)], dtype=np.int8)))
+            piece_code(bad_face)
+    at_center = BoundaryPopulation(model.centers[[7]], np.array([7]))
+    with pytest.raises(UnclassifiedSample):
+        binormal_partner(model, at_center)
 
 
 def test_width_in_every_coordinate_direction(mixed_pop):
@@ -1238,7 +1249,7 @@ def test_width_in_every_coordinate_direction(mixed_pop):
 def test_width_along_certified_binormals(model, exact_pop, constants):
     # aligning u with an exact sample-partner pair certifies the lower
     # bound; the upper bound holds because no two body points are farther
-    wedges = phi_samples(exact_pop)[:5]
+    wedges = phi_samples(model, exact_pop)[:5]
     partners = binormal_partner(model, wedges)
     aug = BoundaryPopulation.concat(
         [exact_pop] + [classify_on_model(model, q) for q in partners])
@@ -1391,16 +1402,13 @@ def exact_boundary_parts(model, n, seed):
             P, active = body._envelope(X, Y, w - model.radii[xi]), yi
         else:
             P, active = body._envelope(Y, X, w - model.radii[yi]), xi
-        parts.append(BoundaryPopulation(P, model.sample_face[active], active))
+        parts.append(BoundaryPopulation(P, active))
     for i in range(1, 6):
         cnt = n_caps // 5 + (1 if i <= n_caps % 5 else 0)
         if cnt:
             U = _cap_directions(model.caps[i - 1], cnt, rng)
-            active = np.full(cnt, i - 1)
-            parts.append(BoundaryPopulation(V[i - 1] + w * U,
-                                            model.sample_face[active], active))
-    active = np.array([1, 0, 0, 0, 0])[:n]
-    parts.append(BoundaryPopulation(V[:n], model.sample_face[active], active))
+            parts.append(BoundaryPopulation(V[i - 1] + w * U, np.full(cnt, i - 1)))
+    parts.append(BoundaryPopulation(V[:n], np.array([1, 0, 0, 0, 0])[:n]))
     return parts
 
 
@@ -1411,9 +1419,9 @@ def test_the_exact_sampler_equals_its_parts_joined(model, n):
     parts = exact_boundary_parts(model, n, seed=4)
     blocks = list(exact_boundary_blocks(model, n, seed=4))
     assert len(blocks) == len(parts)
-    for (points, active), part in zip(blocks, parts):
-        assert np.array_equal(points, part.points)
-        assert np.array_equal(active, part.active)
+    for block, part in zip(blocks, parts):
+        assert np.array_equal(block.points, part.points)
+        assert np.array_equal(block.active, part.active)
     pop = sample_exact_boundary(model, n, seed=4)
     ref = BoundaryPopulation.concat(parts)
     assert len(pop) == n
@@ -1445,6 +1453,30 @@ def test_the_mixed_population_is_its_exact_rows_and_one_ray_draw(
         assert np.array_equal(got, want)
 
 
+@pytest.fixture(scope="module")
+def sampler_models(skeleton):
+    # the CLI's 8x12 and 16x24 models (arc counts 33 and 65)
+    return {"8x12": build_ball_model(skeleton, patch_grid=(8, 12), arc_n=33),
+            "16x24": build_ball_model(skeleton, patch_grid=(16, 24), arc_n=65)}
+
+
+@pytest.mark.parametrize("grid", ["8x12", "16x24"])
+@pytest.mark.parametrize("n", [1, 7, 8193])
+def test_the_sampler_blocks_are_populations_joined_into_sample_theta(
+        sampler_models, grid, n):
+    # exact and ray-cast blocks alike are populations, and joined they are
+    # sample_theta's rows, field for field
+    m = sampler_models[grid]
+    blocks = list(boundary_blocks(m, n, seed=3))
+    assert all(type(block) is BoundaryPopulation for block in blocks)
+    joined, pop = BoundaryPopulation.concat(blocks), sample_theta(m, n, seed=3)
+    assert len(pop) == n
+    for f in dataclasses.fields(BoundaryPopulation):
+        got, want = getattr(joined, f.name), getattr(pop, f.name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------------------------------
 # structural invariants
 # ----------------------------------------------------------------------------
@@ -1458,7 +1490,7 @@ def test_moved_samples_stay_on_the_boundary(model, group, exact_pop):
 
 
 def test_each_wedge_sample_has_exactly_one_active_ball(model, exact_pop):
-    P = phi_samples(exact_pop).points
+    P = phi_samples(model, exact_pop).points
     for lo in range(0, len(P), 4096):
         Q = P[lo:lo + 4096]
         d = np.linalg.norm(Q[:, None, :] - model.centers[None, :, :], axis=2)

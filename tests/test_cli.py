@@ -16,6 +16,7 @@ from diagnostics import traced_peak
 from frozen_values import FROZEN
 from peabody4d import body, cli
 from peabody4d.body import (
+    PIECE_LABELS,
     BoundaryPopulation,
     build_ball_model,
     complement_basis,
@@ -480,7 +481,9 @@ def whole_population_csv(model, n, seed):
     row = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
     return "x,y,z,w,face,slack\n" + "".join(
         row % (*point, face, sl) for point, face, sl in zip(
-            pop.points.tolist(), pop.labels.tolist(), slack.tolist()))
+            pop.points.tolist(),
+            np.array(PIECE_LABELS)[model.sample_face[pop.active]].tolist(),
+            slack.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -632,16 +635,35 @@ def test_slice_just_past_a_vertex_misses_the_body(capsys, model, simplex):
     assert err == "error: empty slice: hyperplane misses the body\n"
 
 
+def src_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_a_cli_process_exits_with_its_objects_frozen():
+    # atexit handlers run last in, first out, so one registered before the
+    # import runs after the cli's: by then every object is frozen, and the
+    # interpreter's final collection skips them
+    script = ("import atexit, gc\n"
+              "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+              "import peabody4d.cli\n")
+    done = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0
+
+
 @pytest.mark.parametrize("module,unwanted", [
     ("peabody4d.cli", "scipy.stats"),
     ("peabody4d", "scipy.optimize"),
     ("peabody4d.cli", "scipy"),
 ])
 def test_importing_the_cli_does_not_load_scipy_stats(module, unwanted):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).parents[1])]
-        + [p for p in [env.get("PYTHONPATH")] if p])
+    env = src_env()
     done = subprocess.run(
         [sys.executable, "-c",
          f"import sys, {module}; print({unwanted!r} in sys.modules)"],
@@ -652,10 +674,7 @@ def test_importing_the_cli_does_not_load_scipy_stats(module, unwanted):
 
 def test_sampling_and_a_walked_slice_load_no_scipy(tmp_path):
     # the cap certificate and the slice's start walk are numpy alone
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).parents[1])]
-        + [p for p in [env.get("PYTHONPATH")] if p])
+    env = src_env()
     script = (
         "import sys\n"
         "from peabody4d.cli import main\n"
