@@ -870,25 +870,15 @@ def sample_theta(model, n, seed=0):
 # width and diameter verifiers
 # ============================================================================
 
-def width_in_direction(samples, u, hits=None):
-    """Support width along u of a boundary population, joined by a second
-    population hits if one is given.
-
-    Each population is projected where its points lie, with no joined copy.
-    The width is that of the joined population: bit for bit along a
-    coordinate axis, where a projection is one coordinate, and otherwise to
-    the last bit of a projection, whose BLAS rounding may depend on the
-    array it is part of.
-    """
-    pops = [samples] if hits is None else [samples, hits]
-    n = sum(map(len, pops))
-    if n < 10 ** 4:
-        raise TooFewSamples(f"{n} samples; need at least 10^4")
+def width_in_direction(samples, u):
+    """Support width along u of a boundary population."""
+    if len(samples) < 10 ** 4:
+        raise TooFewSamples(f"{len(samples)} samples; need at least 10^4")
     u = as_vec4(u)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    proj = [p.points @ u for p in pops if len(p)]
-    return float(np.max([x.max() for x in proj]) - np.min([x.min() for x in proj]))
+    proj = samples.points @ u
+    return float(proj.max() - proj.min())
 
 
 # random pairs are drawn _PAIR_DRAWS at a time (ia, then ib) and measured

@@ -47,10 +47,8 @@ from .body import (
     build_ball_model,
     chord_lengths,
     diameter_check,
-    exact_boundary_blocks,
     phi1,
     phi2,
-    ray_cast_boundary,
     sample_exact_boundary,
     sample_theta,
     slice_surface,
@@ -129,7 +127,7 @@ CHECK_NAMES = {
     "partner-distance": "diameter",
     "diameter-pairs": "diameter",
     "diameter-chords": "diameter",
-    "width-coordinate-axes": "sampled-width",
+    "width-coordinate-axes": "diameter",
 }
 
 
@@ -445,25 +443,28 @@ def _skeleton_checks(report, tols, samples, seed, skeleton):
                100, seed, radius_match)
 
 
+def _axis_support_pairs(skeleton):
+    """Two (4, 4) arrays of body points, hi[k] - lo[k] = w e_k to roundoff.
+
+    In a body of diameter w (the diameter-* checks), two of its points w
+    apart are a binormal: every point of the body lies within w of both, so
+    between the hyperplanes normal to it through them, and they span its
+    width along it.  Along x the pair is the phi images of the sheet vertex
+    of patch 345 and the apex of arc 12; along y, z and w it is the vertex
+    p_i furthest along e and p_i - w e on the cap opposite it, which along
+    z and w is p2 and p4.
+    """
+    V, c = skeleton.simplex.vertices, skeleton.constants
+    patch, arc = skeleton.face((3, 4, 5)), skeleton.face((1, 2))
+    x, y = np.array([1.0, 0, 0, 0]), np.array([math.sqrt(c.a_sq), 0, 0, 0])
+    top = V[np.argmax(V, axis=0)][1:]
+    return (np.vstack([phi2(patch, arc, x, y), top]),
+            np.vstack([phi1(patch, arc, x, y), top - c.width * np.eye(4)[1:]]))
+
+
 def _body_checks(report, tols, samples, seed, model):
     skeleton, w = model.skeleton, model.width
     n = max(samples, 10 ** 4)
-    # support extents converge like n^(-2/3), so the 1e-3 width tolerance
-    # needs ~2e5 samples whatever --samples is, and draws exactly that many;
-    # the model's hits along +-e_k join them, since the support pair along x
-    # (arc apex, sheet vertex) is one pair of grid nodes, which random node
-    # pairs rarely draw.  Along a coordinate axis a projection is one
-    # coordinate, so the extents are reduced block by block as rows are
-    # drawn, over a copy with one row per axis (some 18x faster to reduce).
-    start = time.perf_counter()
-    hits_w = ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)])).points
-    lo, hi, n_w = hits_w.min(axis=0), hits_w.max(axis=0), len(hits_w)
-    for block in exact_boundary_blocks(model, 2 * 10 ** 5, seed=seed + 5):
-        axes = block.points.T.copy()
-        lo, hi = np.minimum(lo, axes.min(axis=1)), np.maximum(hi, axes.max(axis=1))
-        n_w += len(block)
-    width_err = float(np.max(np.abs(hi - lo - w)))
-    print(_layer_line("width-sample", f"{n_w} samples", start), file=sys.stderr)
     start = time.perf_counter()
     pop = sample_theta(model, n, seed=seed)
     print(_layer_line("sample-theta", f"{len(pop)} samples", start),
@@ -507,6 +508,11 @@ def _body_checks(report, tols, samples, seed, model):
                          for line in skeleton.simplex.axes.values()])
         return max(0.0, float(np.max(chord_lengths(model, axes))) - w)
 
+    def axis_width():
+        hi, lo = _axis_support_pairs(skeleton)
+        slack, _ = model.min_slack(np.vstack([hi, lo]))
+        return max(np.max(np.abs(np.diag(hi - lo) - w)), np.max(np.abs(slack)))
+
     _run_check(report, tols, "boundary-slack-inner",
                "every boundary sample lies inside every ball",
                n, seed, lambda: max(0.0, -float(ms.min())))
@@ -527,7 +533,7 @@ def _body_checks(report, tols, samples, seed, model):
                10, seed, diameter_chords)
     _run_check(report, tols, "width-coordinate-axes",
                "support width along the coordinate axes matches the width",
-               n_w, seed + 5, lambda: width_err)
+               8, seed, axis_width)
 
 
 def cmd_verify(args):

@@ -29,7 +29,6 @@ class UnknownKind(Exception):
 _TOLERANCES = {
     "algebraic-identity": 1e-12,
     "geometric-residual": 1e-10,
-    "sampled-width": 1e-3,
     "diameter": 1e-9,
 }
 
@@ -38,7 +37,7 @@ def tolerance_policy(kind):
     """Default absolute tolerance for a class of checks.
 
     kind must be one of 'algebraic-identity', 'geometric-residual',
-    'sampled-width', 'diameter'.
+    'diameter'.
     """
     try:
         return _TOLERANCES[kind]

@@ -1271,13 +1271,6 @@ def test_width_input_validation(exact_pop):
     assert width_in_direction(exact_pop[:10000], np.array([1.0, 0, 0, 0])) > 0
     with pytest.raises(ValueError):
         width_in_direction(exact_pop, np.array([1.0, 1.0, 0, 0]))
-    # a second population counts towards the 10^4 and joins the extremes
-    head, hits = exact_pop[:9992], exact_pop[-8:]
-    with pytest.raises(TooFewSamples):
-        width_in_direction(head[:-1], np.array([1.0, 0, 0, 0]), hits)
-    joined = BoundaryPopulation.concat([head, hits])
-    for u in np.eye(4):
-        assert width_in_direction(head, u, hits) == width_in_direction(joined, u)
 
 
 def test_diameter_of_the_exact_population(model, exact_pop, constants):

@@ -17,13 +17,9 @@ from frozen_values import FROZEN
 from peabody4d import body, cli
 from peabody4d.body import (
     PIECE_LABELS,
-    BoundaryPopulation,
     build_ball_model,
     complement_basis,
-    ray_cast_boundary,
-    sample_exact_boundary,
     sample_theta,
-    width_in_direction,
 )
 from peabody4d.cli import CHECK_NAMES, main
 from peabody4d.focal import (
@@ -161,20 +157,27 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
         "radius-consistency": 1e-10, "boundary-slack-inner": 1e-9,
         "boundary-slack-outer": 1e-10, "binormal-separation": 1e-12,
         "partner-distance": 1e-9, "diameter-pairs": 1e-9,
-        "diameter-chords": 1e-9, "width-coordinate-axes": 1e-3}
+        "diameter-chords": 1e-9, "width-coordinate-axes": 1e-9}
     assert set(pinned) == set(CHECK_NAMES)
     for check in checks:
         assert check["tolerance"] == pinned[check["name"]]
         assert check["tolerance"] == tolerance_policy(CHECK_NAMES[check["name"]])
 
 
-def body_check_failures(model):
-    """The body checks of verify that model fails at 10^4 samples, seed 0."""
+def body_check_records(model):
+    """The body check records of verify on model at 10^4 samples, seed 0,
+    by name."""
     report = cli.VerificationReport(
         suite="body", seed=0, samples=10 ** 4, a_sq=model.skeleton.constants.a_sq,
         width=model.width, patch_grid=(16, 24), arc_n=65, checks=[])
     cli._body_checks(report, {}, 10 ** 4, 0, model)
-    return {check.name for check in report.checks if not check.passed}
+    return {check.name: check for check in report.checks}
+
+
+def body_check_failures(model):
+    """The body checks of verify that model fails at 10^4 samples, seed 0."""
+    return {name for name, check in body_check_records(model).items()
+            if not check.passed}
 
 
 def scaled_rows(model, rows, factor):
@@ -213,15 +216,55 @@ def test_every_arc_count_is_odd():
         assert cli._arc_count(ntheta) % 2 == 1, ntheta
 
 
-@pytest.mark.parametrize("grid", [(16, 24), (24, 72), (32, 48), (64, 96)])
+@pytest.mark.parametrize("grid",
+                         [(16, 24), (24, 72), (32, 48), (64, 96), (2, 3)])
 def test_the_axis_chords_of_the_cli_model_are_the_width(skeleton, grid):
     # each axis chord joins a sheet-vertex ball to an arc-apex ball, both on
     # the grid, so it is the width to roundoff (1.26e-6 over at 16x24 with
-    # an even arc count)
+    # an even arc count); the coordinate-axis support pairs are grid nodes
+    # or vertices and cap points, so their check reads roundoff too
     m = cli._build_model(skeleton, grid)
     axes = np.array([line.direction
                      for line in skeleton.simplex.axes.values()])
     assert np.max(np.abs(body.chord_lengths(m, axes) - m.width)) <= 1e-15
+    assert body_check_records(m)["width-coordinate-axes"].max_residual <= 1e-15
+
+
+def test_the_axis_support_pairs_are_the_width_apart(skeleton):
+    # along x the phi images of the sheet vertex of patch 345 and the apex
+    # of arc 12; along z and w an edge of the simplex, p1 p2 and p5 p4
+    V, w = skeleton.simplex.vertices, skeleton.constants.width
+    hi, lo = cli._axis_support_pairs(skeleton)
+    assert abs(hi[0, 0] - lo[0, 0] - w) <= 1e-15
+    assert np.max(np.abs(hi - lo - w * np.eye(4))) <= 1e-15
+    assert np.array_equal(hi[1], V[2])
+    assert np.array_equal(hi[2], V[0]) and np.array_equal(lo[2], V[1])
+    assert np.array_equal(hi[3], V[4]) and np.array_equal(lo[3], V[3])
+
+
+@pytest.mark.parametrize("axis, cap, on_rim", [(1, 3, False), (2, 1, True),
+                                               (3, 5, True)])
+def test_an_axis_support_pair_ends_in_the_cap_opposite_its_vertex(
+        model, axis, cap, on_rim):
+    # the low end p_i - w e lies on the cap opposite p_i: its direction -e
+    # has a gnomonic point in the fan of that cap's cone.  -e_y lies strictly
+    # inside a fan tetrahedron (barycentric sum 0.856); -e_z and -e_w point
+    # at p2 and p4, rim nodes (sum 1), so a fan certificate would sit on its
+    # boundary there, and the width check rests on the binormal argument
+    hi, lo = cli._axis_support_pairs(model.skeleton)
+    assert np.array_equal(hi[axis], model.skeleton.simplex.vertices[cap - 1])
+    a, E, Y, T, _ = model.caps[cap - 1]
+    u = (lo[axis] - hi[axis]) / model.width
+    assert u @ a > 0.0
+    # p = mu Y[T[f]] for the barycentric weights mu in fan tetrahedron f
+    p = np.broadcast_to((u @ E) / (u @ a), (len(T), 3))
+    mu = np.linalg.solve(np.transpose(Y[T], (0, 2, 1)), p[..., None])[..., 0]
+    sums = mu.sum(axis=1)[np.all(mu >= -1e-12, axis=1)]
+    assert len(sums) > 0
+    if on_rim:
+        assert np.max(np.abs(sums - 1.0)) <= 1e-9
+    else:
+        assert np.max(sums) < 1.0 - 1e-3
 
 
 def _ball_at(model, label, base_point):
@@ -235,14 +278,16 @@ def _ball_at(model, label, base_point):
 
 
 @pytest.mark.parametrize("factor, failed", [
-    (1.0 + 1e-8, {"boundary-slack-outer", "diameter-chords"}),
-    (1.0 - 1e-8, {"boundary-slack-inner"})])
+    (1.0 + 1e-8, {"boundary-slack-outer", "diameter-chords",
+                  "width-coordinate-axes"}),
+    (1.0 - 1e-8, {"boundary-slack-inner", "width-coordinate-axes"})])
 @pytest.mark.parametrize("ball", ["sheet-vertex", "arc-apex"])
 def test_one_ball_on_an_axis_chord_reaches_the_chord_check(
         model, ball, factor, failed):
     # the sheet vertex of patch (3,4,5) and the apex of arc (1,2) end the
     # chords along their dual-pair axis: grown, either ball lengthens them
-    # past the width; shrunk, either leaves samples outside it
+    # past the width; shrunk, either leaves samples outside it.  Each ball
+    # holds one point of the support pair along x, off its sphere either way
     c = model.skeleton.constants
     k = {"sheet-vertex": _ball_at(model, (3, 4, 5), base_patch_grid(c, 2, 3)[0]),
          "arc-apex": _ball_at(model, (1, 2), base_arc_points(c, 3)[1])}[ball]
@@ -257,57 +302,11 @@ def test_verify_times_each_body_layer_on_stderr(capsys):
     lines = err.splitlines()
     assert lines[0].startswith("suite body: grid 16x24")
     # the model is built before the header, yet its line follows it
-    layers = [line.split(":")[0].strip() for line in lines[1:5]]
-    assert layers == ["model-build", "width-sample", "sample-theta", "min-slack"]
+    layers = [line.split(":")[0].strip() for line in lines[1:4]]
+    assert layers == ["model-build", "sample-theta", "min-slack"]
     assert lines[1].startswith("  model-build: 2475 balls (")
-    width = json.loads(out)["checks"][-1]
-    assert width["name"] == "width-coordinate-axes"
-    assert lines[2].startswith(f"  width-sample: {width['samples']} samples (")
-    assert lines[4].startswith("  min-slack: 10000 samples x 2475 balls (")
-    assert all(line.endswith("s)") for line in lines[1:5])
-
-
-def test_verify_width_population_is_fixed_above_its_size(capsys):
-    # 2e5 exact samples plus the model's eight axis hits, whatever --samples
-    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples",
-                       "200001", *GRID)
-    assert code == 0
-    width = json.loads(out)["checks"][-1]
-    assert width["name"] == "width-coordinate-axes"
-    assert width["samples"] == 200008
-
-
-def assert_width_of_the_joined_population(width, model, seed):
-    # verify reduces the extents of the exact rows block by block as they
-    # are drawn, and of the eight axis hits; the value is that of the one
-    # population joining them, bit for bit
-    assert width["name"] == "width-coordinate-axes"
-    joined = BoundaryPopulation.concat([
-        sample_exact_boundary(model, 2 * 10 ** 5, seed=seed + 5),
-        ray_cast_boundary(model, np.vstack([np.eye(4), -np.eye(4)]))])
-    assert width["samples"] == len(joined)
-    assert width["max_residual"] == max(
-        abs(width_in_direction(joined, u) - model.width) for u in np.eye(4))
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-def test_verify_width_is_the_width_of_the_joined_population(capsys, model, seed):
-    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
-                       "--seed", str(seed), *GRID)
-    assert code == 0
-    assert_width_of_the_joined_population(json.loads(out)["checks"][-1], model,
-                                          seed)
-
-
-def test_a_perturbed_width_is_the_width_of_its_joined_population(capsys, model):
-    # shrunken radii move the phi rows, and the width check fails
-    code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
-                       "--seed", "3", "--perturb", "-0.01", *GRID)
-    assert code == 1
-    width = json.loads(out)["checks"][-1]
-    assert width["passed"] is False
-    scaled = dataclasses.replace(model, radii=model.radii * (1.0 - 0.01))
-    assert_width_of_the_joined_population(width, scaled, 3)
+    assert lines[3].startswith("  min-slack: 10000 samples x 2475 balls (")
+    assert all(line.endswith("s)") for line in lines[1:4])
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -317,11 +316,15 @@ def test_verify_casts_the_ten_dual_pair_axes_as_chords(capsys, model, seed):
     code, out, _ = run(capsys, "verify", "--suite", "body", "--samples", "10",
                        "--seed", str(seed), *GRID)
     assert code == 0
-    chords = {c["name"]: c for c in json.loads(out)["checks"]}["diameter-chords"]
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    chords = by_name["diameter-chords"]
     axes = np.array([line.direction
                      for line in model.skeleton.simplex.axes.values()])
     assert chords["samples"] == 10
     assert chords["seed"] == seed
+    # the axis width draws nothing either: eight support points
+    width = by_name["width-coordinate-axes"]
+    assert (width["samples"], width["seed"]) == (8, seed)
     assert chords["max_residual"] == max(
         0.0, float(np.max(body.chord_lengths(model, axes))) - model.width)
 
@@ -329,7 +332,8 @@ def test_verify_casts_the_ten_dual_pair_axes_as_chords(capsys, model, seed):
 def test_verify_perturbed_radii_fail_a_diameter_check(capsys):
     # each control fails exactly these checks at 16x24, seeds 0-2
     expected = {
-        "1e-3": {"boundary-slack-outer", "diameter-chords"},
+        "1e-3": {"boundary-slack-outer", "diameter-chords",
+                 "width-coordinate-axes"},
         "-0.01": {"boundary-slack-inner", "diameter-pairs",
                   "width-coordinate-axes"},
     }
@@ -373,8 +377,8 @@ def test_verify_shrunken_radii_fail_the_inner_slack_check(capsys):
 
 
 def test_verify_width_check_reads_the_perturbed_model(capsys, monkeypatch):
-    # a 9,055-ball model: whatever the grid, the width population comes from
-    # the one verify model, and so carries its perturbed radii
+    # a 9,055-ball model: whatever the grid, the support pairs are read
+    # against the one verify model, and so against its perturbed radii
     built = []
 
     def counting(*args, **kwargs):

@@ -145,8 +145,9 @@ class TestTolerancePolicy:
     def test_defaults(self):
         assert tolerance_policy("algebraic-identity") == 1e-12
         assert tolerance_policy("geometric-residual") == 1e-10
-        assert tolerance_policy("sampled-width") == 1e-3
         assert tolerance_policy("diameter") == 1e-9
+        with pytest.raises(UnknownKind):
+            tolerance_policy("sampled-width")
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownKind):
