@@ -118,9 +118,9 @@ def base_patch_contains(x, c, tol=1e-9):
     return inside
 
 
-def sheet_sign(h, p):
-    """+1 / -1 for the right / left sheet, judged by the frame x-coordinate."""
-    return np.where(h.to_frame(as_points(p))[..., 0] >= 0.0, 1, -1)
+def sheet_sign(p):
+    """+1 / -1 for the right / left sheet of H, judged by the x-coordinate."""
+    return np.where(as_points(p)[..., 0] >= 0.0, 1, -1)
 
 
 # ============================================================================
@@ -131,56 +131,31 @@ def sheet_sign(h, p):
 class FocalPair:
     """An ellipse and a hyperboloid of revolution focal to each other.
 
-    The carrier plane of the ellipse and the carrier 3-space of the
-    hyperboloid meet exactly in the common principal axis, and each quadric
-    passes through the other's foci.  Invariants are checked at construction
-    to 1e-12.
+    Both are world-frame quadrics on the x axis: the ellipse's carrier plane
+    {x, z} meets the hyperboloid's carrier 3-space {x, y, w} in that axis,
+    and each quadric passes through the other's foci, which is checked at
+    construction to 1e-12.  A dual arc and patch of the skeleton are this
+    pair moved by their shared generator.
     """
 
     ellipse: Quadric
     hyperboloid: Quadric
-    axis_point: np.ndarray
-    axis_dir: np.ndarray
 
     def __post_init__(self):
         e, h = self.ellipse, self.hyperboloid
         if e.kind != "ellipse" or h.kind != "hyperboloid-of-revolution":
             raise ValueError("FocalPair needs an ellipse and a hyperboloid")
-        p = np.asarray(self.axis_point, dtype=float)
-        d = np.asarray(self.axis_dir, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ValueError("axis direction must be a unit vector")
-        for q in (e, h):
-            ax = q.axes[0]
-            if np.linalg.norm(ax - (ax @ d) * d) > 1e-12:
-                raise ValueError("principal axis not parallel to the pair axis")
-            off = q.origin - p
-            if np.linalg.norm(off - (off @ d) * d) > 1e-12:
-                raise ValueError("quadric center off the pair axis")
-        # ellipse carrier (x,z-plane) meets hyperboloid carrier (x,y,w-space)
-        # only along the axis
-        if abs(e.axes[2] @ h.axes[1]) > 1e-12 or abs(e.axes[2] @ h.axes[3]) > 1e-12:
-            raise ValueError("carriers are not orthogonal along the axis")
         for f in e.foci():
             if abs(quadric_residual(h, f)) > 1e-12 or carrier_distance(h, f) > 1e-12:
                 raise ValueError("ellipse focus does not lie on the hyperboloid")
         for f in h.foci():
             if abs(quadric_residual(e, f)) > 1e-12 or carrier_distance(e, f) > 1e-12:
                 raise ValueError("hyperboloid focus does not lie on the ellipse")
-        object.__setattr__(self, "axis_point", p)
-        object.__setattr__(self, "axis_dir", d)
-
-    def transformed(self, iso):
-        return FocalPair(self.ellipse.transformed(iso),
-                         self.hyperboloid.transformed(iso),
-                         iso.apply(self.axis_point),
-                         iso.linear @ self.axis_dir)
 
 
 def standard_focal_pair(a_sq=1.5):
     """The canonical world-frame pair: E in {x,z}, H in {x,y,w}."""
-    return FocalPair(base_ellipse(a_sq), base_hyperboloid(a_sq),
-                     np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]))
+    return FocalPair(base_ellipse(a_sq), base_hyperboloid(a_sq))
 
 
 # ============================================================================
@@ -200,7 +175,7 @@ def focal_sum_residual(e, h, a_e, b_e, a_h, b_h):
     """
     va_e, vb_e = as_points(a_e), as_points(b_e)
     va_h, vb_h = as_points(a_h), as_points(b_h)
-    if np.any(sheet_sign(h, va_h) != sheet_sign(h, vb_h)):
+    if np.any(sheet_sign(va_h) != sheet_sign(vb_h)):
         raise NotSameComponent("a_h and b_h lie on different sheets")
     lhs = _dist(va_e, va_h) + _dist(vb_e, vb_h)
     rhs = _dist(va_h, vb_e) + _dist(va_e, vb_h)
@@ -217,7 +192,7 @@ def focal_const_residual(pair, a_e, a_h):
     Zero up to roundoff on a genuine pair; a_h must be on the near sheet.
     """
     va_e, va_h = as_points(a_e), as_points(a_h)
-    if np.any(sheet_sign(pair.hyperboloid, va_h) < 0):
+    if np.any(sheet_sign(va_h) < 0):
         raise WrongComponent("a_h is on the far sheet")
     f_e = pair.ellipse.foci()[0]
     f_h = pair.hyperboloid.foci()[0]

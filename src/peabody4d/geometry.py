@@ -15,6 +15,10 @@ The canonical simplex vertices in this frame are
     p3 = ( x0, y0,       0, 0)
 
 with p1, p2 on E and p3, p4, p5 on H.
+
+E and H are the only quadrics: every skeleton face is a piece of one of them
+moved by its generator motion, so a face's points are tested against E or H
+after mapping them back through that motion's inverse.
 """
 
 import math
@@ -152,32 +156,24 @@ _KINDS = ("ellipse", "hyperboloid-of-revolution")
 
 @dataclass(frozen=True)
 class Quadric:
-    """A focal conic / quadric of the construction, carried by its own frame.
+    """A focal conic / quadric of the construction, in the world frame.
 
-    kind    'ellipse' (2-plane carrier, axes x and z of the frame) or
-            'hyperboloid-of-revolution' (3-space carrier, axes x, y, w).
-    origin  center, world coordinates.
-    axes    4x4 row-orthonormal matrix; row i is the frame's i-th axis.
+    kind    'ellipse' (carrier: the world {x, z} plane) or
+            'hyperboloid-of-revolution' (carrier: the world {x, y, w} space).
     a_sq    ellipse major-axis squared; also fixes the hyperbolic
             semi-axes (a_h = 1, b_h^2 = a_sq - 1) of the focal partner.
+
+    Both are centered at the origin with principal axis x.  A skeleton face
+    elsewhere is one of these moved by its generator motion.
     """
 
     kind: str
-    origin: np.ndarray
-    axes: np.ndarray
     a_sq: float
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown quadric kind {self.kind!r}")
-        o = np.asarray(self.origin, dtype=float)
-        A = np.asarray(self.axes, dtype=float)
-        if np.max(np.abs(A @ A.T - np.eye(4))) > 1e-12:
-            raise ValueError("axes are not orthonormal to 1e-12")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "axes", A)
 
-    # ---- derived scalars --------------------------------------------------
     @property
     def b_sq(self):
         """Minor-axis squared (ellipse) / transverse b^2 (hyperboloid)."""
@@ -191,75 +187,65 @@ class Quadric:
         return math.sqrt(self.a_sq)
 
     def foci(self):
-        """The two foci as world-coordinate 4-vectors (+c first)."""
-        ax = self.axes[0]
-        return self.origin + self.c * ax, self.origin - self.c * ax
-
-    # ---- coordinates ------------------------------------------------------
-    def to_frame(self, pts):
-        """World -> frame coordinates of a point or a (..., 4) batch.
-
-        einsum, unlike BLAS, gives a point the same bits alone as in a batch.
-        """
-        a = np.asarray(pts, dtype=float)
-        return np.einsum("...j,ij->...i", a - self.origin, self.axes)
-
-    def transformed(self, iso):
-        """The image quadric under a rigid motion."""
-        return Quadric(self.kind, iso.apply(self.origin),
-                       self.axes @ iso.linear.T, self.a_sq)
+        """The two foci (+-c, 0, 0, 0) as 4-vectors (+c first)."""
+        return (np.array([self.c, 0.0, 0.0, 0.0]),
+                np.array([-self.c, 0.0, 0.0, 0.0]))
 
 
 def base_ellipse(a_sq=1.5):
     """E in the world {x, z} plane: z^2 = (a^2-1)(1 - x^2/a^2)."""
-    return Quadric("ellipse", np.zeros(4), np.eye(4), a_sq)
+    return Quadric("ellipse", a_sq)
 
 
 def base_hyperboloid(a_sq=1.5):
     """H in the world {x, y, w} 3-space: y^2 + w^2 = (a^2-1)(x^2 - 1)."""
-    return Quadric("hyperboloid-of-revolution", np.zeros(4), np.eye(4), a_sq)
+    return Quadric("hyperboloid-of-revolution", a_sq)
 
 
 def quadric_residual(q, p):
     """Signed residual of the quadric's implicit equation, one per point.
 
-    p is a world point (4,) or a batch (..., 4), moved into the quadric's
-    frame first.  The residual is zero exactly on the quadric surface/curve;
-    membership additionally requires lying in the carrier plane / 3-space,
-    measured by carrier_distance.
+    p is a world point (4,) or a batch (..., 4).  The residual is zero
+    exactly on the quadric surface/curve; membership additionally requires
+    lying in the carrier plane / 3-space, measured by carrier_distance.
     """
-    xi, eta, zeta, nu = np.moveaxis(q.to_frame(as_points(p)), -1, 0)
+    x, y, z, w = np.moveaxis(as_points(p), -1, 0)
     k = q.a_sq - 1.0
     if q.kind == "ellipse":
-        return zeta * zeta - k * (1.0 - xi * xi / q.a_sq)
-    return eta * eta + nu * nu - k * (xi * xi - 1.0)
+        return z * z - k * (1.0 - x * x / q.a_sq)
+    return y * y + w * w - k * (x * x - 1.0)
 
 
 def carrier_distance(q, p):
     """Distance from world points (4,) or (..., 4) to the quadric's carrier."""
-    xi, eta, zeta, nu = np.moveaxis(q.to_frame(as_points(p)), -1, 0)
+    x, y, z, w = np.moveaxis(as_points(p), -1, 0)
     if q.kind == "ellipse":
-        return np.hypot(eta, nu)
-    return np.abs(zeta)
+        return np.hypot(y, w)
+    return np.abs(z)
+
+
+def _point(*coords):
+    # (..., 4) points from broadcast coordinates; + 0.0 writes -0.0 as +0.0
+    return np.stack(np.broadcast_arrays(*coords), axis=-1) + 0.0
 
 
 def ellipse_point(q, t):
-    """Points of an ellipse quadric at eccentric angles t, world coordinates.
+    """Points of an ellipse quadric at eccentric angles t.
 
     t is a number or an array; the result has shape t.shape + (4,).  t = 0
-    is the vertex on the +x frame axis.
+    is the vertex on the +x axis.
     """
     if q.kind != "ellipse":
         raise ValueError("ellipse_point needs an ellipse quadric")
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise OutOfDomain(f"bad eccentric angle {t}")
-    return (q.origin + (math.sqrt(q.a_sq) * np.cos(t))[..., None] * q.axes[0]
-            + (math.sqrt(q.b_sq) * np.sin(t))[..., None] * q.axes[2])
+    return _point(math.sqrt(q.a_sq) * np.cos(t), 0.0,
+                  math.sqrt(q.b_sq) * np.sin(t), 0.0)
 
 
 def hyperboloid_point(q, x, theta):
-    """Points of the right sheet of a hyperboloid quadric, world coordinates.
+    """Points of the right sheet of a hyperboloid quadric.
 
     The sheet is parametrized by the axial coordinate x >= 1 and the
     revolution angle theta, numbers or arrays that broadcast together; the
@@ -274,6 +260,4 @@ def hyperboloid_point(q, x, theta):
     if np.any(x < 1.0):
         raise OutOfDomain(f"x={x} is left of the sheet vertex (right sheet only)")
     rho = np.sqrt(q.b_sq * (x * x - 1.0))
-    return (q.origin + x[..., None] * q.axes[0]
-            + (rho * np.cos(theta))[..., None] * q.axes[1]
-            + (rho * np.sin(theta))[..., None] * q.axes[3])
+    return _point(x, rho * np.cos(theta), 0.0, rho * np.sin(theta))

@@ -26,11 +26,9 @@ from .focal import (
     base_patch_contains,
     chain_radius,
     patch_cut_planes,
-    standard_focal_pair,
 )
 from .geometry import (
     Isometry4,
-    Quadric,
     as_points,
     as_vec4,
     base_ellipse,
@@ -206,8 +204,8 @@ class SkeletonFace:
 
     label       sorted vertex tuple: (i, j) for an arc, (i, j, k) for a patch
     kind        'edge-arc' or 'triangle-patch'
-    quadric     the transported ellipse / hyperboloid carrying the face
-    generator   motion taking the base face (E_12 or H_345) onto this face
+    generator   motion taking the base face (E_12 or H_345) onto this face;
+                the face lies on the base ellipse / hyperboloid moved by it
     focus_plus  transported near focus -- center of the tangent circle/sphere
     r_splus     radius of that tangent circle/sphere
     constants   the ModelConstants the skeleton was built from
@@ -215,7 +213,6 @@ class SkeletonFace:
 
     label: tuple
     kind: str
-    quadric: Quadric
     generator: Isometry4
     focus_plus: np.ndarray
     r_splus: float
@@ -254,7 +251,6 @@ class FocalSkeleton:
 
     constants: object
     simplex: Simplex4
-    group: list
     faces: list
 
     def face(self, label):
@@ -283,16 +279,12 @@ def _lex_min_generator(group, base, target):
 def _make_face(label, c, gen):
     """The face with the given label, carried from its base face by gen."""
     if len(label) == 2:
-        quadric = base_ellipse(c.a_sq).transformed(gen)
         focus = gen.apply(np.array([c.focus_e, 0.0, 0.0, 0.0]))
-        return SkeletonFace(label=label, kind="edge-arc", quadric=quadric,
-                            generator=gen, focus_plus=focus,
-                            r_splus=c.r_splus_e, constants=c)
-    quadric = base_hyperboloid(c.a_sq).transformed(gen)
+        return SkeletonFace(label=label, kind="edge-arc", generator=gen,
+                            focus_plus=focus, r_splus=c.r_splus_e, constants=c)
     focus = gen.apply(np.array([c.focus_h, 0.0, 0.0, 0.0]))
-    return SkeletonFace(label=label, kind="triangle-patch", quadric=quadric,
-                        generator=gen, focus_plus=focus,
-                        r_splus=c.r_splus_h, constants=c)
+    return SkeletonFace(label=label, kind="triangle-patch", generator=gen,
+                        focus_plus=focus, r_splus=c.r_splus_h, constants=c)
 
 
 def build_focal_skeleton(c, s, group):
@@ -301,19 +293,7 @@ def build_focal_skeleton(c, s, group):
              for base, labels in (((1, 2), _LABELS_EDGE),
                                   ((3, 4, 5), _LABELS_TRI))
              for lab in labels]
-    return FocalSkeleton(constants=c, simplex=s, group=group, faces=faces)
-
-
-def dual_focal_pair(skeleton, edge_label):
-    """The validated FocalPair carried by an arc and its complementary patch.
-
-    A permutation sends {1,2} to {i,j} exactly when it sends {3,4,5} to the
-    complement, so dual faces share their lexicographic generator and the
-    whole base pair transports by one motion.
-    """
-    arc = skeleton.face(edge_label)
-    pair = standard_focal_pair(skeleton.constants.a_sq)
-    return pair.transformed(arc.generator)
+    return FocalSkeleton(constants=c, simplex=s, faces=faces)
 
 
 # ============================================================================

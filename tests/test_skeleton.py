@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 
 from peabody4d.focal import OffArc, base_patch_contains, patch_cut_planes
 from peabody4d.geometry import (
+    base_ellipse,
     base_hyperboloid,
     carrier_distance,
     hyperboloid_point,
@@ -35,7 +36,6 @@ from peabody4d.skeleton import (
     build_focal_skeleton,
     build_simplex,
     build_symmetry_group,
-    dual_focal_pair,
     dual_label,
     radius_consistency_residual,
     rotation_closure_check,
@@ -337,19 +337,21 @@ def test_face_count_and_lookup(skeleton):
                       | set(itertools.combinations(range(1, 6), 3)))
 
 
-def test_faces_lie_on_their_quadrics(simplex, skeleton):
+def test_faces_lie_on_their_quadrics(constants, simplex, skeleton):
+    """Each face, moved back by its generator, lies on the base quadric."""
+    E, H = base_ellipse(constants.a_sq), base_hyperboloid(constants.a_sq)
     for face in skeleton.edge_faces():
         pts = face.points(31)
-        for q in pts:
-            assert abs(quadric_residual(face.quadric, q)) <= 1e-10
-            assert carrier_distance(face.quadric, q) <= 1e-10
+        for q in face.generator.inverse().apply(pts):
+            assert abs(quadric_residual(E, q)) <= 1e-10
+            assert carrier_distance(E, q) <= 1e-10
         ends = {tuple(np.round(pts[0], 9)), tuple(np.round(pts[-1], 9))}
         verts = {tuple(np.round(simplex.vertices[i - 1], 9)) for i in face.label}
         assert ends == verts
     for face in skeleton.triangle_faces():
-        for q in face.grid_points(7, 9):
-            assert abs(quadric_residual(face.quadric, q)) <= 1e-10
-            assert carrier_distance(face.quadric, q) <= 1e-10
+        for q in face.generator.inverse().apply(face.grid_points(7, 9)):
+            assert abs(quadric_residual(H, q)) <= 1e-10
+            assert carrier_distance(H, q) <= 1e-10
         for i in face.label:
             assert face.contains(simplex.vertices[i - 1])
 
@@ -375,13 +377,13 @@ def test_generators_are_well_defined(constants, simplex, skeleton):
         assert hausdorff(ours, theirs) <= 1e-9
 
 
-def test_skeleton_invariant_under_all_motions(skeleton):
+def test_skeleton_invariant_under_all_motions(skeleton, group):
     """The union of face samples maps into itself under each of the 120."""
     clouds = [f.points(25) for f in skeleton.edge_faces()]
     clouds += [f.grid_points(7, 9) for f in skeleton.triangle_faces()]
     cloud = np.vstack(clouds)
     tree = cKDTree(cloud)
-    for m in skeleton.group:
+    for m in group:
         d, _ = tree.query(m.apply(cloud))
         assert d.max() <= 1e-9
 
@@ -428,13 +430,16 @@ def test_patch_boundary_is_three_arcs(constants, skeleton):
 
 
 def test_dual_faces_form_focal_pairs(skeleton):
+    """A dual arc and patch are the base focal pair moved by one motion.
+
+    A permutation sends {1,2} to {i,j} exactly when it sends {3,4,5} to the
+    complement, so dual faces share their lexicographic generator.
+    """
     for arc in skeleton.edge_faces():
-        pair = dual_focal_pair(skeleton, arc.label)  # validates on build
         patch = skeleton.face(dual_label(arc.label))
-        assert np.allclose(pair.ellipse.origin, arc.quadric.origin, atol=1e-12)
-        assert np.allclose(pair.ellipse.axes, arc.quadric.axes, atol=1e-12)
-        assert np.allclose(pair.hyperboloid.origin, patch.quadric.origin, atol=1e-12)
-        assert np.allclose(pair.hyperboloid.axes, patch.quadric.axes, atol=1e-12)
+        assert np.array_equal(patch.generator.linear, arc.generator.linear)
+        assert np.array_equal(patch.generator.translation,
+                              arc.generator.translation)
 
 
 # ============================================================================
