@@ -15,27 +15,24 @@ from peabody4d.focal import (
     interlock_residual,
     focal_const_residual,
     focal_sum_residual,
-    standard_focal_pair,
     steiner_radius_elliptic,
     steiner_radius_hyperbolic,
 )
-from peabody4d.geometry import base_ellipse, base_hyperboloid, ellipse_point, hyperboloid_point
+from peabody4d.geometry import ellipse_point, hyperboloid_point
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import base_arc_points, base_patch_grid
 
 c = compute_model_constants()     # every layer takes these constants
-E, H = base_ellipse(c.a_sq), base_hyperboloid(c.a_sq)
-pair = standard_focal_pair(c.a_sq)
 rng = np.random.default_rng(0)
 
 # 2000 random configurations at once: angles and heights, one row each
 t = rng.uniform(0, 2 * math.pi, size=(2000, 4))
 height = rng.uniform(1.0, 2.5, size=(2000, 2))
-a_e, b_e = ellipse_point(E, t[:, 0]), ellipse_point(E, t[:, 1])
-a_h = hyperboloid_point(H, height[:, 0], t[:, 2])
-b_h = hyperboloid_point(H, height[:, 1], t[:, 3])
-worst_sum = np.max(np.abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
-worst_const = np.max(np.abs(focal_const_residual(pair, a_e, a_h)))
+a_e, b_e = ellipse_point(c, t[:, 0]), ellipse_point(c, t[:, 1])
+a_h = hyperboloid_point(c, height[:, 0], t[:, 2])
+b_h = hyperboloid_point(c, height[:, 1], t[:, 3])
+worst_sum = np.max(np.abs(focal_sum_residual(a_e, b_e, a_h, b_h)))
+worst_const = np.max(np.abs(focal_const_residual(c, a_e, a_h)))
 print("distance-sum identity, worst of 2000 random configs: %.2e" % worst_sum)
 print("constant-difference identity, worst: %.2e" % worst_const)
 

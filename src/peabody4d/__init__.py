@@ -3,7 +3,7 @@
 The package builds the body in layers:
 
   numerics  -- model constants for any a^2, tolerance policy, embedding solver
-  geometry  -- isometries, quadrics, the simplex coordinates
+  geometry  -- isometries, the conics E and H, the simplex coordinates
   focal     -- focal-distance identities and Steiner chain radius laws
   skeleton  -- the simplex, its symmetry group, and the curved 2-skeleton
   body      -- the intersection-of-balls model, boundary maps, width checks

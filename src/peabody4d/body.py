@@ -67,8 +67,6 @@ from .focal import base_patch_contains
 from .geometry import (
     as_points,
     as_vec4,
-    base_ellipse,
-    base_hyperboloid,
     ellipse_point,
     hyperboloid_point,
 )
@@ -918,17 +916,16 @@ def diameter_check(model, samples, pairs=10 ** 6, seed=0):
 
 def _random_arc_points(c, n, rng):
     t1 = base_arc_axes(c)[2]
-    return ellipse_point(base_ellipse(c.a_sq), rng.uniform(-t1, t1, size=n))
+    return ellipse_point(c, rng.uniform(-t1, t1, size=n))
 
 
 def _random_patch_points(c, n, rng):
     # rounds of exactly the missing count draw and accept what drawing one
     # point at a time would, and leave the generator in the same state
-    h = base_hyperboloid(c.a_sq)
     out = np.empty((0, 4))
     while len(out) < n:
         xt = rng.uniform([1.0, 0.0], [c.x0, 2.0 * math.pi], size=(n - len(out), 2))
-        q = hyperboloid_point(h, xt[:, 0], xt[:, 1])
+        q = hyperboloid_point(c, xt[:, 0], xt[:, 1])
         out = np.concatenate([out, q[base_patch_contains(q, c)]])
     return out
 

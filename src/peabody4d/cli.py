@@ -57,7 +57,6 @@ from .focal import (
     interlock_residual,
     focal_const_residual,
     focal_sum_residual,
-    standard_focal_pair,
 )
 from .geometry import (
     ellipse_point,
@@ -373,8 +372,6 @@ def _run_check(report, tols, name, anchor, samples, seed, fn):
 
 
 def _focal_checks(report, tols, samples, seed, c):
-    pair = standard_focal_pair(c.a_sq)
-    E, H = pair.ellipse, pair.hyperboloid
     two_pi = 2 * math.pi
 
     def sum_sweep():
@@ -383,15 +380,15 @@ def _focal_checks(report, tols, samples, seed, c):
             [0, 0, 1.0, 0, 1.0, 0], [two_pi, two_pi, 2.5, two_pi, 2.5, two_pi],
             size=(samples, 6))
         return np.max(np.abs(focal_sum_residual(
-            E, H, ellipse_point(E, t[:, 0]), ellipse_point(E, t[:, 1]),
-            hyperboloid_point(H, t[:, 2], t[:, 3]),
-            hyperboloid_point(H, t[:, 4], t[:, 5]))))
+            ellipse_point(c, t[:, 0]), ellipse_point(c, t[:, 1]),
+            hyperboloid_point(c, t[:, 2], t[:, 3]),
+            hyperboloid_point(c, t[:, 4], t[:, 5]))))
 
     def const_sweep():
         t = np.random.default_rng(seed + 1).uniform(
             [0, 1.0, 0], [two_pi, 3.0, two_pi], size=(samples, 3))
         return np.max(np.abs(focal_const_residual(
-            pair, ellipse_point(E, t[:, 0]), hyperboloid_point(H, t[:, 1], t[:, 2]))))
+            c, ellipse_point(c, t[:, 0]), hyperboloid_point(c, t[:, 1], t[:, 2]))))
 
     def radius_sum_grid():
         xs = base_patch_grid(c, 20, 15)[:100]

@@ -23,27 +23,23 @@ distance exactly 2 z1.  Both laws are the one function ``chain_radius``;
 the skeleton faces evaluate it about their transported foci.
 
 Every function here that needs the configuration (the base domains E12 and
-H345, their cut planes, the radius laws) takes the ``ModelConstants`` ``c``
-as an explicit argument, so it serves any a^2 > 1.  Every point argument is
-a 4-vector or a (..., 4) batch: the functions broadcast their point
-arguments together and return one value per point, and a domain exception
-is raised when any point is out of its domain.
+H345, their cut planes, the foci, the radius laws) takes the
+``ModelConstants`` ``c`` as an explicit argument, so it serves any a^2 > 1,
+just as E and H are functions of ``c`` in ``geometry``.  Every point
+argument is a 4-vector or a (..., 4) batch: the functions broadcast their
+point arguments together and return one value per point, and a domain
+exception is raised when any point is out of its domain.
 """
 
 import functools
 import math
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import (
-    Quadric,
     as_points,
-    base_ellipse,
-    base_hyperboloid,
-    carrier_distance,
-    quadric_residual,
+    ellipse_residual,
+    hyperboloid_residual,
     simplex_vertices,
 )
 
@@ -68,6 +64,7 @@ _S5 = math.sqrt(5.0)
 _S3 = math.sqrt(3.0)
 
 
+@functools.lru_cache(maxsize=8)
 def patch_cut_planes(c):
     """The three planes bounding the triangle patch H345, as (normal, point).
 
@@ -77,7 +74,9 @@ def patch_cut_planes(c):
     point to the inside of the patch.  The {4,5} normal comes from the dual
     axis direction (2/3, sqrt5/3, 0, 0) -- a direction independent of the
     ellipse parameter -- and the other two are its images under the 2pi/3
-    revolution that cycles p3 -> p5 -> p4.
+    revolution that cycles p3 -> p5 -> p4.  Cached per ModelConstants, as
+    the membership tests below run thousands of times on the same
+    constants; callers share the arrays and must not write to them.
     """
     v = simplex_vertices(c)
     return (
@@ -87,19 +86,11 @@ def patch_cut_planes(c):
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _base_domains(c):
-    # E, H and the cut planes of H345, built once per ModelConstants: the
-    # membership tests below run thousands of times on the same constants
-    return base_ellipse(c.a_sq), base_hyperboloid(c.a_sq), patch_cut_planes(c)
-
-
 def base_arc_contains(y, c, tol=1e-9):
     """True where y lies on the edge arc E12 (the x >= x1 piece of E)."""
     v = as_points(y)
-    e = _base_domains(c)[0]
-    return ((np.abs(quadric_residual(e, v)) <= tol)
-            & (carrier_distance(e, v) <= tol) & (v[..., 0] >= c.x1 - tol))
+    return ((np.abs(ellipse_residual(c, v)) <= tol)
+            & (np.hypot(v[..., 1], v[..., 3]) <= tol) & (v[..., 0] >= c.x1 - tol))
 
 
 def base_patch_contains(x, c, tol=1e-9):
@@ -110,10 +101,9 @@ def base_patch_contains(x, c, tol=1e-9):
     sheet vertex (1, 0, 0, 0).
     """
     v = as_points(x)
-    _, h, planes = _base_domains(c)
-    inside = ((np.abs(quadric_residual(h, v)) <= tol)
-              & (carrier_distance(h, v) <= tol) & (v[..., 0] >= 1.0 - tol))
-    for n, p in planes:
+    inside = ((np.abs(hyperboloid_residual(c, v)) <= tol)
+              & (np.abs(v[..., 2]) <= tol) & (v[..., 0] >= 1.0 - tol))
+    for n, p in patch_cut_planes(c):
         inside &= (v - p) @ n >= -tol
     return inside
 
@@ -124,41 +114,6 @@ def sheet_sign(p):
 
 
 # ============================================================================
-# focal pair
-# ============================================================================
-
-@dataclass(frozen=True)
-class FocalPair:
-    """An ellipse and a hyperboloid of revolution focal to each other.
-
-    Both are world-frame quadrics on the x axis: the ellipse's carrier plane
-    {x, z} meets the hyperboloid's carrier 3-space {x, y, w} in that axis,
-    and each quadric passes through the other's foci, which is checked at
-    construction to 1e-12.  A dual arc and patch of the skeleton are this
-    pair moved by their shared generator.
-    """
-
-    ellipse: Quadric
-    hyperboloid: Quadric
-
-    def __post_init__(self):
-        e, h = self.ellipse, self.hyperboloid
-        if e.kind != "ellipse" or h.kind != "hyperboloid-of-revolution":
-            raise ValueError("FocalPair needs an ellipse and a hyperboloid")
-        for f in e.foci():
-            if abs(quadric_residual(h, f)) > 1e-12 or carrier_distance(h, f) > 1e-12:
-                raise ValueError("ellipse focus does not lie on the hyperboloid")
-        for f in h.foci():
-            if abs(quadric_residual(e, f)) > 1e-12 or carrier_distance(e, f) > 1e-12:
-                raise ValueError("hyperboloid focus does not lie on the ellipse")
-
-
-def standard_focal_pair(a_sq=1.5):
-    """The canonical world-frame pair: E in {x,z}, H in {x,y,w}."""
-    return FocalPair(base_ellipse(a_sq), base_hyperboloid(a_sq))
-
-
-# ============================================================================
 # residual oracles and radius laws
 # ============================================================================
 
@@ -166,12 +121,12 @@ def _dist(p, q):
     return np.linalg.norm(p - q, axis=-1)
 
 
-def focal_sum_residual(e, h, a_e, b_e, a_h, b_h):
-    """Residual of the four-point identity on a candidate focal pair.
+def focal_sum_residual(a_e, b_e, a_h, b_h):
+    """Residual of the four-point identity.
 
     Returns (a_e a_h + b_e b_h) - (a_h b_e + a_e b_h); at most ~1e-10 in
-    magnitude when (e, h) really are focal.  a_h and b_h must lie on the
-    same sheet of h.
+    magnitude when a_e, b_e lie on an ellipse and a_h, b_h on a hyperboloid
+    focal to it.  a_h and b_h must lie on the same sheet.
     """
     va_e, vb_e = as_points(a_e), as_points(b_e)
     va_h, vb_h = as_points(a_h), as_points(b_h)
@@ -182,20 +137,20 @@ def focal_sum_residual(e, h, a_e, b_e, a_h, b_h):
     return lhs - rhs
 
 
-def focal_const_residual(pair, a_e, a_h):
-    """Residual of the two-point constant identity on a focal pair.
+def focal_const_residual(c, a_e, a_h):
+    """Residual of the two-point constant identity on E and H.
 
-    Evaluates  a_e a_h - a_h f_h - a_e f_e + f_h f_e  where f_e, f_h are the
-    near foci of the ellipse and hyperboloid (each point is paired with its
-    own curve's focus -- the pairing produced by substituting the exchanged
-    foci into the four-point identity, and the one its proof actually uses).
-    Zero up to roundoff on a genuine pair; a_h must be on the near sheet.
+    Evaluates  a_e a_h - a_h f_h - a_e f_e + f_h f_e  where f_e = (focus_e,
+    0, 0, 0) and f_h = (focus_h, 0, 0, 0) are the near foci of E and H for
+    the ModelConstants c (each point is paired with its own curve's focus --
+    the pairing produced by substituting the exchanged foci into the
+    four-point identity, and the one its proof actually uses).  Zero up to
+    roundoff for points of E and H; a_h must be on the near sheet.
     """
     va_e, va_h = as_points(a_e), as_points(a_h)
     if np.any(sheet_sign(va_h) < 0):
         raise WrongComponent("a_h is on the far sheet")
-    f_e = pair.ellipse.foci()[0]
-    f_h = pair.hyperboloid.foci()[0]
+    f_e, f_h = _on_axis(c.focus_e), _on_axis(c.focus_h)
     return (_dist(va_e, va_h) - _dist(va_h, f_h) - _dist(va_e, f_e)
             + _dist(f_h, f_e))
 

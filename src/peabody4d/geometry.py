@@ -1,4 +1,4 @@
-"""Rigid motions from vertex permutations, and quadrics in 4-space.
+"""Rigid motions from vertex permutations, and the focal conics E and H.
 
 World frame convention (fixed once, used everywhere):
 
@@ -16,9 +16,12 @@ The canonical simplex vertices in this frame are
 
 with p1, p2 on E and p3, p4, p5 on H.
 
-E and H are the only quadrics: every skeleton face is a piece of one of them
-moved by its generator motion, so a face's points are tested against E or H
-after mapping them back through that motion's inverse.
+E and H are the only quadrics, and both are fixed by a^2 alone, so they are
+plain functions of the ModelConstants c: ``ellipse_point`` and
+``hyperboloid_point`` parametrize them, ``ellipse_residual`` and
+``hyperboloid_residual`` evaluate their equations.  Every skeleton face is a
+piece of E or H moved by its generator motion, so a face's points are tested
+against E or H after mapping them back through that motion's inverse.
 """
 
 import math
@@ -32,7 +35,7 @@ class DegenerateSimplex(Exception):
 
 
 class OutOfDomain(Exception):
-    """Parameter outside the quadric's parametrization domain."""
+    """Parameter outside a conic's parametrization domain."""
 
 
 def as_vec4(p):
@@ -148,80 +151,31 @@ def isometry_from_vertex_permutation(vertices, perm):
 
 
 # ============================================================================
-# quadrics
+# the focal conics E and H
 # ============================================================================
 
-_KINDS = ("ellipse", "hyperboloid-of-revolution")
+def ellipse_residual(c, p):
+    """Residual z^2 - (a^2-1)(1 - x^2/a^2) of E's equation, one per point.
 
-
-@dataclass(frozen=True)
-class Quadric:
-    """A focal conic / quadric of the construction, in the world frame.
-
-    kind    'ellipse' (carrier: the world {x, z} plane) or
-            'hyperboloid-of-revolution' (carrier: the world {x, y, w} space).
-    a_sq    ellipse major-axis squared; also fixes the hyperbolic
-            semi-axes (a_h = 1, b_h^2 = a_sq - 1) of the focal partner.
-
-    Both are centered at the origin with principal axis x.  A skeleton face
-    elsewhere is one of these moved by its generator motion.
-    """
-
-    kind: str
-    a_sq: float
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown quadric kind {self.kind!r}")
-
-    @property
-    def b_sq(self):
-        """Minor-axis squared (ellipse) / transverse b^2 (hyperboloid)."""
-        return self.a_sq - 1.0
-
-    @property
-    def c(self):
-        """Focal distance from the center, along the shared x axis."""
-        if self.kind == "ellipse":
-            return 1.0
-        return math.sqrt(self.a_sq)
-
-    def foci(self):
-        """The two foci (+-c, 0, 0, 0) as 4-vectors (+c first)."""
-        return (np.array([self.c, 0.0, 0.0, 0.0]),
-                np.array([-self.c, 0.0, 0.0, 0.0]))
-
-
-def base_ellipse(a_sq=1.5):
-    """E in the world {x, z} plane: z^2 = (a^2-1)(1 - x^2/a^2)."""
-    return Quadric("ellipse", a_sq)
-
-
-def base_hyperboloid(a_sq=1.5):
-    """H in the world {x, y, w} 3-space: y^2 + w^2 = (a^2-1)(x^2 - 1)."""
-    return Quadric("hyperboloid-of-revolution", a_sq)
-
-
-def quadric_residual(q, p):
-    """Signed residual of the quadric's implicit equation, one per point.
-
-    p is a world point (4,) or a batch (..., 4).  The residual is zero
-    exactly on the quadric surface/curve; membership additionally requires
-    lying in the carrier plane / 3-space, measured by carrier_distance.
+    c is the ModelConstants and p a world point (4,) or a batch (..., 4).
+    Zero where (x, z) lies on the ellipse; a point of E also has y = w = 0
+    (the {x, z} carrier plane).
     """
     x, y, z, w = np.moveaxis(as_points(p), -1, 0)
-    k = q.a_sq - 1.0
-    if q.kind == "ellipse":
-        return z * z - k * (1.0 - x * x / q.a_sq)
+    k = c.a_sq - 1.0
+    return z * z - k * (1.0 - x * x / c.a_sq)
+
+
+def hyperboloid_residual(c, p):
+    """Residual y^2 + w^2 - (a^2-1)(x^2 - 1) of H's equation, one per point.
+
+    c is the ModelConstants and p a world point (4,) or a batch (..., 4).
+    Zero where (x, y, w) lies on the hyperboloid; a point of H also has
+    z = 0 (the {x, y, w} carrier space).
+    """
+    x, y, z, w = np.moveaxis(as_points(p), -1, 0)
+    k = c.a_sq - 1.0
     return y * y + w * w - k * (x * x - 1.0)
-
-
-def carrier_distance(q, p):
-    """Distance from world points (4,) or (..., 4) to the quadric's carrier."""
-    x, y, z, w = np.moveaxis(as_points(p), -1, 0)
-    if q.kind == "ellipse":
-        return np.hypot(y, w)
-    return np.abs(z)
 
 
 def _point(*coords):
@@ -229,35 +183,31 @@ def _point(*coords):
     return np.stack(np.broadcast_arrays(*coords), axis=-1) + 0.0
 
 
-def ellipse_point(q, t):
-    """Points of an ellipse quadric at eccentric angles t.
+def ellipse_point(c, t):
+    """Points of E at eccentric angles t, for the ModelConstants c.
 
     t is a number or an array; the result has shape t.shape + (4,).  t = 0
     is the vertex on the +x axis.
     """
-    if q.kind != "ellipse":
-        raise ValueError("ellipse_point needs an ellipse quadric")
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise OutOfDomain(f"bad eccentric angle {t}")
-    return _point(math.sqrt(q.a_sq) * np.cos(t), 0.0,
-                  math.sqrt(q.b_sq) * np.sin(t), 0.0)
+    return _point(math.sqrt(c.a_sq) * np.cos(t), 0.0,
+                  math.sqrt(c.a_sq - 1.0) * np.sin(t), 0.0)
 
 
-def hyperboloid_point(q, x, theta):
-    """Points of the right sheet of a hyperboloid quadric.
+def hyperboloid_point(c, x, theta):
+    """Points of the right sheet of H, for the ModelConstants c.
 
     The sheet is parametrized by the axial coordinate x >= 1 and the
     revolution angle theta, numbers or arrays that broadcast together; the
     result has their broadcast shape + (4,).  The radius of the circle at
     height x is rho = sqrt((a^2-1)(x^2-1)).
     """
-    if q.kind != "hyperboloid-of-revolution":
-        raise ValueError("hyperboloid_point needs a hyperboloid quadric")
     x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(theta))):
         raise OutOfDomain(f"bad parameters x={x}, theta={theta}")
     if np.any(x < 1.0):
         raise OutOfDomain(f"x={x} is left of the sheet vertex (right sheet only)")
-    rho = np.sqrt(q.b_sq * (x * x - 1.0))
+    rho = np.sqrt((c.a_sq - 1.0) * (x * x - 1.0))
     return _point(x, rho * np.cos(theta), 0.0, rho * np.sin(theta))

@@ -31,12 +31,10 @@ from .geometry import (
     Isometry4,
     as_points,
     as_vec4,
-    base_ellipse,
-    base_hyperboloid,
     ellipse_point,
     hyperboloid_point,
+    hyperboloid_residual,
     isometry_from_vertex_permutation,
-    quadric_residual,
     simplex_vertices,
 )
 
@@ -73,7 +71,6 @@ class Simplex4:
     axes         {(i, j): line through p_ij and the complementary barycenter}
     """
 
-    constants: object
     vertices: np.ndarray
     midpoints: dict
     barycenters: dict
@@ -98,7 +95,7 @@ def build_simplex(c):
         other = bary[dual_label((i, j))]
         d = other - mid[(i, j)]
         axes[(i, j)] = Line4(mid[(i, j)], d / np.linalg.norm(d))
-    return Simplex4(constants=c, vertices=V, midpoints=mid,
+    return Simplex4(vertices=V, midpoints=mid,
                     barycenters=bary, centroid=g, axes=axes)
 
 
@@ -127,7 +124,7 @@ def base_arc_axes(c):
 def base_arc_points(c, n):
     """n points of E_12 at symmetric eccentric angles (endpoints included)."""
     t1 = base_arc_axes(c)[2]
-    return ellipse_point(base_ellipse(c.a_sq), np.linspace(-t1, t1, n))
+    return ellipse_point(c, np.linspace(-t1, t1, n))
 
 
 def base_patch_grid_params(c, nx, ntheta):
@@ -141,7 +138,7 @@ def base_patch_grid_params(c, nx, ntheta):
     """
     X = np.repeat(np.linspace(1.0, c.x0, nx), ntheta)
     T = np.tile(2.0 * math.pi * np.arange(ntheta) / ntheta, nx)
-    pts = hyperboloid_point(base_hyperboloid(c.a_sq), X, T)
+    pts = hyperboloid_point(c, X, T)
     keep = base_patch_contains(pts, c)
     return np.column_stack([X, T])[keep], pts[keep]
 
@@ -181,8 +178,7 @@ def base_patch_mesh(c, ns, ntheta):
     theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
     S = np.arange(1, ns)[:, None] / (ns - 1) * base_patch_rim(c, theta)
     pts = np.vstack([[1.0, 0.0, 0.0, 0.0],
-                     hyperboloid_point(base_hyperboloid(c.a_sq), np.cosh(S),
-                                       theta).reshape(-1, 4)])
+                     hyperboloid_point(c, np.cosh(S), theta).reshape(-1, 4)])
     j = np.arange(ntheta)
 
     def row(k, j):
@@ -310,7 +306,7 @@ def rotation_closure_check(c, s, n=200):
     """
     phi = isometry_from_vertex_permutation(s.vertices, (4, 5, 3, 1, 2))
     img = phi.apply(base_arc_points(c, n))
-    res = np.max(np.abs(quadric_residual(base_hyperboloid(c.a_sq), img)))
+    res = np.max(np.abs(hyperboloid_residual(c, img)))
     nrm, p0 = patch_cut_planes(c)[0]
     in_carrier = (img - p0) @ nrm       # offset inside the {x,y,w} space
     out_carrier = img[:, 2]             # z component

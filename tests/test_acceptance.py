@@ -25,14 +25,8 @@ from peabody4d.focal import (
     interlock_residual,
     focal_const_residual,
     focal_sum_residual,
-    standard_focal_pair,
 )
-from peabody4d.geometry import (
-    base_ellipse,
-    base_hyperboloid,
-    ellipse_point,
-    hyperboloid_point,
-)
+from peabody4d.geometry import ellipse_point, hyperboloid_point
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
     _ALL_PERMS,
@@ -69,21 +63,19 @@ def test_c02_simplex_edge_lengths(constants, simplex):
     assert max(abs(l - 2.0 * constants.z1) for l in lengths) <= 1e-12
 
 
-def test_c03_focal_identities_hold_and_break():
-    E, H = base_ellipse(), base_hyperboloid()
-    pair = standard_focal_pair()
+def test_c03_focal_identities_hold_and_break(constants):
     rng = np.random.default_rng(7)
     worst_sum = worst_const = 0.0
     for _ in range(500):
-        a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-        b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-        a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+        a_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+        b_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+        a_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                 rng.uniform(0, 2 * math.pi))
-        b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+        b_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                 rng.uniform(0, 2 * math.pi))
-        worst_sum = max(worst_sum,
-                        abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
-        worst_const = max(worst_const, abs(focal_const_residual(pair, a_e, a_h)))
+        worst_sum = max(worst_sum, abs(focal_sum_residual(a_e, b_e, a_h, b_h)))
+        worst_const = max(worst_const,
+                          abs(focal_const_residual(constants, a_e, a_h)))
     assert worst_sum <= 1e-10
     assert worst_const <= 1e-10
 
@@ -92,14 +84,13 @@ def test_c03_focal_identities_hold_and_break():
     rng = np.random.default_rng(8)
     broken = 0.0
     for _ in range(200):
-        a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-        b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-        a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+        a_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+        b_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+        a_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                 rng.uniform(0, 2 * math.pi)) + shift
-        b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+        b_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                 rng.uniform(0, 2 * math.pi)) + shift
-        broken = max(broken,
-                     abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
+        broken = max(broken, abs(focal_sum_residual(a_e, b_e, a_h, b_h)))
     assert broken > 1e-5
 
 

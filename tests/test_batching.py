@@ -34,18 +34,15 @@ from peabody4d.focal import (
     focal_sum_residual,
     interlock_residual,
     patch_cut_planes,
-    standard_focal_pair,
     steiner_radius_elliptic,
     steiner_radius_hyperbolic,
 )
 from peabody4d.geometry import (
     OutOfDomain,
-    base_ellipse,
-    base_hyperboloid,
-    carrier_distance,
     ellipse_point,
+    ellipse_residual,
     hyperboloid_point,
-    quadric_residual,
+    hyperboloid_residual,
 )
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
@@ -61,8 +58,8 @@ N = 12
 def _mixed_points(c, rng):
     """N points of E past the arc ends, N of H past the patch, N off both."""
     t1 = base_arc_axes(c)[2]
-    e = ellipse_point(base_ellipse(c.a_sq), rng.uniform(-1.5 * t1, 1.5 * t1, N))
-    h = hyperboloid_point(base_hyperboloid(c.a_sq), rng.uniform(1.0, 1.1, N),
+    e = ellipse_point(c, rng.uniform(-1.5 * t1, 1.5 * t1, N))
+    h = hyperboloid_point(c, rng.uniform(1.0, 1.1, N),
                           rng.uniform(0.0, 2.0 * math.pi, N))
     off = np.array([c.x0, 0.0, 0.0, 0.0]) + 0.05 * rng.standard_normal((N, 4))
     return np.concatenate([e, h, off])
@@ -71,11 +68,9 @@ def _mixed_points(c, rng):
 def _cases(c, skeleton, rng):
     """name -> (function, its point or parameter arguments, their core ranks).
 
-    The quadric primitives run on the base quadrics, the only ones there
-    are; face membership and motions run on a moved face.
+    The conic primitives run on E and H, the only quadrics there are;
+    face membership and motions run on a moved face.
     """
-    E, H = base_ellipse(c.a_sq), base_hyperboloid(c.a_sq)
-    pair = standard_focal_pair(c.a_sq)
     patch, arc = skeleton.face((3, 4, 5)), skeleton.face((1, 2))
     moved_patch = skeleton.face((1, 3, 4))
     mixed = _mixed_points(c, rng)
@@ -85,23 +80,22 @@ def _cases(c, skeleton, rng):
     x, y = _random_patch_points(c, N, rng), _random_arc_points(c, N, rng)
     angles = rng.uniform(0.0, 2.0 * math.pi, (4, N))
     heights = rng.uniform(1.0, 2.5, (2, N))
-    a_e, b_e = ellipse_point(E, angles[0]), ellipse_point(E, angles[1])
-    a_h = hyperboloid_point(H, heights[0], angles[2])
-    b_h = hyperboloid_point(H, heights[1], angles[3])
+    a_e, b_e = ellipse_point(c, angles[0]), ellipse_point(c, angles[1])
+    a_h = hyperboloid_point(c, heights[0], angles[2])
+    b_h = hyperboloid_point(c, heights[1], angles[3])
     arc45 = skeleton.face((4, 5)).points(N + 2)[1:-1]
     return {
-        "ellipse_point": (lambda t: ellipse_point(E, t), [angles[0]], 0),
-        "hyperboloid_point": (lambda s, t: hyperboloid_point(H, s, t),
+        "ellipse_point": (lambda t: ellipse_point(c, t), [angles[0]], 0),
+        "hyperboloid_point": (lambda s, t: hyperboloid_point(c, s, t),
                               [heights[0], angles[2]], 0),
-        "quadric_residual": (lambda p: quadric_residual(H, p), [mixed], 1),
-        "carrier_distance": (lambda p: carrier_distance(E, p), [mixed], 1),
+        "hyperboloid_residual": (lambda p: hyperboloid_residual(c, p), [mixed], 1),
+        "ellipse_residual": (lambda p: ellipse_residual(c, p), [mixed], 1),
         "base_arc_contains": (lambda p: base_arc_contains(p, c), [mixed], 1),
         "base_patch_contains": (lambda p: base_patch_contains(p, c), [mixed], 1),
         "SkeletonFace.contains": (moved_patch.contains, [near_face], 1),
         "Isometry4.apply": (moved_patch.generator.apply, [mixed], 1),
-        "focal_sum_residual": (lambda *p: focal_sum_residual(E, H, *p),
-                               [a_e, b_e, a_h, b_h], 1),
-        "focal_const_residual": (lambda p, q: focal_const_residual(pair, p, q),
+        "focal_sum_residual": (focal_sum_residual, [a_e, b_e, a_h, b_h], 1),
+        "focal_const_residual": (lambda p, q: focal_const_residual(c, p, q),
                                  [a_e, a_h], 1),
         "steiner_radius_elliptic": (lambda p: steiner_radius_elliptic(c, p),
                                     [y], 1),
@@ -117,8 +111,8 @@ def _cases(c, skeleton, rng):
 
 
 CASE_NAMES = (
-    "ellipse_point", "hyperboloid_point", "quadric_residual",
-    "carrier_distance", "base_arc_contains", "base_patch_contains",
+    "ellipse_point", "hyperboloid_point", "hyperboloid_residual",
+    "ellipse_residual", "base_arc_contains", "base_patch_contains",
     "SkeletonFace.contains", "Isometry4.apply", "focal_sum_residual", "focal_const_residual",
     "steiner_radius_elliptic", "steiner_radius_hyperbolic",
     "interlock_residual", "radius_consistency_residual", "phi1", "phi2")
@@ -154,8 +148,6 @@ def test_batch_equals_its_one_point_calls(constants, skeleton, name, layout):
 
 def test_one_bad_row_raises_the_domain_exception(constants, skeleton):
     c, rng = constants, np.random.default_rng(3)
-    E, H = base_ellipse(c.a_sq), base_hyperboloid(c.a_sq)
-    pair = standard_focal_pair(c.a_sq)
     patch, arc = skeleton.face((3, 4, 5)), skeleton.face((1, 2))
     x, y = _random_patch_points(c, 6, rng), _random_arc_points(c, 6, rng)
     far = x * np.array([-1.0, 1.0, 1.0, 1.0])     # mirrored to the far sheet
@@ -163,12 +155,12 @@ def test_one_bad_row_raises_the_domain_exception(constants, skeleton):
     bad_x[4], bad_y[4] = y[4], x[4]               # swapped in one row
     arc45 = skeleton.face((4, 5)).points(8)[1:-1]
     calls = [
-        (OutOfDomain, lambda: ellipse_point(E, [0.1, np.nan, 0.3])),
-        (OutOfDomain, lambda: hyperboloid_point(H, [1.2, 0.9, 1.1], 0.0)),
+        (OutOfDomain, lambda: ellipse_point(c, [0.1, np.nan, 0.3])),
+        (OutOfDomain, lambda: hyperboloid_point(c, [1.2, 0.9, 1.1], 0.0)),
         (NotSameComponent, lambda: focal_sum_residual(
-            E, H, y, y, x, np.where(np.arange(6)[:, None] == 2, far, x))),
+            y, y, x, np.where(np.arange(6)[:, None] == 2, far, x))),
         (WrongComponent, lambda: focal_const_residual(
-            pair, y, np.where(np.arange(6)[:, None] == 2, far, x))),
+            c, y, np.where(np.arange(6)[:, None] == 2, far, x))),
         (OffArc, lambda: steiner_radius_elliptic(c, bad_y)),
         (OffPatch, lambda: steiner_radius_hyperbolic(c, bad_x)),
         (OffPatch, lambda: interlock_residual(c, bad_x[:, None], y[None])),

@@ -22,11 +22,7 @@ from peabody4d.body import (
     sample_theta,
 )
 from peabody4d.cli import CHECK_NAMES, main
-from peabody4d.focal import (
-    focal_const_residual,
-    focal_sum_residual,
-    standard_focal_pair,
-)
+from peabody4d.focal import focal_const_residual, focal_sum_residual
 from peabody4d.geometry import ellipse_point, hyperboloid_point
 from peabody4d.numerics import compute_model_constants, tolerance_policy
 from peabody4d.skeleton import base_arc_points, base_patch_grid
@@ -404,29 +400,28 @@ def test_verify_tolerance_override_is_recorded(capsys):
     assert by_name["focal-difference-constant"]["tolerance"] == 1e-10
 
 
-def test_focal_sweeps_draw_their_configurations_one_at_a_time(capsys):
+def test_focal_sweeps_draw_their_configurations_one_at_a_time(capsys, constants):
     """The batched sweeps see the configurations of drawing each parameter
     in turn, configuration after configuration."""
     code, out, _ = run(capsys, "verify", "--suite", "focal", "--samples",
                        "300", "--seed", "4")
     by_name = {c["name"]: c for c in json.loads(out)["checks"]}
-    pair = standard_focal_pair()
-    E, H = pair.ellipse, pair.hyperboloid
+    c = constants
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(300):
-        a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-        b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-        a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
-        b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
-        worst = max(worst, abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
+        a_e = ellipse_point(c, rng.uniform(0, 2 * math.pi))
+        b_e = ellipse_point(c, rng.uniform(0, 2 * math.pi))
+        a_h = hyperboloid_point(c, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
+        b_h = hyperboloid_point(c, rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi))
+        worst = max(worst, abs(focal_sum_residual(a_e, b_e, a_h, b_h)))
     assert by_name["focal-distance-sum"]["max_residual"] == worst
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(300):
-        a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-        a_h = hyperboloid_point(H, rng.uniform(1.0, 3.0), rng.uniform(0, 2 * math.pi))
-        worst = max(worst, abs(focal_const_residual(pair, a_e, a_h)))
+        a_e = ellipse_point(c, rng.uniform(0, 2 * math.pi))
+        a_h = hyperboloid_point(c, rng.uniform(1.0, 3.0), rng.uniform(0, 2 * math.pi))
+        worst = max(worst, abs(focal_const_residual(c, a_e, a_h)))
     assert by_name["focal-difference-constant"]["max_residual"] == worst
 
 

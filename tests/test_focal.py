@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq
 
 from peabody4d.focal import (
-    FocalPair,
     NotSameComponent,
     OffArc,
     OffPatch,
@@ -16,59 +15,40 @@ from peabody4d.focal import (
     interlock_residual,
     focal_const_residual,
     focal_sum_residual,
-    standard_focal_pair,
     steiner_radius_elliptic,
     steiner_radius_hyperbolic,
 )
 from peabody4d.geometry import (
-    base_ellipse,
-    base_hyperboloid,
     ellipse_point,
+    ellipse_residual,
     hyperboloid_point,
-    quadric_residual,
+    hyperboloid_residual,
     simplex_vertices,
 )
 
 from frozen_values import FROZEN
 
 
-@pytest.fixture(scope="module")
-def pair():
-    return standard_focal_pair()
-
-
-def arc_points(n, rng=None, t1=FROZEN["t1"]):
+def arc_points(n, c, rng=None, t1=FROZEN["t1"]):
     """n points on the edge arc E12 (eccentric angles in [-t1, t1])."""
-    E = base_ellipse()
     if rng is None:
         ts = np.linspace(-t1, t1, n)
     else:
         ts = rng.uniform(-t1, t1, n)
-    return np.array([ellipse_point(E, t) for t in ts])
+    return np.array([ellipse_point(c, t) for t in ts])
 
 
 def patch_points(n, rng, c):
     """n rejection-sampled points of the triangle patch H345."""
-    H = base_hyperboloid()
     x0 = FROZEN["x0"]
     out = []
     while len(out) < n:
         x = rng.uniform(1.0, x0)
         th = rng.uniform(0.0, 2.0 * math.pi)
-        p = hyperboloid_point(H, x, th)
+        p = hyperboloid_point(c, x, th)
         if base_patch_contains(p, c):
             out.append(p)
     return np.array(out)
-
-
-class TestFocalPair:
-    def test_standard_pair_validates(self, pair):
-        assert pair.ellipse.c == 1.0
-        assert abs(pair.hyperboloid.c - math.sqrt(1.5)) <= 1e-15
-
-    def test_mismatched_quadrics_rejected(self):
-        with pytest.raises(ValueError):
-            FocalPair(base_ellipse(1.4), base_hyperboloid(1.5))
 
 
 class TestChainRadii:
@@ -98,79 +78,74 @@ class TestFocalSumResidual:
     def test_symmetric_configuration(self, constants):
         V = simplex_vertices(constants)
         mirror_p3 = V[2] * np.array([1.0, -1.0, 1.0, -1.0])
-        r = focal_sum_residual(base_ellipse(), base_hyperboloid(),
-                               V[0], V[1], V[2], mirror_p3)
+        r = focal_sum_residual(V[0], V[1], V[2], mirror_p3)
         assert abs(r) <= 1e-14
 
-    def test_random_tuples(self):
-        E, H = base_ellipse(), base_hyperboloid()
+    def test_random_tuples(self, constants):
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(200):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+            a_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+            b_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+            a_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                     rng.uniform(0, 2 * math.pi))
-            b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+            b_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                     rng.uniform(0, 2 * math.pi))
-            worst = max(worst, abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
+            worst = max(worst, abs(focal_sum_residual(a_e, b_e, a_h, b_h)))
         assert worst <= 1e-10
 
     def test_different_sheets_rejected(self, constants):
         V = simplex_vertices(constants)
         left = V[2] * np.array([-1.0, 1.0, 1.0, 1.0])  # mirrored to far sheet
         with pytest.raises(NotSameComponent):
-            focal_sum_residual(base_ellipse(), base_hyperboloid(),
-                               V[0], V[1], V[2], left)
+            focal_sum_residual(V[0], V[1], V[2], left)
 
-    def test_perturbed_pair_fails(self):
+    def test_perturbed_pair_fails(self, constants):
         """Moving the hyperboloid (hence its foci) by 1e-3 breaks the identity."""
-        E, H = base_ellipse(), base_hyperboloid()
         shift = np.array([1e-3, 0.0, 0.0, 0.0])
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(200):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            b_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            a_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+            a_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+            b_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+            a_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                     rng.uniform(0, 2 * math.pi)) + shift
-            b_h = hyperboloid_point(H, rng.uniform(1.0, 2.5),
+            b_h = hyperboloid_point(constants, rng.uniform(1.0, 2.5),
                                     rng.uniform(0, 2 * math.pi)) + shift
-            worst = max(worst, abs(focal_sum_residual(E, H, a_e, b_e, a_h, b_h)))
+            worst = max(worst, abs(focal_sum_residual(a_e, b_e, a_h, b_h)))
         assert worst > 1e-5
 
 
 class TestFocalConstResidual:
-    def test_constant_value(self, pair, constants):
+    def test_constant_value(self, constants):
         """The two-point combination equals -(sqrt(3/2) - 1)."""
         V = simplex_vertices(constants)
-        f_e = pair.ellipse.foci()[0]
-        f_h = pair.hyperboloid.foci()[0]
+        f_e = np.array([constants.focus_e, 0.0, 0.0, 0.0])
+        f_h = np.array([constants.focus_h, 0.0, 0.0, 0.0])
         combo = (np.linalg.norm(V[0] - V[2])
                  - np.linalg.norm(V[2] - f_h)
                  - np.linalg.norm(V[0] - f_e))
         assert abs(combo - FROZEN["focal_const"]) <= 1e-12
 
-    def test_vertex_pair(self, pair, constants):
+    def test_vertex_pair(self, constants):
         V = simplex_vertices(constants)
-        assert abs(focal_const_residual(pair, V[0], V[2])) <= 1e-12
+        assert abs(focal_const_residual(constants, V[0], V[2])) <= 1e-12
 
-    def test_random_pairs(self, pair):
-        E, H = pair.ellipse, pair.hyperboloid
+    def test_random_pairs(self, constants):
         rng = np.random.default_rng(23)
         worst = 0.0
         for _ in range(500):
-            a_e = ellipse_point(E, rng.uniform(0, 2 * math.pi))
-            a_h = hyperboloid_point(H, rng.uniform(1.0, 3.0),
+            a_e = ellipse_point(constants, rng.uniform(0, 2 * math.pi))
+            a_h = hyperboloid_point(constants, rng.uniform(1.0, 3.0),
                                     rng.uniform(0, 2 * math.pi))
-            worst = max(worst, abs(focal_const_residual(pair, a_e, a_h)))
+            worst = max(worst, abs(focal_const_residual(constants, a_e, a_h)))
         assert worst <= 1e-10
 
-    def test_far_sheet_rejected(self, pair, constants):
+    def test_far_sheet_rejected(self, constants):
         V = simplex_vertices(constants)
         left = V[2] * np.array([-1.0, 1.0, 1.0, 1.0])
         with pytest.raises(WrongComponent):
-            focal_const_residual(pair, V[0], left)
+            focal_const_residual(constants, V[0], left)
 
 
 class TestSteinerRadiusElliptic:
@@ -185,14 +160,14 @@ class TestSteinerRadiusElliptic:
         assert abs(r - FROZEN["R_mid"]) <= 1e-12
 
     def test_range_over_arc(self, constants):
-        pts = arc_points(501)  # odd count so the apex t=0 is on the grid
+        pts = arc_points(501, constants)  # odd count so the apex t=0 is on the grid
         rs = [steiner_radius_elliptic(constants, p) for p in pts]
         assert min(rs) >= -1e-12
         assert max(rs) <= 0.019
         assert abs(max(rs) - FROZEN["R_mid"]) <= 1e-9  # max at the apex
 
     def test_off_arc_rejected(self, constants):
-        beyond = ellipse_point(base_ellipse(), 3.0 * FROZEN["t1"])
+        beyond = ellipse_point(constants, 3.0 * FROZEN["t1"])
         with pytest.raises(OffArc):
             steiner_radius_elliptic(constants, beyond)
         with pytest.raises(OffArc):
@@ -226,7 +201,7 @@ class TestSteinerRadiusHyperbolic:
             steiner_radius_hyperbolic(constants, np.array([math.sqrt(1.5), 0, 0, 0]))
         # on the sheet, but beyond the boundary arc between p4 and p5
         x_mid = 0.5 * (FROZEN["omega_x"] + FROZEN["x0"])
-        outside = hyperboloid_point(base_hyperboloid(), x_mid, math.pi)
+        outside = hyperboloid_point(constants, x_mid, math.pi)
         with pytest.raises(OffPatch):
             steiner_radius_hyperbolic(constants, outside)
         # far sheet mirror of p3
@@ -243,6 +218,24 @@ class TestSteinerRadiusHyperbolic:
         assert base_arc_contains([math.sqrt(1.5), 0.0, 0.0, 0.0], constants)
         assert not base_arc_contains(V[2], constants)
 
+    def test_membership_rejects_points_off_the_carrier(self, constants):
+        """A point on the conic's equation but 1e-6 off its carrier is out.
+
+        The arc apex moved along y and the sheet vertex moved along z keep a
+        zero ellipse / hyperboloid residual, so only the carrier term of the
+        membership test can reject them.
+        """
+        apex = np.array([math.sqrt(constants.a_sq), 0.0, 0.0, 0.0])
+        vertex = np.array([1.0, 0.0, 0.0, 0.0])
+        off_apex = apex + [0.0, 1e-6, 0.0, 0.0]
+        off_vertex = vertex + [0.0, 0.0, 1e-6, 0.0]
+        assert abs(ellipse_residual(constants, off_apex)) <= 1e-15
+        assert abs(hyperboloid_residual(constants, off_vertex)) <= 1e-15
+        assert base_arc_contains(apex, constants)
+        assert base_patch_contains(vertex, constants)
+        assert not base_arc_contains(off_apex, constants)
+        assert not base_patch_contains(off_vertex, constants)
+
 
 class TestInterlock:
     def test_vertex_pair(self, constants):
@@ -257,7 +250,7 @@ class TestInterlock:
     def test_grid(self, constants):
         rng = np.random.default_rng(41)
         xs = patch_points(40, rng, constants)
-        ys = arc_points(40, rng)
+        ys = arc_points(40, constants, rng)
         worst = max(abs(interlock_residual(constants, x, y))
                     for x in xs for y in ys)
         assert worst <= 1e-10
@@ -266,7 +259,7 @@ class TestInterlock:
         """Any point of B(x, Rx) and any of B(y, R_y) are within 2 z1."""
         rng = np.random.default_rng(43)
         xs = patch_points(25, rng, constants)
-        ys = arc_points(25, rng)
+        ys = arc_points(25, constants, rng)
         worst = 0.0
         for x, y in zip(xs, ys):
             rx = steiner_radius_hyperbolic(constants, x)

@@ -8,13 +8,11 @@ from peabody4d.geometry import (
     DegenerateSimplex,
     Isometry4,
     OutOfDomain,
-    base_ellipse,
-    base_hyperboloid,
-    carrier_distance,
     ellipse_point,
+    ellipse_residual,
     hyperboloid_point,
+    hyperboloid_residual,
     isometry_from_vertex_permutation,
-    quadric_residual,
     simplex_vertices,
 )
 
@@ -113,35 +111,21 @@ class TestVertexPermutations:
 
 
 class TestQuadrics:
-    def test_focal_pair_foci(self):
-        E = base_ellipse()
-        H = base_hyperboloid()
-        fe_p, fe_m = E.foci()
-        fh_p, fh_m = H.foci()
-        assert np.allclose(fe_p, [1.0, 0, 0, 0], atol=1e-15)
-        assert np.allclose(fe_m, [-1.0, 0, 0, 0], atol=1e-15)
-        assert np.allclose(fh_p, [math.sqrt(1.5), 0, 0, 0], atol=1e-15)
-        assert np.allclose(fh_m, [-math.sqrt(1.5), 0, 0, 0], atol=1e-15)
-
-    def test_each_focus_on_the_other(self):
-        """Defining focal property: foci of E lie on H and vice versa."""
-        E = base_ellipse()
-        H = base_hyperboloid()
-        for f in E.foci():
-            assert abs(quadric_residual(H, f)) <= 1e-13
-            assert carrier_distance(H, f) <= 1e-13
-        for f in H.foci():
-            assert abs(quadric_residual(E, f)) <= 1e-13
-            assert carrier_distance(E, f) <= 1e-13
+    def test_each_focus_on_the_other(self, constants):
+        """Defining focal property: the foci (+-1, 0, 0, 0) of E lie on H and
+        the foci (+-a, 0, 0, 0) of H lie on E."""
+        for sign in (1.0, -1.0):
+            f_e = np.array([sign * constants.focus_e, 0.0, 0.0, 0.0])
+            f_h = np.array([sign * constants.focus_h, 0.0, 0.0, 0.0])
+            assert abs(hyperboloid_residual(constants, f_e)) <= 1e-13
+            assert abs(ellipse_residual(constants, f_h)) <= 1e-13
 
     def test_residuals_at_vertices(self, constants):
         V = simplex_vertices(constants)
-        E = base_ellipse()
-        H = base_hyperboloid()
         for i in (0, 1):
-            assert abs(quadric_residual(E, V[i])) <= 1e-14
+            assert abs(ellipse_residual(constants, V[i])) <= 1e-14
         for i in (2, 3, 4):
-            assert abs(quadric_residual(H, V[i])) <= 1e-14
+            assert abs(hyperboloid_residual(constants, V[i])) <= 1e-14
 
     def test_residual_at_arc_apex_point(self, constants):
         """The apex of the transported arc between p4 and p5 lies on H."""
@@ -153,57 +137,49 @@ class TestQuadrics:
         omega = p45 - (a - constants.x1) * u
         assert abs(omega[0] - FROZEN["omega_x"]) <= 1e-12
         assert abs(omega[1] - FROZEN["omega_y"]) <= 1e-12
-        assert abs(quadric_residual(base_hyperboloid(), omega)) <= 1e-10
-
-    def test_carrier_distances(self, constants):
-        V = simplex_vertices(constants)
-        assert abs(carrier_distance(base_ellipse(), V[2]) - constants.y0) <= 1e-15
-        assert carrier_distance(base_hyperboloid(), V[0]) > 0.1
+        assert abs(hyperboloid_residual(constants, omega)) <= 1e-10
 
 
 class TestParametrization:
-    def test_ellipse_vertex(self):
-        p = ellipse_point(base_ellipse(), 0.0)
+    def test_ellipse_vertex(self, constants):
+        p = ellipse_point(constants, 0.0)
         assert np.allclose(p, [math.sqrt(1.5), 0, 0, 0], atol=1e-15)
 
     def test_ellipse_hits_p1(self, constants):
-        p = ellipse_point(base_ellipse(), FROZEN["t1"])
+        p = ellipse_point(constants, FROZEN["t1"])
         target = [constants.x1, 0.0, constants.z1, 0.0]
         assert np.max(np.abs(p - target)) <= 1e-14
 
-    def test_hyperboloid_sheet_vertex(self):
+    def test_hyperboloid_sheet_vertex(self, constants):
         for theta in (0.0, 1.0, 2.5):
-            p = hyperboloid_point(base_hyperboloid(), 1.0, theta)
+            p = hyperboloid_point(constants, 1.0, theta)
             assert np.allclose(p, [1.0, 0, 0, 0], atol=1e-15)
 
     def test_hyperboloid_hits_simplex_vertices(self, constants):
-        H = base_hyperboloid()
         V = simplex_vertices(constants)
         for theta, target in [(0.0, V[2]),
                               (-2.0 * math.pi / 3.0, V[3]),
                               (2.0 * math.pi / 3.0, V[4])]:
-            p = hyperboloid_point(H, constants.x0, theta)
+            p = hyperboloid_point(constants, constants.x0, theta)
             assert np.max(np.abs(p - target)) <= 1e-14
 
-    def test_out_of_domain(self):
+    def test_out_of_domain(self, constants):
         with pytest.raises(OutOfDomain):
-            hyperboloid_point(base_hyperboloid(), 0.99, 0.0)
+            hyperboloid_point(constants, 0.99, 0.0)
         with pytest.raises(OutOfDomain):
-            ellipse_point(base_ellipse(), math.nan)
+            ellipse_point(constants, math.nan)
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(min_value=-math.pi, max_value=math.pi))
-    def test_ellipse_points_on_curve(self, t):
-        q = base_ellipse()
-        p = ellipse_point(q, t)
-        assert abs(quadric_residual(q, p)) <= 1e-13
-        assert carrier_distance(q, p) == 0.0
+    def test_ellipse_points_on_curve(self, constants, t):
+        p = ellipse_point(constants, t)
+        assert abs(ellipse_residual(constants, p)) <= 1e-13
+        assert p[1] == p[3] == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(min_value=1.0, max_value=3.0),
            st.floats(min_value=0.0, max_value=2.0 * math.pi))
-    def test_hyperboloid_points_on_sheet(self, x, theta):
-        q = base_hyperboloid()
-        p = hyperboloid_point(q, x, theta)
-        assert abs(quadric_residual(q, p)) <= 1e-13
-        assert carrier_distance(q, p) == 0.0
+    def test_hyperboloid_points_on_sheet(self, constants, x, theta):
+        p = hyperboloid_point(constants, x, theta)
+        assert abs(hyperboloid_residual(constants, p)) <= 1e-13
+        assert p[2] == 0.0

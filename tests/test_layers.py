@@ -64,3 +64,16 @@ def test_a_skeleton_that_served_a_sampler_keeps_only_its_own_state(
     sample_theta(model, 2000, seed=0)
     own = {f.name for f in dataclasses.fields(FocalSkeleton)}
     assert set(vars(skeleton)) == own | {"_by_label"}
+
+
+def test_only_the_constants_default_to_the_canonical_a_sq():
+    """a^2 = 3/2 is a default in one place; every other function takes c."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaults = node.args.defaults + node.args.kw_defaults
+                if any(isinstance(d, ast.Constant) and d.value == 1.5
+                       for d in defaults):
+                    found.add(f"{path.stem}.{node.name}")
+    assert found == {"numerics.compute_model_constants"}

@@ -19,12 +19,10 @@ from scipy.spatial import cKDTree
 
 from peabody4d.focal import OffArc, base_patch_contains, patch_cut_planes
 from peabody4d.geometry import (
-    base_ellipse,
-    base_hyperboloid,
-    carrier_distance,
+    ellipse_residual,
     hyperboloid_point,
+    hyperboloid_residual,
     isometry_from_vertex_permutation,
-    quadric_residual,
 )
 from peabody4d.numerics import compute_model_constants
 from peabody4d.skeleton import (
@@ -203,9 +201,8 @@ def test_base_arc(constants, simplex, skeleton):
 
 def test_base_patch_corners(constants, simplex, skeleton):
     face = skeleton.face((3, 4, 5))
-    h = base_hyperboloid(constants.a_sq)
     for v in simplex.vertices[2:]:
-        assert abs(quadric_residual(h, v)) <= 1e-13
+        assert abs(hyperboloid_residual(constants, v)) <= 1e-13
         assert face.contains(v)
         assert abs(face.radius(v)) <= 1e-12
     assert face.contains(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -305,8 +302,7 @@ def test_patch_mesh_rim_lies_on_the_cut_planes(a_sq):
     assert np.max(np.abs(pts[last[[0, 8, 16]]] - s.vertices[[2, 4, 3]])) <= 1e-12
     # a step out along s leaves the patch everywhere on the rim
     theta = 2.0 * math.pi * np.arange(24) / 24
-    out = hyperboloid_point(base_hyperboloid(c.a_sq),
-                            np.cosh(base_patch_rim(c, theta) + 1e-6), theta)
+    out = hyperboloid_point(c, np.cosh(base_patch_rim(c, theta) + 1e-6), theta)
     assert not np.any(base_patch_contains(out, c, 1e-12))
     # a fan of 24 around the sheet vertex and two triangles per grid cell
     assert tris.shape == (24 + 2 * 5 * 24, 3)
@@ -338,20 +334,19 @@ def test_face_count_and_lookup(skeleton):
 
 
 def test_faces_lie_on_their_quadrics(constants, simplex, skeleton):
-    """Each face, moved back by its generator, lies on the base quadric."""
-    E, H = base_ellipse(constants.a_sq), base_hyperboloid(constants.a_sq)
+    """Each face, moved back by its generator, lies on E or H."""
     for face in skeleton.edge_faces():
         pts = face.points(31)
         for q in face.generator.inverse().apply(pts):
-            assert abs(quadric_residual(E, q)) <= 1e-10
-            assert carrier_distance(E, q) <= 1e-10
+            assert abs(ellipse_residual(constants, q)) <= 1e-10
+            assert math.hypot(q[1], q[3]) <= 1e-10
         ends = {tuple(np.round(pts[0], 9)), tuple(np.round(pts[-1], 9))}
         verts = {tuple(np.round(simplex.vertices[i - 1], 9)) for i in face.label}
         assert ends == verts
     for face in skeleton.triangle_faces():
         for q in face.generator.inverse().apply(face.grid_points(7, 9)):
-            assert abs(quadric_residual(H, q)) <= 1e-10
-            assert carrier_distance(H, q) <= 1e-10
+            assert abs(hyperboloid_residual(constants, q)) <= 1e-10
+            assert abs(q[2]) <= 1e-10
         for i in face.label:
             assert face.contains(simplex.vertices[i - 1])
 
@@ -396,7 +391,6 @@ def test_patch_boundary_is_three_arcs(constants, skeleton):
     plane/sheet intersection curve, rebuilt by circle-line intersection
     with no group motion, lands on the arc faces pointwise.
     """
-    h = base_hyperboloid(constants.a_sq)
     planes = patch_cut_planes(constants)
     pairing = [((4, 5), planes[0]), ((3, 4), planes[1]), ((3, 5), planes[2])]
     for label, (nrm, p0) in pairing:
@@ -404,7 +398,7 @@ def test_patch_boundary_is_three_arcs(constants, skeleton):
         pts = face.points(201)
         for q in pts:
             assert abs(nrm @ (q - p0)) <= 1e-9
-            assert abs(quadric_residual(h, q)) <= 1e-9
+            assert abs(hyperboloid_residual(constants, q)) <= 1e-9
             assert abs(q[2]) <= 1e-9
         for other_label, (n2, q2) in pairing:
             if other_label != label:
