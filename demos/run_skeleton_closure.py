@@ -7,8 +7,6 @@ conic of the base patch -- which happens at a^2 = 3/2 and at no nearby
 scale.
 """
 
-import math
-
 import numpy as np
 
 from peabody4d.numerics import compute_model_constants

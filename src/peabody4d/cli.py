@@ -6,22 +6,24 @@ Four subcommands:
     Print the model constants (17 significant digits, optionally JSON with
     exact radical forms), or the embedding tuple for another ``--a2``.
 ``verify``
-    Run a named suite of numeric checks and emit a JSON report.  The report
-    is deterministic for a given seed and grid: wall-clock timings go to
-    stderr only.  Exit status 1 when any check fails.
+    Run a named suite of the checks in ``CHECK_NAMES`` and emit a JSON report
+    of one record per check.  The report is deterministic for a given seed
+    and grid: wall-clock timings go to stderr only.  Exit status 1 when any
+    check fails.
 ``sample``
     Write a CSV of boundary samples (coordinates, piece label, model slack).
 ``slice``
     Intersect the ball model with a hyperplane and export the resulting
     3-dimensional surface as an OFF/PLY mesh or a CSV point cloud.
 
-Checks are independent of each other and keep no state beyond the report
-accumulator, so they are safe to reorder or run concurrently; all
+Checks are independent of each other and keep no state beyond the list of
+records they append to, so they are safe to reorder or run concurrently; all
 randomness flows through explicitly seeded generators.
 
 Exit statuses: 0 success, 1 verification failure or an empty slice, 2 usage
-error (among them a hidden ``--perturb`` outside (-1, 1) or one whose scaled
-radii leave the centroid outside a ball), 3 I/O error.
+error (among them a config key that no command reads or that is given twice,
+and a hidden ``--perturb`` outside (-1, 1) or one whose scaled radii leave
+the centroid outside a ball), 3 I/O error.
 """
 
 import argparse
@@ -33,7 +35,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,23 +111,36 @@ MAX_RESOLUTION = 256
 _SLACK_ROWS = 2 ** 13
 _CSV_ROWS = 2 ** 10
 
-# every check verify runs, in report order, with the tolerance_policy class
-# its default tolerance comes from; --tol accepts exactly these names
+# every check verify runs, in report order: name (what --tol accepts) ->
+# (tolerance_policy class of its default tolerance, anchor: the claim it tests)
 CHECK_NAMES = {
-    "focal-distance-sum": "geometric-residual",
-    "focal-difference-constant": "geometric-residual",
-    "radius-sum-constant": "geometric-residual",
-    "rotation-closure": "geometric-residual",
-    "closure-point-offset": "algebraic-identity",
-    "tangent-match": "algebraic-identity",
-    "radius-consistency": "geometric-residual",
-    "boundary-slack-inner": "diameter",
-    "boundary-slack-outer": "geometric-residual",
-    "binormal-separation": "algebraic-identity",
-    "partner-distance": "diameter",
-    "diameter-pairs": "diameter",
-    "diameter-chords": "diameter",
-    "width-coordinate-axes": "diameter",
+    "focal-distance-sum": ("geometric-residual",
+        "sum of distances between dual quadric points splits by component"),
+    "focal-difference-constant": ("geometric-residual",
+        "mixed vertex-focus distance combination is constant"),
+    "radius-sum-constant": ("geometric-residual",
+        "separation plus the two chain radii equals the width"),
+    "rotation-closure": ("geometric-residual",
+        "the cycling motion maps the base arc onto the patch sheet"),
+    "closure-point-offset": ("algebraic-identity",
+        "the transported arc apex sits at the predicted edge-midpoint distance"),
+    "tangent-match": ("algebraic-identity",
+        "arc tangent agrees with the patch tangent at the shared corner"),
+    "radius-consistency": ("geometric-residual",
+        "elliptic and hyperbolic chain radii agree along the shared arc"),
+    "boundary-slack-inner": ("diameter",
+        "every boundary sample lies inside every ball"),
+    "boundary-slack-outer": ("geometric-residual",
+        "every boundary sample touches the ball envelope to roundoff"),
+    "binormal-separation": ("algebraic-identity",
+        "paired envelope images are the width apart"),
+    "partner-distance": ("diameter",
+        "each sample's diameter partner is the width away"),
+    "diameter-pairs": ("diameter", "no sampled pair exceeds the width"),
+    "diameter-chords": ("diameter",
+        "antipodal ray chords through the centroid do not exceed the width"),
+    "width-coordinate-axes": ("diameter",
+        "support width along the coordinate axes matches the width"),
 }
 
 
@@ -138,8 +152,13 @@ def _fmt(x):
 # configuration plumbing
 # ----------------------------------------------------------------------------
 
+# the keys some command reads; one file may serve every command
+CONFIG_KEYS = {"a2", "suite", "samples", "seed", "grid", "hyperplane",
+               "resolution", "format"}
+
+
 def _load_config(path):
-    """Flat key = value file; '#' starts a comment."""
+    """Flat key = value file of CONFIG_KEYS, each once; '#' starts a comment."""
     cfg = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -153,6 +172,9 @@ def _load_config(path):
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS or key in cfg:
+            why = "given twice" if key in cfg else "read by no command"
+            raise _UsageError(f"{path}:{lineno}: key {key!r} {why}")
         cfg[key] = value
     return cfg
 
@@ -307,71 +329,29 @@ def cmd_constants(args):
 # verify
 # ----------------------------------------------------------------------------
 
-@dataclass
-class CheckRecord:
-    name: str
-    anchor: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    samples: int
-    seed: int
-
-
-@dataclass
-class VerificationReport:
-    suite: str
-    seed: int
-    samples: int
-    a_sq: float
-    width: float
-    patch_grid: tuple
-    arc_n: int
-    checks: list
-
-    @property
-    def passed(self):
-        return all(check.passed for check in self.checks)
-
-    def to_json(self):
-        doc = {
-            "schema": 1,
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "model": {
-                "a_sq": self.a_sq,
-                "width": self.width,
-                "patch_grid": list(self.patch_grid),
-                "arc_n": self.arc_n,
-            },
-            "checks": [dataclasses.asdict(check) for check in self.checks],
-            "passed": self.passed,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _layer_line(name, work, start):
     """A stderr timer line for an untimed layer of verify, in _run_check style."""
     return f"  {name}: {work} ({time.perf_counter() - start:.2f}s)"
 
 
-def _run_check(report, tols, name, anchor, samples, seed, fn):
-    """Run one check; its tolerance is --tol, else the policy's."""
-    tol = tols.get(name, tolerance_policy(CHECK_NAMES[name]))
+def _run_check(checks, tols, name, samples, seed, fn):
+    """Run one check and append its record; its tolerance is --tol, else
+    the policy's for its class."""
+    kind, anchor = CHECK_NAMES[name]
+    tol = tols.get(name, tolerance_policy(kind))
     start = time.perf_counter()
     value = float(fn())
     elapsed = time.perf_counter() - start
-    record = CheckRecord(name=name, anchor=anchor, max_residual=value,
-                         tolerance=float(tol), passed=bool(value <= tol),
-                         samples=int(samples), seed=int(seed))
-    status = "ok" if record.passed else "FAIL"
+    passed = bool(value <= tol)
+    status = "ok" if passed else "FAIL"
     print(f"  {name}: {value:.3e} vs {tol:.1e} [{status}] ({elapsed:.2f}s)",
           file=sys.stderr)
-    report.checks.append(record)
+    checks.append({"name": name, "anchor": anchor, "max_residual": value,
+                   "tolerance": tol, "passed": passed,
+                   "samples": int(samples), "seed": int(seed)})
 
 
-def _focal_checks(report, tols, samples, seed, c):
+def _focal_checks(checks, tols, samples, seed, c):
     two_pi = 2 * math.pi
 
     def sum_sweep():
@@ -395,18 +375,13 @@ def _focal_checks(report, tols, samples, seed, c):
         ys = base_arc_points(c, 100)
         return np.max(np.abs(interlock_residual(c, xs[:, None], ys[None])))
 
-    _run_check(report, tols, "focal-distance-sum",
-               "sum of distances between dual quadric points splits by component",
-               samples, seed, sum_sweep)
-    _run_check(report, tols, "focal-difference-constant",
-               "mixed vertex-focus distance combination is constant",
-               samples, seed + 1, const_sweep)
-    _run_check(report, tols, "radius-sum-constant",
-               "separation plus the two chain radii equals the width",
-               100 * 100, seed, radius_sum_grid)
+    _run_check(checks, tols, "focal-distance-sum", samples, seed, sum_sweep)
+    _run_check(checks, tols, "focal-difference-constant", samples, seed + 1,
+               const_sweep)
+    _run_check(checks, tols, "radius-sum-constant", 100 * 100, seed, radius_sum_grid)
 
 
-def _skeleton_checks(report, tols, samples, seed, skeleton):
+def _skeleton_checks(checks, tols, samples, seed, skeleton):
     c, s = skeleton.constants, skeleton.simplex
 
     def closure():
@@ -426,18 +401,11 @@ def _skeleton_checks(report, tols, samples, seed, skeleton):
         pts = skeleton.face((4, 5)).points(102)[1:-1]
         return np.max(np.abs(radius_consistency_residual(skeleton, pts)))
 
-    _run_check(report, tols, "rotation-closure",
-               "the cycling motion maps the base arc onto the patch sheet",
-               max(200, samples // 5), seed, closure)
-    _run_check(report, tols, "closure-point-offset",
-               "the transported arc apex sits at the predicted edge-midpoint distance",
-               1, seed, omega_offset)
-    _run_check(report, tols, "tangent-match",
-               "arc tangent agrees with the patch tangent at the shared corner",
-               3, seed, tangents)
-    _run_check(report, tols, "radius-consistency",
-               "elliptic and hyperbolic chain radii agree along the shared arc",
-               100, seed, radius_match)
+    _run_check(checks, tols, "rotation-closure", max(200, samples // 5), seed,
+               closure)
+    _run_check(checks, tols, "closure-point-offset", 1, seed, omega_offset)
+    _run_check(checks, tols, "tangent-match", 3, seed, tangents)
+    _run_check(checks, tols, "radius-consistency", 100, seed, radius_match)
 
 
 def _axis_support_pairs(skeleton):
@@ -459,7 +427,7 @@ def _axis_support_pairs(skeleton):
             np.vstack([phi1(patch, arc, x, y), top - c.width * np.eye(4)[1:]]))
 
 
-def _body_checks(report, tols, samples, seed, model):
+def _body_checks(checks, tols, samples, seed, model):
     skeleton, w = model.skeleton, model.width
     n = max(samples, 10 ** 4)
     start = time.perf_counter()
@@ -510,27 +478,15 @@ def _body_checks(report, tols, samples, seed, model):
         slack, _ = model.min_slack(np.vstack([hi, lo]))
         return max(np.max(np.abs(np.diag(hi - lo) - w)), np.max(np.abs(slack)))
 
-    _run_check(report, tols, "boundary-slack-inner",
-               "every boundary sample lies inside every ball",
-               n, seed, lambda: max(0.0, -float(ms.min())))
-    _run_check(report, tols, "boundary-slack-outer",
-               "every boundary sample touches the ball envelope to roundoff",
-               n, seed, lambda: max(0.0, float(ms.max())))
-    _run_check(report, tols, "binormal-separation",
-               "paired envelope images are the width apart",
-               200, seed + 3, separation)
-    _run_check(report, tols, "partner-distance",
-               "each sample's diameter partner is the width away",
-               min(2000, n), seed, partner_sweep)
-    _run_check(report, tols, "diameter-pairs",
-               "no sampled pair exceeds the width",
-               10 ** 6, seed + 2, diameter_pairs)
-    _run_check(report, tols, "diameter-chords",
-               "antipodal ray chords through the centroid do not exceed the width",
-               10, seed, diameter_chords)
-    _run_check(report, tols, "width-coordinate-axes",
-               "support width along the coordinate axes matches the width",
-               8, seed, axis_width)
+    _run_check(checks, tols, "boundary-slack-inner", n, seed,
+               lambda: max(0.0, -float(ms.min())))
+    _run_check(checks, tols, "boundary-slack-outer", n, seed,
+               lambda: max(0.0, float(ms.max())))
+    _run_check(checks, tols, "binormal-separation", 200, seed + 3, separation)
+    _run_check(checks, tols, "partner-distance", min(2000, n), seed, partner_sweep)
+    _run_check(checks, tols, "diameter-pairs", 10 ** 6, seed + 2, diameter_pairs)
+    _run_check(checks, tols, "diameter-chords", 10, seed, diameter_chords)
+    _run_check(checks, tols, "width-coordinate-axes", 8, seed, axis_width)
 
 
 def cmd_verify(args):
@@ -564,26 +520,29 @@ def cmd_verify(args):
             except InteriorPointNotInterior as exc:
                 raise _UsageError(f"--perturb {perturb}: {exc}") from exc
 
-    report = VerificationReport(suite=suite, seed=seed, samples=samples,
-                                a_sq=c.a_sq, width=c.width, patch_grid=grid,
-                                arc_n=_arc_count(grid[1]), checks=[])
-    print(f"suite {suite}: grid {grid[0]}x{grid[1]}, arcs {report.arc_n}, "
+    arc_n = _arc_count(grid[1])
+    print(f"suite {suite}: grid {grid[0]}x{grid[1]}, arcs {arc_n}, "
           f"samples {samples}, seed {seed}", file=sys.stderr)
     for line in layer_lines:
         print(line, file=sys.stderr)
+    checks = []
     if suite in ("all", "focal"):
-        _focal_checks(report, tols, samples, seed, c)
+        _focal_checks(checks, tols, samples, seed, c)
     if suite in ("all", "skeleton"):
-        _skeleton_checks(report, tols, samples, seed, skeleton)
+        _skeleton_checks(checks, tols, samples, seed, skeleton)
     if suite in ("all", "body"):
-        _body_checks(report, tols, samples, seed, model)
+        _body_checks(checks, tols, samples, seed, model)
 
-    text = report.to_json()
-    _write(text, args.out)
-    status = "pass" if report.passed else "FAIL"
-    print(f"suite {suite}: {status} "
+    passed = all(check["passed"] for check in checks)
+    report = {"schema": 1, "suite": suite, "seed": seed, "samples": samples,
+              "model": {"a_sq": c.a_sq, "width": c.width,
+                        "patch_grid": list(grid), "arc_n": arc_n},
+              "checks": checks, "passed": passed}
+    _write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+           args.out)
+    print(f"suite {suite}: {'pass' if passed else 'FAIL'} "
           f"({time.perf_counter() - start:.1f}s wall)", file=sys.stderr)
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 # ----------------------------------------------------------------------------

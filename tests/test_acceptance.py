@@ -12,11 +12,9 @@ from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
 from diagnostics import ray_displacements
-from frozen_values import FROZEN
 from peabody4d.body import (
     binormal_partner,
     boundary_residual,
-    build_ball_model,
     diameter_check,
     phi1,
     phi2,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -156,24 +157,24 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
         "diameter-chords": 1e-9, "width-coordinate-axes": 1e-9}
     assert set(pinned) == set(CHECK_NAMES)
     for check in checks:
+        kind, anchor = CHECK_NAMES[check["name"]]
         assert check["tolerance"] == pinned[check["name"]]
-        assert check["tolerance"] == tolerance_policy(CHECK_NAMES[check["name"]])
+        assert check["tolerance"] == tolerance_policy(kind)
+        assert check["anchor"] == anchor
 
 
 def body_check_records(model):
     """The body check records of verify on model at 10^4 samples, seed 0,
     by name."""
-    report = cli.VerificationReport(
-        suite="body", seed=0, samples=10 ** 4, a_sq=model.skeleton.constants.a_sq,
-        width=model.width, patch_grid=(16, 24), arc_n=65, checks=[])
-    cli._body_checks(report, {}, 10 ** 4, 0, model)
-    return {check.name: check for check in report.checks}
+    checks = []
+    cli._body_checks(checks, {}, 10 ** 4, 0, model)
+    return {check["name"]: check for check in checks}
 
 
 def body_check_failures(model):
     """The body checks of verify that model fails at 10^4 samples, seed 0."""
     return {name for name, check in body_check_records(model).items()
-            if not check.passed}
+            if not check["passed"]}
 
 
 def scaled_rows(model, rows, factor):
@@ -223,7 +224,7 @@ def test_the_axis_chords_of_the_cli_model_are_the_width(skeleton, grid):
     axes = np.array([line.direction
                      for line in skeleton.simplex.axes.values()])
     assert np.max(np.abs(body.chord_lengths(m, axes) - m.width)) <= 1e-15
-    assert body_check_records(m)["width-coordinate-axes"].max_residual <= 1e-15
+    assert body_check_records(m)["width-coordinate-axes"]["max_residual"] <= 1e-15
 
 
 def test_the_axis_support_pairs_are_the_width_apart(skeleton):
@@ -846,6 +847,32 @@ def test_malformed_flag_values_are_one_line_errors(tmp_path, capsys):
         code, out, err = run(capsys, command, "--config", str(cfg))
         _assert_one_error_line(code, out, err)
         assert err.startswith(f"error: config key {key!r}: "), err
+
+
+def test_a_config_key_no_command_reads_or_a_repeated_key_is_a_usage_error(
+        tmp_path, capsys):
+    # ignored, a typo, a flag-only key or a repeat would leave verify at its
+    # defaults without a word
+    cfg = tmp_path / "keys.cfg"
+    for text, line, problem in (
+            ("seed = 1\nsampels = 5\n", 2, "'sampels' read by no command"),
+            ("perturb = 0.5\n", 1, "'perturb' read by no command"),
+            ("tol = diameter-pairs=0\n", 1, "'tol' read by no command"),
+            ("seed = 1\nsamples = 5\nseed = 2\n", 3, "'seed' given twice")):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "verify", "--suite", "focal",
+                             "--config", str(cfg))
+        _assert_one_error_line(code, out, err)
+        assert err == f"error: {cfg}:{line}: key {problem}\n"
+
+
+def test_the_config_keys_are_the_keys_the_commands_read():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.args[2].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_resolve"
+            and getattr(node.args[1], "id", None) == "cfg"}
+    assert read == cli.CONFIG_KEYS
 
 
 def test_unknown_tolerance_name_is_a_usage_error(capsys):

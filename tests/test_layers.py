@@ -77,3 +77,27 @@ def test_only_the_constants_default_to_the_canonical_a_sq():
                        for d in defaults):
                     found.add(f"{path.stem}.{node.name}")
     assert found == {"numerics.compute_model_constants"}
+
+
+def unread_imports(path):
+    """The names that the module at path imports and never reads, by ast."""
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return imported - read
+
+
+def test_every_imported_name_is_read():
+    # an __init__.py imports names to re-export them
+    root = Path(__file__).resolve().parent.parent
+    found = {f"{path.relative_to(root)}: {name}"
+             for folder in ("src", "tests", "demos")
+             for path in (root / folder).rglob("*.py")
+             if path.name != "__init__.py"
+             for name in unread_imports(path)}
+    assert found == set()

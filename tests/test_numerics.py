@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peabody4d.numerics import (
-    NoConvergence,
     UnknownKind,
-    compute_model_constants,
     solve_focal_embedding,
     tolerance_policy,
 )
