@@ -33,12 +33,13 @@ the direct formula and keeps each row's least value and first argmin
 (_screened_min), so both return the all-ball direct formula bit for bit,
 whatever the block partition.  _screened_min runs on a block engine
 (_row_blocks): blocks of rows of about 2^19 (row, ball) cells, a 2 MB
-float32 screen and a 0.5 MB mask, run by the calling thread and one pool
-thread per other CPU this process may use, with results bit-identical for
-any thread count.  Cap directions need no test at all: each is a positive
-combination of a cap cone's axis and rim directions, drawn from the fan of
-its rim mesh (_cap_cone, built once per model as BallModel.caps), so the
-convex cone holds it by construction.  The package needs numpy alone.
+float32 screen and a 0.5 MB mask, run by the calling thread and up to one
+thread per other CPU this process may use, which the call starts and joins,
+with results bit-identical for any thread count.  Cap directions need no
+test at all: each is a positive combination of a cap cone's axis and rim
+directions, drawn from the fan of its rim mesh (_cap_cone, built once per
+model as BallModel.caps), so the convex cone holds it by construction.
+The package needs numpy alone.
 
 A BallModel carries the skeleton it was built on, so every query of the
 body (sampling, residuals, the cap cones) takes the model alone.
@@ -58,7 +59,6 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -123,11 +123,10 @@ def piece_code(label):
 # array kernels
 # ============================================================================
 
-# the calling thread and one pool thread per other CPU this process may use
-# run a call's blocks; the executor starts its threads on first use
+# the calling thread and one helper thread per other CPU this process may
+# use run a call's blocks
 _HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) - 1
-_POOL = ThreadPoolExecutor(max(1, _HELPERS))
 _GATHER_ROWS = 2 ** 13
 
 
@@ -140,32 +139,37 @@ def _block_rows(n_cols):
 def _row_blocks(run, n_rows, n_cols):
     """run(rows) on each block of rows, at most _block_rows(n_cols) of them.
 
-    The calling thread and up to _HELPERS pool threads (one submit each,
-    none for one block) take block starts from one lock-guarded hand-out
-    (numpy and BLAS release the GIL); a block that writes only its own rows
-    of a result makes it bit-identical for any thread count.  An exception
-    in a block propagates once no block runs.
+    The calling thread and up to _HELPERS threads that the call starts (none
+    for one block) take block starts from one lock-guarded hand-out (numpy
+    and BLAS release the GIL); a block that writes only its own rows of a
+    result makes it bit-identical for any thread count.  The first exception
+    in a block stops the hand-out, and the call raises it once every thread
+    it started has been joined, so that no block runs after it.
     """
     step = _block_rows(n_cols)
-    starts, lock = iter(range(0, n_rows, step)), threading.Lock()
+    starts, lock, errors = iter(range(0, n_rows, step)), threading.Lock(), []
 
     def take():
         with lock:
-            return next(starts, None)
+            return None if errors else next(starts, None)
 
     def drain():
-        for start in iter(take, None):
-            run(slice(start, start + step))
+        try:
+            for start in iter(take, None):
+                run(slice(start, start + step))
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
 
-    helpers = [_POOL.submit(drain)
+    helpers = [threading.Thread(target=drain)
                for _ in range(min(_HELPERS, (n_rows - 1) // step))]
-    try:
-        drain()
-    finally:
-        # stop the hand-out; cancel unstarted helpers, await and read the rest
-        starts = iter(())
-        for f in wait([f for f in helpers if not f.cancel()]).done:
-            f.result()
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 # unit roundoff of float32, the precision of the screening products
@@ -429,7 +433,7 @@ class BallModel:
         return out, arg
 
 
-def build_ball_model(skeleton, patch_grid=(64, 96), arc_n=257):
+def build_ball_model(skeleton, patch_grid, arc_n):
     """Assemble the ball model from a skeleton at the given grid resolution.
 
     ntheta must be divisible by 3 and the arc grids are symmetric, so the

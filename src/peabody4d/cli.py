@@ -22,8 +22,9 @@ randomness flows through explicitly seeded generators.
 
 Exit statuses: 0 success, 1 verification failure or an empty slice, 2 usage
 error (among them a config key that no command reads or that is given twice,
-and a hidden ``--perturb`` outside (-1, 1) or one whose scaled radii leave
-the centroid outside a ball), 3 I/O error.
+a ``--tol`` given twice for one check, and a hidden ``--perturb`` outside
+(-1, 1) or one whose scaled radii leave the centroid outside a ball), 3 I/O
+error.
 """
 
 import argparse
@@ -39,7 +40,6 @@ import time
 import numpy as np
 
 from .body import (
-    BoundaryPopulation,
     EmptySlice,
     InteriorPointNotInterior,
     PIECE_LABELS,
@@ -107,8 +107,7 @@ DEFAULT_SAMPLES = 10000
 MAX_SAMPLES = 10 ** 6
 MAX_GRID = (256, 384)
 MAX_RESOLUTION = 256
-# sample rows: at least _SLACK_ROWS per slack call, _CSV_ROWS per write
-_SLACK_ROWS = 2 ** 13
+# sample rows per CSV write
 _CSV_ROWS = 2 ** 10
 
 # every check verify runs, in report order: name (what --tol accepts) ->
@@ -278,6 +277,8 @@ def _parse_tols(items):
         name, value = (part.strip() for part in item.split("=", 1))
         if name not in CHECK_NAMES:
             raise _UsageError(f"--tol: unknown check {name!r}")
+        if name in tols:
+            raise _UsageError(f"--tol {name}: given twice")
         try:
             tols[name] = float(value)
         except ValueError as exc:
@@ -562,20 +563,9 @@ def cmd_sample(args):
     row = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
     labels = np.array(PIECE_LABELS)[model.sample_face]
 
-    def batches():
-        held = []
-        for block in boundary_blocks(model, n, seed=seed):
-            held.append(block)
-            if sum(map(len, held)) >= _SLACK_ROWS:
-                yield held
-                held = []
-        if held:
-            yield held
-
     def chunks():
         yield "x,y,z,w,face,slack\n"
-        for held in batches():
-            pop = BoundaryPopulation.concat(held)
+        for pop in boundary_blocks(model, n, seed=seed):
             slack, _ = model.min_slack(pop.points)
             for k in range(0, len(pop), _CSV_ROWS):
                 rows = slice(k, k + _CSV_ROWS)

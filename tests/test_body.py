@@ -12,7 +12,6 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from unittest import mock
 
@@ -557,22 +556,6 @@ def test_ray_kernel_agrees_with_brute_force_distances(model):
             assert np.min(R[None, :] - dist) >= -1e-12
 
 
-@pytest.fixture
-def use_pool(monkeypatch):
-    """Run the block engine on the calling thread and the given number of
-    pool threads: patches _HELPERS to that number and _POOL to a pool of
-    that many threads (of one, which takes no block, for none)."""
-    pools = []
-
-    def use(helpers):
-        pools.append(ThreadPoolExecutor(max_workers=max(1, helpers)))
-        monkeypatch.setattr(body, "_HELPERS", helpers)
-        monkeypatch.setattr(body, "_POOL", pools[-1])
-    yield use
-    for pool in pools:
-        pool.shutdown()
-
-
 def kernel_outputs(model):
     """Every block kernel's arrays at ragged_count rows of its column count,
     the slack and ray kernels' with the aimed and vertex rows."""
@@ -587,12 +570,11 @@ def kernel_outputs(model):
     return outputs
 
 
-def test_kernels_are_bit_identical_for_any_worker_count(model, use_pool,
-                                                       monkeypatch):
-    # the calling thread alone, and with two pool threads
+def test_kernels_are_bit_identical_for_any_worker_count(model, monkeypatch):
+    # the calling thread alone, and with two helper threads
     results = []
     for helpers in (0, 2):
-        use_pool(helpers)
+        monkeypatch.setattr(body, "_HELPERS", helpers)
         results.append(kernel_outputs(model))
     assert len(results[1]) == 9
     for one, three in zip(*results):
@@ -604,10 +586,10 @@ def test_kernels_are_bit_identical_for_any_worker_count(model, use_pool,
         assert np.array_equal(one, seven)
 
 
-def test_chords_equal_two_ray_casts_bit_for_bit(model, use_pool):
+def test_chords_equal_two_ray_casts_bit_for_bit(model, monkeypatch):
     U = unit_directions(np.random.default_rng(37), ragged_count(len(model.centers)))
     for helpers in (0, 2):
-        use_pool(helpers)
+        monkeypatch.setattr(body, "_HELPERS", helpers)
         both = _ray_cast_many(model, U)[0] + _ray_cast_many(model, -U)[0]
         assert np.array_equal(chord_lengths(model, U), both)
 
@@ -642,7 +624,7 @@ def test_slice_rejects_a_zero_or_non_finite_hyperplane(model, normal, offset):
 
 
 def run_blocks_raising_in(raiser):
-    """_row_blocks over 4 blocks of 16 rows, on the caller and its pool
+    """_row_blocks over 4 blocks of 16 rows, on the caller and its helper
     threads, with every block raising in the thread that raiser names
     ("caller", "helper" or None).
 
@@ -662,7 +644,7 @@ def run_blocks_raising_in(raiser):
             running[0] += 1
             started.append(rows.start)
         try:
-            # each block waits until the caller and a pool thread have both
+            # each block waits until the caller and a helper thread have both
             # started one, so that both run blocks
             ran[mine].set()
             ran[not mine].wait(10)
@@ -685,10 +667,10 @@ def run_blocks_raising_in(raiser):
     return error, left, taken, sorted(started)
 
 
-def test_an_exception_in_one_block_propagates(use_pool):
-    # raised in the caller's block or in a pool thread's, it ends the call
+def test_an_exception_in_one_block_propagates(monkeypatch):
+    # raised in the caller's block or in a helper thread's, it ends the call
     # only once no block runs, and no block starts afterwards
-    use_pool(2)
+    monkeypatch.setattr(body, "_HELPERS", 2)
     for raiser in ("caller", "helper", None):
         error, left, taken, later = run_blocks_raising_in(raiser)
         assert str(error) == f"{raiser} block failed" if raiser else error is None
@@ -697,13 +679,35 @@ def test_an_exception_in_one_block_propagates(use_pool):
     assert taken == [0, 16, 32, 48]
 
 
-def test_every_block_runs_once_on_more_threads_than_cores(use_pool):
-    # eight pool threads and the caller share one hand-out of 2,001 blocks,
+def test_an_exception_stops_the_hand_out(monkeypatch):
+    # the first block to start fails; a block the other thread holds then
+    # lingers 50 ms, and that thread takes no block after it: two of the
+    # four blocks start at most
+    monkeypatch.setattr(body, "_HELPERS", 1)
+    lock, failed, started = threading.Lock(), threading.Event(), []
+
+    def run(rows):
+        with lock:
+            started.append(rows.start)
+            first = len(started) == 1
+        if first:
+            failed.set()
+            raise FloatingPointError("first block failed")
+        failed.wait(10)
+        time.sleep(0.05)
+
+    with pytest.raises(FloatingPointError, match="first block failed"):
+        _row_blocks(run, 64, 10 ** 5)     # blocks of 16 rows
+    assert len(started) <= 2
+
+
+def test_every_block_runs_once_on_more_threads_than_cores(monkeypatch):
+    # eight helper threads and the caller share one hand-out of 2,001 blocks,
     # switching threads every microsecond
     n_cols = 10 ** 6     # a block of 16 rows
     n_rows = 16 * 2000 + 7
     starts = []
-    use_pool(8)
+    monkeypatch.setattr(body, "_HELPERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -720,35 +724,34 @@ def test_every_block_runs_once_on_more_threads_than_cores(use_pool):
 
 def test_a_call_submits_one_task_per_helper_and_none_for_one_block(model,
                                                                    monkeypatch):
-    pool = ThreadPoolExecutor(2)
-    submits = []
+    # a call starts one thread per helper it needs, and none for one block
+    starts = []
 
-    class Spy:
-        def submit(self, fn):
-            submits.append(fn)
-            return pool.submit(fn)
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
 
     monkeypatch.setattr(body, "_HELPERS", 2)
-    monkeypatch.setattr(body, "_POOL", Spy())
+    monkeypatch.setattr(threading, "Thread", Counted)
     C, R = model.centers, model.radii
     step = _block_rows(len(C))
-    try:
-        counts = []
-        for rows in (1, step, step + 1, ragged_count(len(C))):
-            _min_slack(C, R, C[np.arange(rows) % len(C)])
-            counts.append(len(submits))
-        chord_lengths(model, np.eye(4))
-    finally:
-        pool.shutdown()
+    counts = []
+    for rows in (1, step, step + 1, ragged_count(len(C))):
+        _min_slack(C, R, C[np.arange(rows) % len(C)])
+        counts.append(len(starts))
+        # and joins them before it returns
+        assert not any(thread.is_alive() for thread in starts)
+    chord_lengths(model, np.eye(4))
     assert counts == [0, 0, 1, 3]
-    assert len(submits) == 3
+    assert len(starts) == 3
 
 
 def test_the_vertex_rows_slack_holds_a_few_megabytes(skeleton):
     # at 64x96 each simplex vertex is tight on about 14,300 balls, so the
     # five rows keep 71,600 survivors in one block; gathered in float64 at
     # once they trace 8.1 MB
-    model = build_ball_model(skeleton)
+    model = build_ball_model(skeleton, (64, 96), 257)
     vertices = model.skeleton.simplex.vertices
     (slack, _), peak = traced_peak(lambda: model.min_slack(vertices))
     assert np.all(np.abs(slack) <= 1e-12)

@@ -469,7 +469,6 @@ def test_sample_rows_are_fmt_fields_in_any_chunking(capsys, monkeypatch):
         numbers = line.split(",")[:4] + line.split(",")[5:]
         assert [cli._fmt(float(v)) for v in numbers] == numbers
     monkeypatch.setattr(cli, "_CSV_ROWS", 7)
-    monkeypatch.setattr(cli, "_SLACK_ROWS", 5)
     assert run(capsys, "sample", "--samples", "1000", "--seed", "4", *GRID)[1] == out
 
 
@@ -494,7 +493,7 @@ def coarse_model(skeleton):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 999, 8191, 8192, 8193, 20000])
 def test_the_streamed_sample_is_the_whole_population_formatted(
         capsys, model, coarse_model, n):
-    # the rows stream in sampler blocks, joined for the slack; the text is
+    # the rows stream in sampler blocks, one slack call each; the text is
     # the whole population's, whatever the blocks
     for grid, m in (("16x24", model), ("8x12", coarse_model)):
         code, out, _ = run(capsys, "sample", "--samples", str(n), "--seed",
@@ -506,7 +505,7 @@ def test_the_streamed_sample_is_the_whole_population_formatted(
 def test_sample_streams_its_rows(tmp_path, model, monkeypatch):
     # with the model built beforehand and the blocks run by the calling
     # thread alone, the peak at 2e5 rows exceeds the peak at 1,000 by one
-    # cap's draws and one slack batch: about a quarter of the 8.2 MB that
+    # cap's draws and one sampler block's slack: about a quarter of the 8.2 MB that
     # the 2e5 rows take as one population, where holding that population,
     # its slack and its labels adds about 13 MB
     model.caps
@@ -661,6 +660,8 @@ def test_a_cli_process_exits_with_its_objects_frozen():
     ("peabody4d.cli", "scipy.stats"),
     ("peabody4d", "scipy.optimize"),
     ("peabody4d.cli", "scipy"),
+    ("peabody4d.cli", "concurrent.futures"),
+    ("peabody4d.cli", "logging"),
 ])
 def test_importing_the_cli_does_not_load_scipy_stats(module, unwanted):
     env = src_env()
@@ -889,6 +890,20 @@ def test_unknown_tolerance_name_is_a_usage_error(capsys):
         assert code == 2, value
         assert out == ""
         assert "focal-distance-sum" in err and err.count("\n") == 1
+
+
+def test_a_repeated_tolerance_is_a_usage_error(tmp_path, capsys):
+    # the later value would silently replace the earlier one, as a repeated
+    # config key would
+    out = tmp_path / "report.json"
+    for values in (("0", "1"), ("1", "1")):
+        code, stdout, err = run(
+            capsys, "verify", "--suite", "focal", "--samples", "5",
+            "--out", str(out),
+            *(arg for v in values for arg in ("--tol", f"focal-distance-sum={v}")))
+        _assert_one_error_line(code, stdout, err)
+        assert err == "error: --tol focal-distance-sum: given twice\n"
+        assert not out.exists()
 
 
 def test_slice_rejects_a_non_finite_hyperplane(capsys):
