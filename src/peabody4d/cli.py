@@ -391,7 +391,7 @@ def _skeleton_checks(checks, tols, samples, seed, skeleton):
     def omega_offset():
         motion = isometry_from_vertex_permutation(s.vertices, (4, 5, 3, 1, 2))
         omega = motion.apply(np.array([c.focus_h, 0.0, 0.0, 0.0]))
-        p45 = s.midpoints[(4, 5)]
+        p45 = 0.5 * (s.vertices[3] + s.vertices[4])
         return abs(np.linalg.norm(omega - p45) - (c.focus_h - c.x1))
 
     def tangents():
@@ -470,9 +470,8 @@ def _body_checks(checks, tols, samples, seed, model):
         # width: at 16x24 random chords through it fall short by >= 3.7e-4.
         # Each axis chord joins a sheet vertex to an arc apex, both grid
         # nodes of the model, so it is the width to roundoff
-        axes = np.array([line.direction
-                         for line in skeleton.simplex.axes.values()])
-        return max(0.0, float(np.max(chord_lengths(model, axes))) - w)
+        return max(0.0, float(np.max(
+            chord_lengths(model, skeleton.simplex.axes))) - w)
 
     def axis_width():
         hi, lo = _axis_support_pairs(skeleton)

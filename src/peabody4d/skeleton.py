@@ -5,8 +5,9 @@ curved faces: each edge p_i p_j is replaced by an ellipse arc E_ij (the
 subarc of a transported copy of E between the two vertices, bulging away
 from the simplex), and each triangle p_i p_j p_k by a hyperboloid patch
 H_ijk (a curvilinear triangle on a transported copy of H).  All twenty are
-images of the two base faces E_12 and H_345 under the symmetry group, which
-is why the whole skeleton inherits the S5 symmetry of the simplex.
+images of the base focal pair (E_12, H_345): E_ij and its dual patch H_klm
+are its image under one motion, that of the permutation (i, j, k, l, m),
+which is why the whole skeleton inherits the S5 symmetry of the simplex.
 
 The crucial closure fact (special to a^2 = 3/2) is that the rotation taking
 p1 -> p4, p2 -> p5 and fixing p3 maps E_12 onto the boundary curve that the
@@ -30,7 +31,6 @@ from .focal import (
 from .geometry import (
     Isometry4,
     as_points,
-    as_vec4,
     ellipse_point,
     hyperboloid_point,
     hyperboloid_residual,
@@ -49,33 +49,18 @@ def dual_label(label):
 
 
 @dataclass(frozen=True)
-class Line4:
-    """A straight line, stored as a point and a unit direction."""
-
-    point: np.ndarray
-    direction: np.ndarray
-
-    def distance_to(self, p):
-        d = as_vec4(p) - self.point
-        return float(np.linalg.norm(d - (d @ self.direction) * self.direction))
-
-
-@dataclass(frozen=True)
 class Simplex4:
-    """The focally embedded regular 4-simplex plus its derived anchors.
+    """The focally embedded regular 4-simplex and the anchors read from it.
 
-    vertices     (5, 4), rows p1..p5
-    midpoints    {(i, j): p_ij}
-    barycenters  {(i, j, k): p_ijk}
-    centroid     g, on the x-axis
-    axes         {(i, j): line through p_ij and the complementary barycenter}
+    vertices  (5, 4), rows p1..p5
+    centroid  g, on the x-axis
+    axes      (10, 4), row k the unit direction from the midpoint of edge
+              _LABELS_EDGE[k] through g to its dual triangle's barycenter
     """
 
     vertices: np.ndarray
-    midpoints: dict
-    barycenters: dict
     centroid: np.ndarray
-    axes: dict
+    axes: np.ndarray
 
 
 def build_simplex(c):
@@ -87,16 +72,12 @@ def build_simplex(c):
     if max(abs(e - c.width) for e in edges) > 1e-12:
         raise ValueError("edges do not have length 2 z1")
 
-    mid = {(i, j): 0.5 * (V[i - 1] + V[j - 1]) for i, j in _LABELS_EDGE}
-    bary = {t: (V[t[0] - 1] + V[t[1] - 1] + V[t[2] - 1]) / 3.0 for t in _LABELS_TRI}
-    g = V.mean(axis=0)
-    axes = {}
+    axes = []
     for i, j in _LABELS_EDGE:
-        other = bary[dual_label((i, j))]
-        d = other - mid[(i, j)]
-        axes[(i, j)] = Line4(mid[(i, j)], d / np.linalg.norm(d))
-    return Simplex4(vertices=V, midpoints=mid,
-                    barycenters=bary, centroid=g, axes=axes)
+        k, l, m = dual_label((i, j))
+        d = (V[k - 1] + V[l - 1] + V[m - 1]) / 3.0 - 0.5 * (V[i - 1] + V[j - 1])
+        axes.append(d / np.linalg.norm(d))
+    return Simplex4(vertices=V, centroid=V.mean(axis=0), axes=np.array(axes))
 
 
 def build_symmetry_group(s):
@@ -243,33 +224,20 @@ class SkeletonFace:
 
 @dataclass(frozen=True)
 class FocalSkeleton:
-    """The twenty curved faces plus the data they were built from."""
+    """The twenty faces, {label: face} with the arcs first, and their data."""
 
     constants: object
     simplex: Simplex4
-    faces: list
+    faces: dict
 
     def face(self, label):
-        return self._by_label[tuple(sorted(label))]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_label", {f.label: f for f in self.faces})
+        return self.faces[tuple(sorted(label))]
 
     def edge_faces(self):
-        return [f for f in self.faces if f.kind == "edge-arc"]
+        return [f for f in self.faces.values() if f.kind == "edge-arc"]
 
     def triangle_faces(self):
-        return [f for f in self.faces if f.kind == "triangle-patch"]
-
-
-def _lex_min_generator(group, base, target):
-    """Motion of the lexicographically smallest permutation with
-    perm(base) == target as sets."""
-    bset, tset = set(base), set(target)
-    for idx, perm in enumerate(_ALL_PERMS):
-        if {perm[b - 1] for b in bset} == tset:
-            return group[idx]
-    raise ValueError(f"no permutation maps {base} to {target}")
+        return [f for f in self.faces.values() if f.kind == "triangle-patch"]
 
 
 def _make_face(label, c, gen):
@@ -284,11 +252,16 @@ def _make_face(label, c, gen):
 
 
 def build_focal_skeleton(c, s, group):
-    """All twenty faces: ten edge arcs and ten triangle patches."""
-    faces = [_make_face(lab, c, _lex_min_generator(group, base, lab))
-             for base, labels in (((1, 2), _LABELS_EDGE),
-                                  ((3, 4, 5), _LABELS_TRI))
-             for lab in labels]
+    """All twenty faces: ten edge arcs and ten triangle patches.
+
+    group is build_symmetry_group(s).  The arc E_ij and its dual patch
+    H_klm share one generator: the motion of the permutation (i, j, k, l, m),
+    the least one taking {1, 2} onto {i, j} and {3, 4, 5} onto {k, l, m}.
+    """
+    faces = {}
+    for lab in _LABELS_EDGE + _LABELS_TRI:
+        arc = lab if len(lab) == 2 else dual_label(lab)
+        faces[lab] = _make_face(lab, c, group[_ALL_PERMS.index(arc + dual_label(arc))])
     return FocalSkeleton(constants=c, simplex=s, faces=faces)
 
 
@@ -330,8 +303,8 @@ def tangent_slopes(c, s):
 
     phi = isometry_from_vertex_permutation(s.vertices, (4, 5, 3, 1, 2))
     v_t = phi.linear @ v_e
-    p45 = s.midpoints[(4, 5)]
-    bary = s.barycenters[(1, 2, 3)]
+    p45 = 0.5 * (s.vertices[3] + s.vertices[4])
+    bary = (s.vertices[0] + s.vertices[1] + s.vertices[2]) / 3.0
     u_l = (bary - p45) / np.linalg.norm(bary - p45)
     w_hat = np.array([0.0, 0.0, 0.0, 1.0])
     if v_t @ w_hat < 0.0:

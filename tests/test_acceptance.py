@@ -105,7 +105,7 @@ def test_c05_arc_to_patch_closure(constants, simplex, group):
 
     motion = group[_ALL_PERMS.index((4, 5, 3, 1, 2))]
     omega = motion.apply(np.array([math.sqrt(constants.a_sq), 0.0, 0.0, 0.0]))
-    p45 = simplex.midpoints[(4, 5)]
+    p45 = 0.5 * (simplex.vertices[3] + simplex.vertices[4])
     offset = np.linalg.norm(omega - p45) - (math.sqrt(1.5) - constants.x1)
     assert abs(offset) <= 1e-12
 
@@ -210,7 +210,7 @@ def test_c11_symmetry_invariance(skeleton, group, model, exact_pop):
     assert worst <= 1e-8
 
     probes = {}
-    for face in skeleton.faces:
+    for face in skeleton.faces.values():
         if face.kind == "edge-arc":
             probes[face.label] = face.points(12)
         else:

@@ -208,7 +208,7 @@ def test_ball_radii_follow_the_chain_radius_law(model, skeleton, constants):
 
 
 def test_face_slices_tile_the_face_rows_in_order(model, skeleton):
-    assert set(model.face_slices) == {face.label for face in skeleton.faces}
+    assert set(model.face_slices) == set(skeleton.faces)
     assert len(model.face_slices) == 20
     # rows 0-4 are the vertex balls; the faces follow, one block each
     slices = list(model.face_slices.values())
@@ -599,9 +599,7 @@ def test_only_the_dual_pair_axes_carry_a_diameter_through_the_centroid(model):
     # and by the simplex symmetry those are the ten dual-pair axes: 2,048
     # random chords per seed fall short by 3.7e-4 or more, while the longest
     # axis chord is over the width by the grid residual alone (1.26e-6)
-    axes = np.array([line.direction
-                     for line in model.skeleton.simplex.axes.values()])
-    longest_axis = np.max(chord_lengths(model, axes))
+    longest_axis = np.max(chord_lengths(model, model.skeleton.simplex.axes))
     assert 0.0 < longest_axis - model.width < 1e-5
     for seed in (4, 5, 6, 7):
         U = unit_directions(np.random.default_rng(seed), 2048)

@@ -1,6 +1,8 @@
-"""Each demo runs to completion and leaves nothing in its working directory."""
+"""Each demo runs to completion and leaves nothing in its working directory,
+and the README's Python examples run as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("run_*.py"))
+README = ROOT / "README.md"
 
 
 def test_all_five_demos_are_collected():
@@ -26,3 +29,13 @@ def test_demo_runs_cleanly(demo, tmp_path, tmp_path_factory):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_readme_python_blocks_run_in_order():
+    # the blocks share one namespace, as a reader running them in turn would
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.S | re.M)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -63,7 +63,7 @@ def test_a_skeleton_that_served_a_sampler_keeps_only_its_own_state(
     model = build_ball_model(skeleton, patch_grid=(16, 24), arc_n=64)
     sample_theta(model, 2000, seed=0)
     own = {f.name for f in dataclasses.fields(FocalSkeleton)}
-    assert set(vars(skeleton)) == own | {"_by_label"}
+    assert set(vars(skeleton)) == own
 
 
 def test_only_the_constants_default_to_the_canonical_a_sq():

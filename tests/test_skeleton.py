@@ -43,6 +43,7 @@ from peabody4d.skeleton import (
 from frozen_values import FROZEN
 
 ALL_PERMS = list(itertools.permutations(range(1, 6)))
+EDGES = list(itertools.combinations(range(1, 6), 2))
 
 
 def hausdorff(A, B):
@@ -124,18 +125,25 @@ def test_centroid_to_vertex(constants, simplex):
 def test_axis_duality(simplex):
     """Each axis line joins an edge midpoint, the complementary barycenter,
     and the centroid."""
-    for lab, line in simplex.axes.items():
-        assert abs(np.linalg.norm(line.direction) - 1.0) <= 1e-14
-        assert line.distance_to(simplex.midpoints[lab]) <= 1e-12
-        assert line.distance_to(simplex.barycenters[dual_label(lab)]) <= 1e-12
-        assert line.distance_to(simplex.centroid) <= 1e-12
+    V = simplex.vertices
+
+    def distance(p, point, u):
+        d = p - point
+        return np.linalg.norm(d - (d @ u) * u)
+    for (i, j), u in zip(EDGES, simplex.axes):
+        mid = 0.5 * (V[i - 1] + V[j - 1])
+        bary = V[[k - 1 for k in dual_label((i, j))]].mean(axis=0)
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-14
+        assert distance(mid, mid, u) <= 1e-12
+        assert distance(bary, mid, u) <= 1e-12
+        assert distance(simplex.centroid, mid, u) <= 1e-12
     # sanity: a vertex of the edge is not on its own axis
-    assert simplex.axes[(4, 5)].distance_to(simplex.vertices[3]) > 0.1
+    assert distance(V[3], 0.5 * (V[3] + V[4]), simplex.axes[EDGES.index((4, 5))]) > 0.1
 
 
 def test_dual_axis_direction(constants, simplex):
     # the {4,5} axis direction is (2/3, sqrt5/3, 0, 0) for every parameter
-    d = simplex.axes[(4, 5)].direction
+    d = simplex.axes[EDGES.index((4, 5))]
     target = np.array([2.0 / 3.0, math.sqrt(5.0) / 3.0, 0.0, 0.0])
     assert np.allclose(d, target, atol=1e-13) or np.allclose(d, -target, atol=1e-13)
 
@@ -170,9 +178,9 @@ def test_group_closed_under_composition(group):
 
 def test_orbit_of_midpoint(simplex, group):
     """The orbit of p12 is exactly the ten edge midpoints."""
-    p12 = simplex.midpoints[(1, 2)]
-    orbit = np.array([m.apply(p12) for m in group])
-    mids = np.array(list(simplex.midpoints.values()))
+    V = simplex.vertices
+    mids = np.array([0.5 * (V[i - 1] + V[j - 1]) for i, j in EDGES])
+    orbit = np.array([m.apply(mids[0]) for m in group])
     d, _ = cKDTree(mids).query(orbit)
     assert d.max() <= 1e-9
     # and the orbit reaches all ten
@@ -223,7 +231,7 @@ def test_omega_two_routes(constants, simplex, group, skeleton):
     assert abs(omega_direct[0] - FROZEN["omega_x"]) <= 1e-12
     assert abs(omega_direct[1] - FROZEN["omega_y"]) <= 1e-12
 
-    p45 = simplex.midpoints[(4, 5)]
+    p45 = 0.5 * (simplex.vertices[3] + simplex.vertices[4])
     assert abs(np.linalg.norm(omega_direct - p45) - FROZEN["omega_dist_p45"]) <= 1e-12
     assert abs(np.linalg.norm(omega_direct - p45)
                - (math.sqrt(1.5) - constants.x1)) <= 1e-12
@@ -328,9 +336,8 @@ def test_face_count_and_lookup(skeleton):
     assert len(skeleton.triangle_faces()) == 10
     assert skeleton.face((5, 4)) is skeleton.face((4, 5))
     assert skeleton.face((5, 3, 4)).kind == "triangle-patch"
-    labels = {f.label for f in skeleton.faces}
-    assert labels == (set(itertools.combinations(range(1, 6), 2))
-                      | set(itertools.combinations(range(1, 6), 3)))
+    assert list(skeleton.faces) == EDGES + list(itertools.combinations(range(1, 6), 3))
+    assert all(face.label == lab for lab, face in skeleton.faces.items())
 
 
 def test_faces_lie_on_their_quadrics(constants, simplex, skeleton):
@@ -436,6 +443,19 @@ def test_dual_faces_form_focal_pairs(skeleton):
                               arc.generator.translation)
 
 
+def test_each_face_takes_the_motion_of_its_closed_form_permutation(skeleton, group):
+    """Face L takes the motion of the least permutation taking (1, 2) onto
+    its arc and (3, 4, 5) onto its patch, which is (arc, dual arc); an arc
+    and its dual patch share that one motion, so ten motions serve twenty."""
+    for lab, face in skeleton.faces.items():
+        arc = lab if len(lab) == 2 else dual_label(lab)
+        least = min(p for p in ALL_PERMS if set(p[:2]) == set(arc))
+        assert least == arc + dual_label(arc)
+        assert face.generator is group[ALL_PERMS.index(arc + dual_label(arc))]
+        assert skeleton.face(dual_label(lab)).generator is face.generator
+    assert len({id(f.generator) for f in skeleton.faces.values()}) == 10
+
+
 # ============================================================================
 # radius consistency where chains meet
 # ============================================================================
@@ -489,7 +509,7 @@ def test_cap_separation(simplex, skeleton):
     c = skeleton.constants
     p1 = simplex.vertices[0]
     p4, p5 = simplex.vertices[3], simplex.vertices[4]
-    p123 = simplex.barycenters[(1, 2, 3)]
+    p123 = (simplex.vertices[0] + simplex.vertices[1] + simplex.vertices[2]) / 3.0
     rows = np.array([p5 - p4, p123 - p4, p1 - p4])
     _, sv, vt = np.linalg.svd(rows)
     assert sv[-1] > 1e-6  # the three spanning directions are independent
